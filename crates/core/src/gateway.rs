@@ -22,8 +22,8 @@
 //!    [`Rejected::Throttled`], an open breaker
 //!    [`Rejected::CircuitOpen`];
 //! 3. **dispatch** up to a pool-sized batch from the queue across
-//!    [`ExperimentCtx::threads`] workers ([`ordered_map_with`], so
-//!    results merge in dispatch order) — each session replays its
+//!    [`ExperimentCtx::threads`] workers ([`ordered_map_with_state`],
+//!    so results merge in dispatch order) — each session replays its
 //!    tape under its own fault draw with a hard round *deadline*,
 //!    wrapped in `catch_unwind` so a poisoned session increments
 //!    `gateway.sessions.panicked` instead of killing the pool;
@@ -42,7 +42,7 @@
 //! byte-identical at any worker count.
 //!
 //! [`LinkConditioner`]: iotls_simnet::LinkConditioner
-//! [`ordered_map_with`]: iotls_simnet::ordered_map_with
+//! [`ordered_map_with_state`]: iotls_simnet::ordered_map_with_state
 
 use crate::detect::FlowBaseline;
 use crate::experiment::{fault_stats_json, ExperimentCtx, GatewayService};
@@ -56,7 +56,7 @@ use iotls_obs::Registry;
 use iotls_simnet::mux::{
     replay_flow_chained, replay_flow_with, AcceptLoop, ReplayScratch, SessionFlow,
 };
-use iotls_simnet::{FailureCause, InjectedFault, SessionFaults};
+use iotls_simnet::{FailureCause, FaultSampler, InjectedFault, SessionFaults};
 use iotls_tls::client::ClientConnection;
 use iotls_tls::middleware::{Chain, ChainStats, Signal, Stage};
 use iotls_tls::server::ServerConnection;
@@ -546,6 +546,7 @@ impl<'a> Gateway<'a> {
     pub fn run(&self) -> GatewayReport {
         let cfg = &self.config;
         let accept = AcceptLoop::new(self.ctx.seed(), cfg.load, cfg.load_spread);
+        let sampler = self.ctx.plan().sampler();
         let mut reg = Registry::new();
         let mut queue: VecDeque<Ticket> = VecDeque::new();
         let mut buckets: Vec<TokenBucket> = Category::ALL
@@ -633,7 +634,7 @@ impl<'a> Gateway<'a> {
                 self.ctx.threads(),
                 batch.clone(),
                 || (ReplayScratch::default(), self.worker_chains()),
-                |(scratch, chains), t| self.drive(scratch, chains, t),
+                |(scratch, chains), t| self.drive(&sampler, scratch, chains, t),
             );
             for (ticket, outcome) in batch.iter().zip(outcomes) {
                 let entry = &self.flows[ticket.flow_idx];
@@ -753,14 +754,16 @@ impl<'a> Gateway<'a> {
     /// Drives one ticket on a worker: panic-isolated, pure in
     /// `(ctx.seed, plan, config, ticket)` — middleware chains
     /// included, provided they honour the [`ChainFactory`] contract.
+    /// `sampler` draws from the ctx's plan, derived once per run.
     fn drive(
         &self,
+        sampler: &FaultSampler,
         scratch: &mut ReplayScratch,
         chains: &mut [Option<Chain>],
         ticket: Ticket,
     ) -> SessionOutcome {
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.drive_inner(scratch, chains, ticket)
+            self.drive_inner(sampler, scratch, chains, ticket)
         })) {
             Ok(outcome) => outcome,
             Err(_) => SessionOutcome {
@@ -779,6 +782,7 @@ impl<'a> Gateway<'a> {
     /// cycles are terminal, exactly as in [`crate::ActiveLab`].
     fn drive_inner(
         &self,
+        sampler: &FaultSampler,
         scratch: &mut ReplayScratch,
         chains: &mut [Option<Chain>],
         ticket: Ticket,
@@ -796,10 +800,9 @@ impl<'a> Gateway<'a> {
         }
 
         let mut chain = chains.get_mut(entry.endpoint_idx).and_then(Option::as_mut);
-        let plan = self.ctx.plan();
         let mut stats = FaultStats::default();
         let mut mw = ChainStats::default();
-        if plan.is_none() {
+        if sampler.is_none() {
             // Hot path: no fault-key formatting, no retry loop.
             let (out, verdict) = match chain.as_deref_mut() {
                 Some(ch) => {
@@ -843,7 +846,7 @@ impl<'a> Gateway<'a> {
                 "gw/{}/{}/{}/try{}",
                 entry.device, entry.endpoint, ticket.seq, try_idx
             );
-            let faults = plan.session_faults(&key);
+            let faults = sampler.session_faults(&key);
 
             if faults.dns.is_some() {
                 stats.dns_failures += 1;

@@ -78,19 +78,32 @@ impl ChaCha20 {
 
     /// XORs the keystream into `buf` in place (encrypt == decrypt).
     pub fn apply(&mut self, buf: &mut [u8]) {
-        for byte in buf {
-            if self.used == 64 {
-                self.refill();
+        self.segments(buf, |out, ks| {
+            for (b, k) in out.iter_mut().zip(ks) {
+                *b ^= k;
             }
-            *byte ^= self.keystream[self.used];
-            self.used += 1;
-        }
+        });
     }
 
     /// Fills `buf` with raw keystream bytes (for the DRBG).
     pub fn keystream(&mut self, buf: &mut [u8]) {
-        buf.fill(0);
-        self.apply(buf);
+        self.segments(buf, <[u8]>::copy_from_slice);
+    }
+
+    /// Walks `buf` in runs that each fit in the unused tail of the
+    /// current keystream block, handing each run and its keystream
+    /// bytes to `op`.
+    fn segments(&mut self, mut buf: &mut [u8], mut op: impl FnMut(&mut [u8], &[u8])) {
+        while !buf.is_empty() {
+            if self.used == 64 {
+                self.refill();
+            }
+            let n = buf.len().min(64 - self.used);
+            let (run, rest) = std::mem::take(&mut buf).split_at_mut(n);
+            op(run, &self.keystream[self.used..self.used + n]);
+            self.used += n;
+            buf = rest;
+        }
     }
 }
 
@@ -145,5 +158,21 @@ mod tests {
             c.apply(chunk);
         }
         assert_eq!(oneshot, streamed);
+    }
+
+    #[test]
+    fn keystream_chunking_matches_oneshot() {
+        let key = [9u8; 32];
+        let nonce = [5u8; 12];
+        let mut oneshot = vec![0u8; 1000];
+        ChaCha20::new(&key, &nonce, 0).keystream(&mut oneshot);
+        for chunk in 1..=130 {
+            let mut streamed = vec![0xAAu8; 1000];
+            let mut c = ChaCha20::new(&key, &nonce, 0);
+            for part in streamed.chunks_mut(chunk) {
+                c.keystream(part);
+            }
+            assert_eq!(oneshot, streamed, "chunk {chunk}");
+        }
     }
 }

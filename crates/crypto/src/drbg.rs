@@ -139,6 +139,25 @@ mod tests {
         });
     }
 
+    /// The stream behind one gateway fault draw, pinned so a change to
+    /// SHA-256, ChaCha20 or the fork derivation fails here first.
+    #[test]
+    fn fault_plan_fork_stream_is_pinned() {
+        let mut d = Drbg::from_seed(0x6A7E)
+            .fork("fault-plan")
+            .fork("gw/Zmodo Doorbell/api.zmodo.example/7/try0");
+        let drawn: Vec<u64> = (0..4).map(|_| d.next_u64()).collect();
+        assert_eq!(
+            drawn,
+            [
+                0x584c_0b6c_970e_a75e,
+                0x03f8_36da_e65f_4fdb,
+                0x3131_b708_b502_3ef2,
+                0x8030_59ac_7e5b_6683,
+            ]
+        );
+    }
+
     #[test]
     fn below_is_in_range_and_covers() {
         let mut d = Drbg::from_seed(1);

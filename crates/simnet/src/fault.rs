@@ -212,24 +212,58 @@ impl FaultPlan {
 
     /// The faults the session identified by `key` experiences. Pure:
     /// the same `(seed, key)` always yields the same faults, no matter
-    /// how many other sessions were drawn in between.
+    /// how many other sessions were drawn in between. A caller drawing
+    /// many sessions from one plan should hold a [`FaultPlan::sampler`]
+    /// instead, which derives the plan's DRBG fork once.
     pub fn session_faults(&self, key: &str) -> SessionFaults {
-        if self.is_none() {
-            return SessionFaults::none();
+        self.sampler().session_faults(key)
+    }
+
+    /// A sampler for this plan, with the per-plan DRBG fork derived.
+    pub fn sampler(&self) -> FaultSampler {
+        FaultSampler {
+            plan: *self,
+            fork: (!self.is_none()).then(|| Drbg::from_seed(self.seed).fork("fault-plan")),
         }
-        let mut rng = Drbg::from_seed(self.seed).fork("fault-plan").fork(key);
+    }
+}
+
+/// A [`FaultPlan`] with the DRBG fork all its sessions derive from
+/// computed once, so each draw costs one fork by the session key
+/// instead of three. Draws the identical schedule as
+/// [`FaultPlan::session_faults`], which delegates here.
+pub struct FaultSampler {
+    plan: FaultPlan,
+    /// The plan's fork; `None` when no fault class can fire.
+    fork: Option<Drbg>,
+}
+
+impl FaultSampler {
+    /// True when no fault class can ever fire.
+    pub fn is_none(&self) -> bool {
+        self.fork.is_none()
+    }
+
+    /// The faults the session identified by `key` experiences; see
+    /// [`FaultPlan::session_faults`].
+    pub fn session_faults(&self, key: &str) -> SessionFaults {
+        let Some(fork) = &self.fork else {
+            return SessionFaults::none();
+        };
+        let plan = &self.plan;
+        let mut rng = fork.fork(key);
         let mut ops = Vec::new();
         // Draw every class unconditionally so each decision consumes
         // the same DRBG stream regardless of earlier outcomes.
-        let reset = rng.chance(self.reset_pm as f64 / 1000.0);
+        let reset = rng.chance(plan.reset_pm as f64 / 1000.0);
         let reset_offset = rng.range(16, 2600);
-        let garble = rng.chance(self.garble_pm as f64 / 1000.0);
+        let garble = rng.chance(plan.garble_pm as f64 / 1000.0);
         let garble_offset = rng.range(6, 2200);
-        let stall = rng.chance(self.stall_pm as f64 / 1000.0);
+        let stall = rng.chance(plan.stall_pm as f64 / 1000.0);
         let stall_round = rng.range(1, 3) as usize;
-        let cycle = rng.chance(self.power_cycle_pm as f64 / 1000.0);
+        let cycle = rng.chance(plan.power_cycle_pm as f64 / 1000.0);
         let cycle_round = rng.range(1, 3) as usize;
-        let dns = rng.chance(self.dns_fail_pm as f64 / 1000.0);
+        let dns = rng.chance(plan.dns_fail_pm as f64 / 1000.0);
         let dns_kind = if rng.chance(0.5) {
             DnsFault::NxDomain
         } else {
@@ -459,6 +493,45 @@ mod tests {
         // Drawing another key in between changes nothing.
         let _ = plan.session_faults("conn/other/host/3");
         assert_eq!(plan.session_faults("conn/cam/host/0"), a);
+    }
+
+    /// One key per fault class under a 2% plan, with the exact faults
+    /// drawn for it, so a change that moves a draw fails here rather
+    /// than only in the golden fixtures.
+    #[test]
+    fn session_faults_are_pinned() {
+        let plan = FaultPlan::uniform(0x6A7F, 20);
+        let pinned = [
+            ("pin/2", vec![FaultOp::PowerCycle { at_round: 1 }], None),
+            ("pin/6", vec![FaultOp::Garble { offset: 1012 }], None),
+            ("pin/8", vec![FaultOp::Stall { after_round: 2 }], None),
+            ("pin/23", vec![FaultOp::Reset { offset: 1435 }], None),
+            ("pin/71", vec![], Some(DnsFault::NxDomain)),
+        ];
+        for (key, ops, dns) in pinned {
+            assert_eq!(
+                plan.session_faults(key),
+                SessionFaults { ops, dns },
+                "{key}"
+            );
+        }
+    }
+
+    #[test]
+    fn sampler_draws_what_the_plan_draws() {
+        for pm in [0, 20, 1000] {
+            let plan = FaultPlan::uniform(0x5A3D, pm);
+            let sampler = plan.sampler();
+            assert_eq!(sampler.is_none(), plan.is_none());
+            for i in 0..10_000 {
+                let key = format!("gw/dev/host/{i}/try{}", i % 6);
+                assert_eq!(
+                    sampler.session_faults(&key),
+                    plan.session_faults(&key),
+                    "{pm} pm, {key}"
+                );
+            }
+        }
     }
 
     #[test]

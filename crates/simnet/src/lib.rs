@@ -42,7 +42,8 @@ pub use driver::{
 };
 pub use events::{EventQueue, SimClock};
 pub use fault::{
-    DnsFault, FailureCause, FaultOp, FaultPlan, InjectedFault, LinkConditioner, SessionFaults,
+    DnsFault, FailureCause, FaultOp, FaultPlan, FaultSampler, InjectedFault, LinkConditioner,
+    SessionFaults,
 };
 pub use metrics::record_session_metrics;
 pub use mux::{

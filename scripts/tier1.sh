@@ -77,12 +77,22 @@ if grep -rnE 'fn [a-z_]+_(with|metered)\(' crates/core/src; then
     exit 1
 fi
 
+# Benchmark gate: perfbench/ is a package of its own that calls the
+# library's public API (fault draws, tape replay, the worker fan-out,
+# SHA-256), so an API change that breaks it fails here rather than in
+# the benchmark run. Also runs the harness's unit tests and the
+# self-test of its comparison gate.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+python3 perfbench/check.py --self-test
+
 end=$(date +%s)
 echo "tier1: OK ($((end - start))s)"
 
-# Optional perf gate: compare BENCH_current.json to BENCH_baseline.json
-# and fail on >15% regressions. Off by default because the bench files
-# are refreshed by scripts/bench.sh, not by every tier-1 run.
+# Optional perf gate: measure every workload of BENCHMARK.json and
+# compare the suite with the committed baseline. Off by default: a
+# full run takes a few minutes and its numbers depend on the host.
 if [ "${IOTLS_BENCH_CHECK:-0}" = "1" ]; then
-    ./scripts/bench_check.sh
+    python3 perfbench/run.py --workload all --out perfbench/results/suite.json
+    python3 perfbench/check.py perfbench/results/suite.json perfbench/baseline.json
 fi
