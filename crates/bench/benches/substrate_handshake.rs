@@ -4,8 +4,9 @@
 use criterion::Criterion;
 use iotls_bench::criterion;
 use iotls_crypto::{sha256, Drbg, RsaPrivateKey};
-use iotls_simnet::{drive_session, SessionParams};
+use iotls_simnet::{drive_session, DriveScratch, GatewayTap, LinkConditioner, SessionParams};
 use iotls_tls::client::{ClientConfig, ClientConnection};
+use iotls_tls::middleware::Chain;
 use iotls_tls::server::{ServerConfig, ServerConnection};
 use iotls_x509::{CertifiedKey, DistinguishedName, IssueParams, RootStore, Timestamp};
 
@@ -30,6 +31,8 @@ fn bench(c: &mut Criterion) {
     let server_cfg = ServerConfig::typical(vec![leaf], leaf_key);
 
     c.bench_function("substrate/full_tls13_handshake", |b| {
+        let mut chain = Chain::new().with(Box::new(GatewayTap::new()));
+        let mut scratch = DriveScratch::new();
         b.iter(|| {
             let client = ClientConnection::new(
                 ClientConfig::modern(roots.clone()),
@@ -38,19 +41,23 @@ fn bench(c: &mut Criterion) {
                 Drbg::from_seed(3),
             );
             let server = ServerConnection::new(server_cfg.clone(), Drbg::from_seed(4));
+            let tap = chain.middleware_mut::<GatewayTap>(0).unwrap();
+            tap.reset();
             let r = drive_session(
                 client,
                 server,
                 SessionParams {
                     client_payload: Some(b"ping"),
                     server_payload: Some(b"pong"),
-                    tap: true,
-                    time: Timestamp::from_ymd(2021, 3, 1),
-                    device: "bench",
-                    destination: "bench.example",
                 },
+                &mut LinkConditioner::passthrough(),
+                &mut chain,
+                &mut scratch,
             );
             assert!(r.established);
+            let tap = chain.middleware_mut::<GatewayTap>(0).unwrap();
+            let obs = tap.take_observation(Timestamp::from_ymd(2021, 3, 1), "bench", "bench.example");
+            std::hint::black_box(obs);
             std::hint::black_box(r)
         })
     });

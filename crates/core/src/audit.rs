@@ -134,18 +134,6 @@ pub fn run_interception_audit(testbed: &Testbed, seed: u64) -> InterceptionRepor
     InterceptionAudit.run(testbed, &ExperimentCtx::new(seed))
 }
 
-/// Runs the Table 7 audit with every lab observing through the
-/// middleware chain ([`ActiveLab::enable_middleware_tap`]) instead of
-/// the byte-feed tap. The report is byte-identical to
-/// [`InterceptionAudit::run`] on the same context — the oracle test
-/// in `tests/middleware_chain.rs` holds the two against each other.
-pub fn run_interception_audit_middleware(
-    testbed: &Testbed,
-    ctx: &ExperimentCtx,
-) -> InterceptionReport {
-    audit_sweep(testbed, ctx, true)
-}
-
 /// Observe-only middleware expressing the audit's wire-level
 /// observables as a gateway chain member: counts handshakes,
 /// certificate presentations, and post-handshake application
@@ -217,148 +205,139 @@ impl Experiment for InterceptionAudit {
     /// the `audit.*` verdict counters merge in roster order so the
     /// totals are identical at any thread count.
     fn run(&self, testbed: &Testbed, ctx: &ExperimentCtx) -> InterceptionReport {
-        audit_sweep(testbed, ctx, false)
-    }
-}
+        let seed = ctx.seed();
+        let mut rows = Vec::new();
+        let mut passthrough_gains = Vec::new();
+        let mut fault_stats = FaultStats::default();
+        let mut verify_cache_stats = CacheStats::default();
+        let mut reg = Registry::new();
 
-/// The audit sweep proper, shared by the tap-path and middleware-path
-/// entry points; `middleware_tap` flips every lab onto the chain.
-fn audit_sweep(testbed: &Testbed, ctx: &ExperimentCtx, middleware_tap: bool) -> InterceptionReport {
-    let seed = ctx.seed();
-    let mut rows = Vec::new();
-    let mut passthrough_gains = Vec::new();
-    let mut fault_stats = FaultStats::default();
-    let mut verify_cache_stats = CacheStats::default();
-    let mut reg = Registry::new();
-
-    // Each device gets fresh labs seeded independently of roster
-    // position, so the per-device work fans out across workers and
-    // the ordered merge below reproduces the sequential
-    // accumulation exactly.
-    let devices: Vec<_> = testbed.devices.iter().filter(|d| d.spec.in_active).collect();
-    let per_device = iotls_simnet::ordered_map_with(ctx.threads(), devices, |device| {
-        // Fresh lab per device per attack so the Yi quirk and boot
-        // counters don't bleed between experiments.
-        let mut device_stats = FaultStats::default();
-        let mut device_cache = CacheStats::default();
-        let mut device_reg = Registry::new();
-        let mut device_gain = None;
-        let mut vulnerable = BTreeSet::new();
-        let mut leaks: Vec<String> = Vec::new();
-        let mut observed: BTreeSet<String> = BTreeSet::new();
-        let mut flags = [false; 3];
-        let policies = [
-            InterceptPolicy::SelfSigned,
-            InterceptPolicy::InvalidBasicConstraints,
-            InterceptPolicy::WrongHostname,
-        ];
-        for (i, policy) in policies.iter().enumerate() {
-            let mut lab = ActiveLab::with_ctx(testbed, ctx, seed ^ (i as u64) << 8);
-            if middleware_tap {
-                lab.enable_middleware_tap();
-            }
-            let (compromised, attack_leaks, seen) =
-                attack_device(&mut lab, &device.spec.name, policy);
-            flags[i] = !compromised.is_empty();
-            vulnerable.extend(compromised);
-            for l in attack_leaks {
-                if !leaks.contains(&l) {
-                    leaks.push(l);
-                }
-            }
-            observed.extend(seen);
-
-            // TrafficPassthrough: pass previously-failed
-            // connections through and re-attack whatever else
-            // appears.
-            let failed: Vec<String> = device
-                .spec
-                .boot_destinations()
-                .iter()
-                .map(|d| d.hostname.clone())
-                .filter(|h| !vulnerable.contains(h))
-                .collect();
-            let before = observed.len();
-            {
-                let state = lab.state(&device.spec.name);
-                for h in failed {
-                    state.passthrough.insert(h);
-                }
-            }
-            // Retry across flaky boots until the device talks.
-            for _ in 0..6 {
-                let outcomes = lab.boot_and_connect(device, Some(policy));
-                for o in &outcomes {
-                    observed.insert(o.destination.clone());
-                    if o.result.tainted() {
-                        continue;
-                    }
-                    if o.intercepted && o.result.established {
-                        vulnerable.insert(o.destination.clone());
-                        flags[i] = true;
+        // Each device gets fresh labs seeded independently of roster
+        // position, so the per-device work fans out across workers and
+        // the ordered merge below reproduces the sequential
+        // accumulation exactly.
+        let devices: Vec<_> = testbed.devices.iter().filter(|d| d.spec.in_active).collect();
+        let per_device = iotls_simnet::ordered_map_with(ctx.threads(), devices, |device| {
+            // Fresh lab per device per attack so the Yi quirk and boot
+            // counters don't bleed between experiments.
+            let mut device_stats = FaultStats::default();
+            let mut device_cache = CacheStats::default();
+            let mut device_reg = Registry::new();
+            let mut device_gain = None;
+            let mut vulnerable = BTreeSet::new();
+            let mut leaks: Vec<String> = Vec::new();
+            let mut observed: BTreeSet<String> = BTreeSet::new();
+            let mut flags = [false; 3];
+            let policies = [
+                InterceptPolicy::SelfSigned,
+                InterceptPolicy::InvalidBasicConstraints,
+                InterceptPolicy::WrongHostname,
+            ];
+            for (i, policy) in policies.iter().enumerate() {
+                let mut lab = ActiveLab::with_ctx(testbed, ctx, seed ^ (i as u64) << 8);
+                let (compromised, attack_leaks, seen) =
+                    attack_device(&mut lab, &device.spec.name, policy);
+                flags[i] = !compromised.is_empty();
+                vulnerable.extend(compromised);
+                for l in attack_leaks {
+                    if !leaks.contains(&l) {
+                        leaks.push(l);
                     }
                 }
-                if !outcomes.is_empty() {
-                    break;
+                observed.extend(seen);
+
+                // TrafficPassthrough: pass previously-failed
+                // connections through and re-attack whatever else
+                // appears.
+                let failed: Vec<String> = device
+                    .spec
+                    .boot_destinations()
+                    .iter()
+                    .map(|d| d.hostname.clone())
+                    .filter(|h| !vulnerable.contains(h))
+                    .collect();
+                let before = observed.len();
+                {
+                    let state = lab.state(&device.spec.name);
+                    for h in failed {
+                        state.passthrough.insert(h);
+                    }
+                }
+                // Retry across flaky boots until the device talks.
+                for _ in 0..6 {
+                    let outcomes = lab.boot_and_connect(device, Some(policy));
+                    for o in &outcomes {
+                        observed.insert(o.destination.clone());
+                        if o.result.tainted() {
+                            continue;
+                        }
+                        if o.intercepted && o.result.established {
+                            vulnerable.insert(o.destination.clone());
+                            flags[i] = true;
+                        }
+                    }
+                    if !outcomes.is_empty() {
+                        break;
+                    }
+                }
+                let after = observed.len();
+                if i == 0 && before > 0 && after > before {
+                    device_gain = Some((after - before) as f64 / before as f64 * 100.0);
+                }
+                device_stats.merge(&lab.fault_stats());
+                device_cache.merge(&lab.verify_cache_stats());
+                device_reg.merge(&lab.metrics());
+                device_reg.inc("audit.attacks.run");
+            }
+            device_reg.inc("audit.devices.audited");
+            for (flag, name) in flags.iter().zip([
+                "audit.verdicts.no_validation",
+                "audit.verdicts.invalid_basic_constraints",
+                "audit.verdicts.wrong_hostname",
+            ]) {
+                if *flag {
+                    device_reg.inc(name);
                 }
             }
-            let after = observed.len();
-            if i == 0 && before > 0 && after > before {
-                device_gain = Some((after - before) as f64 / before as f64 * 100.0);
-            }
-            device_stats.merge(&lab.fault_stats());
-            device_cache.merge(&lab.verify_cache_stats());
-            device_reg.merge(&lab.metrics());
-            device_reg.inc("audit.attacks.run");
-        }
-        device_reg.inc("audit.devices.audited");
-        for (flag, name) in flags.iter().zip([
-            "audit.verdicts.no_validation",
-            "audit.verdicts.invalid_basic_constraints",
-            "audit.verdicts.wrong_hostname",
-        ]) {
-            if *flag {
-                device_reg.inc(name);
-            }
-        }
-        device_reg.add("audit.destinations.compromised", vulnerable.len() as u64);
-        device_reg.add("audit.destinations.observed", observed.len() as u64);
-        device_reg.add("audit.leaks.sensitive", leaks.len() as u64);
+            device_reg.add("audit.destinations.compromised", vulnerable.len() as u64);
+            device_reg.add("audit.destinations.observed", observed.len() as u64);
+            device_reg.add("audit.leaks.sensitive", leaks.len() as u64);
 
-        let row = InterceptionRow {
-            device: device.spec.name.clone(),
-            no_validation: flags[0],
-            invalid_basic_constraints: flags[1],
-            wrong_hostname: flags[2],
-            vulnerable_destinations: vulnerable,
-            total_destinations: observed,
-            sensitive_leaks: leaks,
+            let row = InterceptionRow {
+                device: device.spec.name.clone(),
+                no_validation: flags[0],
+                invalid_basic_constraints: flags[1],
+                wrong_hostname: flags[2],
+                vulnerable_destinations: vulnerable,
+                total_destinations: observed,
+                sensitive_leaks: leaks,
+            };
+            (row, device_gain, device_stats, device_cache, device_reg)
+        });
+
+        for (row, gain, stats, cache, device_reg) in per_device {
+            rows.push(row);
+            if let Some(g) = gain {
+                passthrough_gains.push(g);
+            }
+            fault_stats.merge(&stats);
+            verify_cache_stats.merge(&cache);
+            reg.merge(&device_reg);
+        }
+        ctx.merge_metrics(&reg);
+
+        let passthrough_extra_hostnames_pct = if passthrough_gains.is_empty() {
+            0.0
+        } else {
+            passthrough_gains.iter().sum::<f64>() / passthrough_gains.len() as f64
         };
-        (row, device_gain, device_stats, device_cache, device_reg)
-    });
 
-    for (row, gain, stats, cache, device_reg) in per_device {
-        rows.push(row);
-        if let Some(g) = gain {
-            passthrough_gains.push(g);
+        InterceptionReport {
+            rows,
+            passthrough_extra_hostnames_pct,
+            fault_stats,
+            verify_cache_stats,
         }
-        fault_stats.merge(&stats);
-        verify_cache_stats.merge(&cache);
-        reg.merge(&device_reg);
-    }
-    ctx.merge_metrics(&reg);
-
-    let passthrough_extra_hostnames_pct = if passthrough_gains.is_empty() {
-        0.0
-    } else {
-        passthrough_gains.iter().sum::<f64>() / passthrough_gains.len() as f64
-    };
-
-    InterceptionReport {
-        rows,
-        passthrough_extra_hostnames_pct,
-        fault_stats,
-        verify_cache_stats,
     }
 }
 

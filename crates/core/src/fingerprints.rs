@@ -67,17 +67,6 @@ pub fn run_fingerprint_survey(testbed: &Testbed, seed: u64) -> FingerprintSurvey
     FingerprintSurveyor.run(testbed, &ExperimentCtx::new(seed))
 }
 
-/// Runs the survey with every lab observing through the middleware
-/// chain ([`ActiveLab::enable_middleware_tap`]) instead of the
-/// byte-feed tap; the survey is identical to
-/// [`FingerprintSurveyor::run`] on the same context.
-pub fn run_fingerprint_survey_middleware(
-    testbed: &Testbed,
-    ctx: &ExperimentCtx,
-) -> FingerprintSurvey {
-    survey_sweep(testbed, ctx, true)
-}
-
 impl Experiment for FingerprintSurveyor {
     type Report = FingerprintSurvey;
 
@@ -89,15 +78,6 @@ impl Experiment for FingerprintSurveyor {
     /// counters merge in roster order plus `fingerprints.*`
     /// distinct/observation tallies.
     fn run(&self, testbed: &Testbed, ctx: &ExperimentCtx) -> FingerprintSurvey {
-        survey_sweep(testbed, ctx, false)
-    }
-}
-
-/// The survey sweep proper, shared by the tap-path and
-/// middleware-path entry points; `middleware_tap` flips every lab
-/// onto the chain.
-fn survey_sweep(testbed: &Testbed, ctx: &ExperimentCtx, middleware_tap: bool) -> FingerprintSurvey {
-    {
         let seed = ctx.seed();
         let mut survey = FingerprintSurvey::default();
         let mut reg = Registry::new();
@@ -107,9 +87,6 @@ fn survey_sweep(testbed: &Testbed, ctx: &ExperimentCtx, middleware_tap: bool) ->
         let devices: Vec<_> = testbed.devices.iter().filter(|d| d.spec.in_active).collect();
         let per_device = iotls_simnet::ordered_map_with(ctx.threads(), devices, |device| {
             let mut lab = ActiveLab::with_ctx(testbed, ctx, seed ^ 0xF19E4);
-            if middleware_tap {
-                lab.enable_middleware_tap();
-            }
             let mut counts: BTreeMap<FingerprintId, u64> = BTreeMap::new();
             let mut seen: BTreeSet<FingerprintId> = BTreeSet::new();
             // A few reboots to ride out flaky boots and reach

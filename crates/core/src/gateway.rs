@@ -54,7 +54,7 @@ use iotls_devices::spec::Category;
 use iotls_devices::{client_config, Testbed};
 use iotls_obs::Registry;
 use iotls_simnet::mux::{
-    replay_flow_chained, replay_flow_with, AcceptLoop, ReplayScratch, SessionFlow,
+    replay_flow_chained, replay_flow_with, AcceptLoop, ReplayOutcome, ReplayScratch, SessionFlow,
 };
 use iotls_simnet::{FailureCause, FaultSampler, InjectedFault, SessionFaults};
 use iotls_tls::client::ClientConnection;
@@ -804,30 +804,14 @@ impl<'a> Gateway<'a> {
         let mut mw = ChainStats::default();
         if sampler.is_none() {
             // Hot path: no fault-key formatting, no retry loop.
-            let (out, verdict) = match chain.as_deref_mut() {
-                Some(ch) => {
-                    let out = replay_flow_chained(
-                        &entry.flow,
-                        SessionFaults::none(),
-                        cfg.deadline_rounds,
-                        scratch,
-                        ch,
-                    );
-                    let verdict = chained_verdict(&out, ch.terminal());
-                    mw = ch.take_stats();
-                    (out, verdict)
-                }
-                None => {
-                    let out = replay_flow_with(
-                        &entry.flow,
-                        SessionFaults::none(),
-                        cfg.deadline_rounds,
-                        scratch,
-                    );
-                    let verdict = classify(&out);
-                    (out, verdict)
-                }
-            };
+            let (out, verdict) = replay(
+                &entry.flow,
+                SessionFaults::none(),
+                cfg.deadline_rounds,
+                scratch,
+                chain,
+                &mut mw,
+            );
             return SessionOutcome {
                 verdict,
                 stats,
@@ -864,26 +848,15 @@ impl<'a> Gateway<'a> {
                 ops: faults.ops,
                 dns: None,
             };
-            let out = match chain.as_deref_mut() {
-                Some(ch) => {
-                    let out = replay_flow_chained(
-                        &entry.flow,
-                        session_faults,
-                        cfg.deadline_rounds,
-                        scratch,
-                        ch,
-                    );
-                    verdict = chained_verdict(&out, ch.terminal());
-                    mw.merge(&ch.take_stats());
-                    out
-                }
-                None => {
-                    let out =
-                        replay_flow_with(&entry.flow, session_faults, cfg.deadline_rounds, scratch);
-                    verdict = classify(&out);
-                    out
-                }
-            };
+            let (out, try_verdict) = replay(
+                &entry.flow,
+                session_faults,
+                cfg.deadline_rounds,
+                scratch,
+                chain.as_deref_mut(),
+                &mut mw,
+            );
+            verdict = try_verdict;
             count_injected(&mut stats, &out.injected);
             bytes = out.bytes_delivered;
             rounds = out.rounds_used as u64;
@@ -958,30 +931,45 @@ fn class_label(class: Category) -> &'static str {
     }
 }
 
-/// Verdict for a chained replay: a sticky middleware signal wins
-/// (the chain ended the session), otherwise the usual classification
-/// of the replay outcome applies.
-fn chained_verdict(
-    out: &iotls_simnet::mux::ReplayOutcome,
-    signal: Option<Signal>,
-) -> SessionVerdict {
+/// Verdict for a replay: a sticky middleware signal wins (the chain
+/// ended the session); otherwise wedges become deadline overruns and
+/// every other outcome keeps its cause.
+fn chained_verdict(out: &ReplayOutcome, signal: Option<Signal>) -> SessionVerdict {
     match signal {
         Some(Signal::Intercept) => SessionVerdict::Intercepted,
         Some(Signal::Abort) => SessionVerdict::AbortedByMiddleware,
-        None => classify(out),
+        None if out.established => SessionVerdict::Established,
+        None => match out.failure {
+            None => SessionVerdict::HandshakeFailed,
+            Some(FailureCause::Wedged) => SessionVerdict::DeadlineExceeded,
+            Some(cause) => SessionVerdict::Failed(cause),
+        },
     }
 }
 
-/// Maps a replay outcome to the session verdict: wedges become
-/// deadline overruns, everything else keeps its cause.
-fn classify(out: &iotls_simnet::mux::ReplayOutcome) -> SessionVerdict {
-    if out.established {
-        return SessionVerdict::Established;
-    }
-    match out.failure {
-        None => SessionVerdict::HandshakeFailed,
-        Some(FailureCause::Wedged) => SessionVerdict::DeadlineExceeded,
-        Some(cause) => SessionVerdict::Failed(cause),
+/// One replay of `flow` — through the endpoint's `chain` when it has
+/// one, merging the chain's per-session stats into `mw` — with its
+/// session verdict.
+fn replay(
+    flow: &SessionFlow,
+    faults: SessionFaults,
+    deadline: usize,
+    scratch: &mut ReplayScratch,
+    chain: Option<&mut Chain>,
+    mw: &mut ChainStats,
+) -> (ReplayOutcome, SessionVerdict) {
+    match chain {
+        Some(ch) => {
+            let out = replay_flow_chained(flow, faults, deadline, scratch, ch);
+            let verdict = chained_verdict(&out, ch.terminal());
+            mw.merge(&ch.take_stats());
+            (out, verdict)
+        }
+        None => {
+            let out = replay_flow_with(flow, faults, deadline, scratch);
+            let verdict = chained_verdict(&out, None);
+            (out, verdict)
+        }
     }
 }
 

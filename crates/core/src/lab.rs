@@ -14,9 +14,8 @@ use iotls_devices::spec::Destination;
 use iotls_devices::{apply_fallback, client_config, DeviceSetup, Testbed};
 use iotls_obs::Registry;
 use iotls_simnet::{
-    drive_session_chained, drive_session_reusing, record_session_metrics, DnsTable, DriveScratch,
-    FailureCause, FaultPlan, GatewayTap, InjectedFault, LinkConditioner, SessionFaults,
-    SessionParams, SessionResult,
+    drive_session, record_session_metrics, DnsTable, DriveScratch, FailureCause, FaultPlan,
+    GatewayTap, InjectedFault, LinkConditioner, SessionFaults, SessionParams, SessionResult,
 };
 use iotls_tls::client::{ClientConnection, HandshakeFailure};
 use iotls_tls::middleware::Chain;
@@ -169,14 +168,10 @@ pub struct ActiveLab<'a> {
     /// reused by every session this lab drives so the steady-state
     /// attempt loop allocates nothing per session.
     drive_scratch: DriveScratch,
-    /// Warm passive tap, reset and reused per session for the same
-    /// reason.
-    tap: GatewayTap,
-    /// When set, sessions run through this middleware chain (with a
-    /// [`GatewayTap`] at slot 0 standing in for the byte-feed tap)
-    /// instead of the tap path — see
-    /// [`ActiveLab::enable_middleware_tap`].
-    chain: Option<Chain>,
+    /// The chain every session is fed through: the passive
+    /// [`GatewayTap`] at slot 0, reset and reused per session for the
+    /// same reason.
+    chain: Chain,
 }
 
 impl<'a> ActiveLab<'a> {
@@ -222,20 +217,15 @@ impl<'a> ActiveLab<'a> {
             verify_cache,
             obs: Registry::new(),
             drive_scratch: DriveScratch::new(),
-            tap: GatewayTap::new(),
-            chain: None,
+            chain: Chain::new().with(Box::new(GatewayTap::new())),
         }
     }
 
-    /// Switches the lab's observation path onto the middleware chain:
-    /// sessions are driven with a [`Chain`] holding a [`GatewayTap`]
-    /// as an observe-only middleware, and the observation is recovered
-    /// from the chain member after each session. Every outcome,
-    /// verdict, and report a lab produces in this mode is identical to
-    /// the byte-feed tap path — the oracle tests hold the two modes
-    /// byte-for-byte against each other.
-    pub fn enable_middleware_tap(&mut self) {
-        self.chain = Some(Chain::new().with(Box::new(GatewayTap::new())));
+    /// The lab's tap, at slot 0 of its chain.
+    fn tap(&mut self) -> &mut GatewayTap {
+        self.chain
+            .middleware_mut::<GatewayTap>(0)
+            .expect("the lab chain holds its tap at slot 0")
     }
 
     /// The experiment context this lab answers to.
@@ -449,7 +439,6 @@ impl<'a> ActiveLab<'a> {
                     bytes_c2s: 0,
                     bytes_s2c: 0,
                     records_deframed: 0,
-                    bytes_tapped: 0,
                 };
                 // The session never ran; hand the client's warm
                 // buffers straight back to the lane scratch.
@@ -481,43 +470,20 @@ impl<'a> ActiveLab<'a> {
             let params = SessionParams {
                 client_payload: Some(payload.as_bytes()),
                 server_payload: Some(b"ok"),
-                tap: true,
-                time: self.now,
-                device: &device.spec.name,
-                destination: &dest.hostname,
             };
-            let result = match self.chain.as_mut() {
-                Some(chain) => {
-                    if let Some(tap) = chain.middleware_mut::<GatewayTap>(0) {
-                        tap.reset();
-                    }
-                    let mut result = drive_session_chained(
-                        client,
-                        server,
-                        params,
-                        &mut conditioner,
-                        chain,
-                        &mut self.drive_scratch,
-                    );
-                    // Recover what the byte-feed path would have put
-                    // on the result from the tap chain member.
-                    if let Some(tap) = chain.middleware_mut::<GatewayTap>(0) {
-                        result.records_deframed = tap.records_deframed();
-                        result.bytes_tapped = tap.bytes_tapped();
-                        result.observation =
-                            tap.take_observation(self.now, &device.spec.name, &dest.hostname);
-                    }
-                    result
-                }
-                None => drive_session_reusing(
-                    client,
-                    server,
-                    params,
-                    &mut conditioner,
-                    Some(&mut self.tap),
-                    &mut self.drive_scratch,
-                ),
-            };
+            self.tap().reset();
+            let mut result = drive_session(
+                client,
+                server,
+                params,
+                &mut conditioner,
+                &mut self.chain,
+                &mut self.drive_scratch,
+            );
+            let now = self.now;
+            let tap = self.tap();
+            result.records_deframed = tap.records_deframed();
+            result.observation = tap.take_observation(now, &device.spec.name, &dest.hostname);
             record_session_metrics(&mut self.obs, &result);
             self.count_injected(&result.faults);
             let tainted = result.tainted();

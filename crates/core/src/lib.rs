@@ -60,8 +60,7 @@ pub mod rootprobe;
 
 pub use attacker::{Attacker, InterceptPolicy, ATTACKER_DOMAIN};
 pub use audit::{
-    run_interception_audit, run_interception_audit_middleware, AuditObserver, InterceptionReport,
-    InterceptionRow, SENSITIVE_MARKERS,
+    run_interception_audit, AuditObserver, InterceptionReport, InterceptionRow, SENSITIVE_MARKERS,
 };
 pub use detect::{DriftDetector, FlowBaseline};
 pub use auditor::{
@@ -78,9 +77,7 @@ pub use experiment::{
     FingerprintSurveyor, GatewayService, InterceptionAudit, OldVersionScan, Orchestrator, Report,
     RootProbe, METRICS_ENV,
 };
-pub use fingerprints::{
-    run_fingerprint_survey, run_fingerprint_survey_middleware, FingerprintSurvey,
-};
+pub use fingerprints::{run_fingerprint_survey, FingerprintSurvey};
 pub use gateway::{
     BreakerState, ChainFactory, CircuitBreaker, ClassRow, Gateway, GatewayConfig, GatewayReport,
     Rejected, SessionVerdict, TokenBucket,

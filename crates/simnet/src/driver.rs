@@ -1,34 +1,39 @@
 //! Lockstep session driver.
 //!
 //! Connects a sans-IO TLS client to a sans-IO TLS server over a
-//! `DuplexLink` and pumps bytes until the
-//! link is quiescent, optionally exchanging application payloads and
-//! optionally copying every byte into a passive [`GatewayTap`]. This
-//! is the single primitive behind every experiment in the
-//! reproduction: passive capture (real server), interception (the
-//! MITM's server), and the root-store probe (spoofed-CA server).
+//! `DuplexLink` and pumps bytes until the link is quiescent,
+//! optionally exchanging application payloads. [`drive_session`] is
+//! the single primitive behind every experiment in the reproduction:
+//! passive capture (real server), interception (the MITM's server),
+//! and the root-store probe (spoofed-CA server).
 //!
-//! Every transferred chunk passes through a
-//! [`LinkConditioner`], which in chaos runs may cut,
-//! corrupt, or throttle the stream; the plain [`drive_session`] uses a
-//! passthrough conditioner and behaves exactly as before.
+//! Every transferred chunk passes through a [`LinkConditioner`], which
+//! in chaos runs may cut, corrupt, or throttle the stream
+//! ([`LinkConditioner::passthrough`] for a clean link). The conditioned
+//! bytes are then fed to a middleware [`Chain`] — the position of the
+//! paper's gateway tap, downstream of the link and upstream of the
+//! receiving endpoint — before that endpoint processes them. A caller
+//! that observes sessions puts a [`GatewayTap`] in the chain; a caller
+//! with nothing to observe passes an empty chain, which skips
+//! deframing entirely.
 //!
 //! The pump is unbuffered end to end: each direction owns one
 //! [`SessionBuf`] that the endpoints' `process` calls append to and
 //! the conditioner consumes, and both endpoints' per-session scratch
-//! lives in a caller-reusable [`DriveScratch`]. A lane that calls
-//! [`drive_session_reusing`] with one warm scratch performs zero heap
-//! allocations per session in the steady state.
+//! lives in a caller-reusable [`DriveScratch`]. A lane that drives
+//! every session with one warm scratch performs zero heap allocations
+//! per session in the steady state.
+//!
+//! [`GatewayTap`]: crate::tap::GatewayTap
 
 use crate::fault::{Direction, FailureCause, InjectedFault, LinkConditioner};
 use crate::pipe::DuplexLink;
-use crate::tap::{GatewayTap, TlsObservation};
+use crate::tap::TlsObservation;
 use iotls_tls::client::{ClientConnection, HandshakeSummary};
-use iotls_tls::middleware::Chain;
+use iotls_tls::middleware::{Chain, Flow};
 use iotls_tls::record::SessionBuf;
 use iotls_tls::server::ServerConnection;
 use iotls_tls::session::SessionScratch;
-use iotls_x509::Timestamp;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// How many pump rounds before declaring the session wedged — far
@@ -101,17 +106,18 @@ pub struct SessionResult {
     pub server_received: Vec<u8>,
     /// Application data the client received back.
     pub client_received: Vec<u8>,
-    /// Passive observation, when a tap was attached.
+    /// Passive observation. The driver leaves it `None`; a caller that
+    /// tapped the session fills it from its chain's
+    /// [`GatewayTap::take_observation`](crate::tap::GatewayTap::take_observation).
     pub observation: Option<TlsObservation>,
     /// Total bytes carried client→server.
     pub bytes_c2s: u64,
     /// Total bytes carried server→client.
     pub bytes_s2c: u64,
-    /// Complete TLS records the gateway tap deframed (zero when no
-    /// tap was attached).
+    /// Complete TLS records the gateway tap deframed. The driver
+    /// leaves it zero; a tapping caller fills it from
+    /// [`GatewayTap::records_deframed`](crate::tap::GatewayTap::records_deframed).
     pub records_deframed: u64,
-    /// Raw bytes the gateway tap saw (zero when no tap was attached).
-    pub bytes_tapped: u64,
 }
 
 impl SessionResult {
@@ -122,140 +128,45 @@ impl SessionResult {
     }
 }
 
-/// Session inputs.
+/// Session inputs: the application payloads each side sends once it
+/// establishes (none by default).
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SessionParams<'a> {
     /// Payload the client sends once established (the device's
     /// app-layer message, e.g. a telemetry POST).
     pub client_payload: Option<&'a [u8]>,
     /// Payload the server responds with.
     pub server_payload: Option<&'a [u8]>,
-    /// Attach a passive tap and produce an observation.
-    pub tap: bool,
-    /// Metadata for the observation record.
-    pub time: Timestamp,
-    /// Source device name for the observation.
-    pub device: &'a str,
-    /// Destination hostname for the observation.
-    pub destination: &'a str,
 }
 
-impl<'a> SessionParams<'a> {
-    /// Minimal parameters: tap on, no payloads.
-    pub fn tapped(time: Timestamp, device: &'a str, destination: &'a str) -> Self {
-        SessionParams {
-            client_payload: None,
-            server_payload: None,
-            tap: true,
-            time,
-            device,
-            destination,
-        }
-    }
-}
-
-/// Drives `client` against `server` to quiescence on a clean link.
+/// Drives `client` against `server` to quiescence through a
+/// fault-injecting [`LinkConditioner`], feeding every conditioned
+/// chunk to `chain` before the receiving endpoint processes it.
 ///
 /// The client must *not* have been started; the driver starts it.
-pub fn drive_session(
-    client: ClientConnection,
-    server: ServerConnection,
-    params: SessionParams<'_>,
-) -> SessionResult {
-    drive_session_faulted(client, server, params, &mut LinkConditioner::passthrough())
-}
-
-/// Drives `client` against `server` through a fault-injecting
-/// [`LinkConditioner`].
-///
 /// The conditioner may cut the link (→ [`FailureCause::Reset`]),
 /// corrupt a byte (→ [`FailureCause::Garbled`]), or throttle delivery
 /// until the round budget runs out (→ [`FailureCause::Wedged`]). The
-/// gateway tap sees the bytes *after* conditioning, exactly like a
-/// physical tap downstream of a lossy path.
-pub fn drive_session_faulted(
-    client: ClientConnection,
-    server: ServerConnection,
-    params: SessionParams<'_>,
-    conditioner: &mut LinkConditioner,
-) -> SessionResult {
-    let mut scratch = DriveScratch::new();
-    if params.tap {
-        let mut tap = GatewayTap::new();
-        drive_inner(client, server, params, conditioner, Some(&mut tap), None, &mut scratch)
-    } else {
-        drive_inner(client, server, params, conditioner, None, None, &mut scratch)
-    }
-}
-
-/// Like [`drive_session_faulted`] with `tap: true`, but observing
-/// through a caller-owned [`GatewayTap`], which is reset first. Lets a
-/// capture lane reuse one tap (and its scratch buffers) across many
-/// sessions instead of allocating per session.
-pub fn drive_session_faulted_tapped(
-    client: ClientConnection,
-    server: ServerConnection,
-    params: SessionParams<'_>,
-    conditioner: &mut LinkConditioner,
-    tap: &mut GatewayTap,
-) -> SessionResult {
-    tap.reset();
-    let mut scratch = DriveScratch::new();
-    drive_inner(client, server, params, conditioner, Some(tap), None, &mut scratch)
-}
-
-/// The fully reusable form: drives the session with a caller-owned
-/// [`DriveScratch`] (and, when `tap` is `Some`, a caller-owned
-/// [`GatewayTap`], reset first). Endpoints built from this scratch's
-/// `take_client`/`take_server` halves are handed back into it when the
-/// session ends, so a lane looping over sessions allocates nothing
-/// per session once warm.
-pub fn drive_session_reusing(
-    client: ClientConnection,
-    server: ServerConnection,
-    params: SessionParams<'_>,
-    conditioner: &mut LinkConditioner,
-    tap: Option<&mut GatewayTap>,
-    scratch: &mut DriveScratch,
-) -> SessionResult {
-    match tap {
-        Some(t) => {
-            t.reset();
-            drive_inner(client, server, params, conditioner, Some(t), None, scratch)
-        }
-        None => drive_inner(client, server, params, conditioner, None, None, scratch),
-    }
-}
-
-/// [`drive_session_reusing`] with a middleware [`Chain`] riding the
-/// endpoints' record loops: the server dispatches client→server
-/// records and the client dispatches server→client records through
-/// the chain (via `process_with`), so hooks fire from inside the
-/// sans-IO `process()` loop itself — rewrites change what the
-/// endpoints consume, and a terminal verdict stops the pump. The
-/// terminal signal and per-session [`ChainStats`] stay on the chain
-/// for the caller; middleware-collected state (e.g. a [`GatewayTap`]
-/// attached as a chain member) is recovered with
-/// [`Chain::middleware_mut`].
+/// chain sees the bytes *after* conditioning, exactly like a physical
+/// tap downstream of a lossy path. A terminal verdict (`Intercept` /
+/// `Abort`) drops the chunk that triggered it and stops the pump; it
+/// is not a link failure, and the caller reads the verdict off
+/// [`Chain::terminal`]. Per-session [`ChainStats`] and
+/// middleware-collected state (e.g. a [`GatewayTap`]'s observation)
+/// stay on the chain for the caller.
+///
+/// Endpoints built from `scratch`'s `take_client`/`take_server` halves
+/// are handed back into it when the session ends, so a lane looping
+/// over sessions allocates nothing per session once warm.
 ///
 /// [`ChainStats`]: iotls_tls::middleware::ChainStats
-pub fn drive_session_chained(
-    client: ClientConnection,
-    server: ServerConnection,
-    params: SessionParams<'_>,
-    conditioner: &mut LinkConditioner,
-    chain: &mut Chain,
-    scratch: &mut DriveScratch,
-) -> SessionResult {
-    drive_inner(client, server, params, conditioner, None, Some(chain), scratch)
-}
-
-fn drive_inner(
+/// [`GatewayTap`]: crate::tap::GatewayTap
+pub fn drive_session(
     mut client: ClientConnection,
     mut server: ServerConnection,
     params: SessionParams<'_>,
     conditioner: &mut LinkConditioner,
-    mut tap: Option<&mut GatewayTap>,
-    mut chain: Option<&mut Chain>,
+    chain: &mut Chain,
     scratch: &mut DriveScratch,
 ) -> SessionResult {
     let mut link = DuplexLink::new();
@@ -264,16 +175,11 @@ fn drive_inner(
     let mut client_sent_payload = false;
     let mut server_sent_payload = false;
     let mut exhausted = true;
-    let mut stopped_by_chain = false;
 
     scratch.wire.clear();
     scratch.c2s.clear();
     scratch.s2c.clear();
-
-    if let Some(ch) = chain.as_deref_mut() {
-        ch.begin_session();
-    }
-
+    chain.begin_session();
     client.start_into(&mut scratch.c2s);
 
     // ALLOC-FREE: begin (drive loop — tier1.sh greps this region for
@@ -288,26 +194,13 @@ fn drive_inner(
         conditioner.transfer_into(Direction::C2s, scratch.c2s.as_slice(), round, &mut scratch.wire);
         scratch.c2s.clear();
         if !scratch.wire.is_empty() {
-            if let Some(t) = tap.as_mut() {
-                t.observe_c2s(&scratch.wire);
+            if chain.feed(Flow::ClientToServer, &scratch.wire).is_some() {
+                break;
             }
             link.c2s.write(&scratch.wire);
-            match chain.as_deref_mut() {
-                Some(ch) => {
-                    server.process_with(link.c2s.queued(), &mut scratch.s2c, ch);
-                    if ch.terminal().is_some() {
-                        stopped_by_chain = true;
-                    }
-                }
-                None => {
-                    server.process(link.c2s.queued(), &mut scratch.s2c);
-                }
-            }
+            server.process(link.c2s.queued(), &mut scratch.s2c);
             link.c2s.consume();
             moved = true;
-        }
-        if stopped_by_chain {
-            break;
         }
         server.drain_application_data_into(&mut server_received);
 
@@ -324,26 +217,13 @@ fn drive_inner(
         conditioner.transfer_into(Direction::S2c, scratch.s2c.as_slice(), round, &mut scratch.wire);
         scratch.s2c.clear();
         if !scratch.wire.is_empty() {
-            if let Some(t) = tap.as_mut() {
-                t.observe_s2c(&scratch.wire);
+            if chain.feed(Flow::ServerToClient, &scratch.wire).is_some() {
+                break;
             }
             link.s2c.write(&scratch.wire);
-            match chain.as_deref_mut() {
-                Some(ch) => {
-                    client.process_with(link.s2c.queued(), &mut scratch.c2s, ch);
-                    if ch.terminal().is_some() {
-                        stopped_by_chain = true;
-                    }
-                }
-                None => {
-                    client.process(link.s2c.queued(), &mut scratch.c2s);
-                }
-            }
+            client.process(link.s2c.queued(), &mut scratch.c2s);
             link.s2c.consume();
             moved = true;
-        }
-        if stopped_by_chain {
-            break;
         }
         client.drain_application_data_into(&mut client_received);
 
@@ -364,27 +244,16 @@ fn drive_inner(
     // ALLOC-FREE: end (drive loop)
 
     SESSIONS_DRIVEN.fetch_add(1, Ordering::Relaxed);
-
-    if let Some(ch) = chain {
-        // Close fires once at natural end of session (a no-op after a
-        // terminal verdict already stopped it).
-        ch.close();
-    }
+    // Close fires once at natural end of session (a no-op after a
+    // terminal verdict already stopped it).
+    chain.close();
 
     let established = client.is_established() && server.is_established();
     let failure = if established {
         None
     } else {
-        // A chain-terminated session is not a link failure: the caller
-        // reads the verdict off the chain instead.
-        conditioner.failure_cause(exhausted && !stopped_by_chain)
+        conditioner.failure_cause(exhausted && chain.terminal().is_none())
     };
-    let (records_deframed, bytes_tapped) = tap
-        .as_ref()
-        .map_or((0, 0), |t| (t.records_deframed(), t.bytes_tapped()));
-    let observation = tap
-        .as_mut()
-        .and_then(|t| t.take_observation(params.time, params.device, params.destination));
     let result = SessionResult {
         client_summary: client.summary(),
         established,
@@ -392,11 +261,10 @@ fn drive_inner(
         faults: conditioner.injected().to_vec(),
         server_received,
         client_received,
-        observation,
+        observation: None,
         bytes_c2s: link.c2s.total_bytes(),
         bytes_s2c: link.s2c.total_bytes(),
-        records_deframed,
-        bytes_tapped,
+        records_deframed: 0,
     };
     // Hand the endpoints' warm buffers back to the lane's scratch for
     // the next session.

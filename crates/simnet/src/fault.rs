@@ -307,10 +307,10 @@ pub enum Direction {
 
 /// The fault-applying shim between the TLS endpoints and the link.
 ///
-/// The driver hands every outbound chunk to [`LinkConditioner::transfer`]
-/// and forwards only what comes back; the conditioner cuts, corrupts,
-/// or throttles according to its [`SessionFaults`], and records every
-/// fault that actually fired.
+/// The drive and replay loops hand every outbound chunk to
+/// [`LinkConditioner::transfer_into`] and forward only what comes
+/// back; the conditioner cuts, corrupts, or throttles according to its
+/// [`SessionFaults`], and records every fault that actually fired.
 #[derive(Debug, Default)]
 pub struct LinkConditioner {
     faults: SessionFaults,
@@ -360,18 +360,11 @@ impl LinkConditioner {
     }
 
     /// Passes `data` (possibly empty) through the conditioner for one
-    /// direction, returning the bytes to deliver this round.
-    pub fn transfer(&mut self, dir: Direction, data: &[u8], round: usize) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.transfer_into(dir, data, round, &mut out);
-        out
-    }
-
-    /// [`LinkConditioner::transfer`] into a caller-owned buffer
-    /// (cleared first) — the zero-allocation form the replay and drive
-    /// loops use. On the clean-link fast path (no cut, no stall, no
-    /// backlog) the input is copied straight through without touching
-    /// the backlog.
+    /// direction, writing the bytes to deliver this round into the
+    /// caller-owned `out` (cleared first), so the replay and drive
+    /// loops reuse one buffer. On the clean-link fast path (no cut, no
+    /// stall, no backlog) the input is copied straight through without
+    /// touching the backlog.
     pub fn transfer_into(&mut self, dir: Direction, data: &[u8], round: usize, out: &mut Vec<u8>) {
         out.clear();
         let slot = match dir {
@@ -555,6 +548,14 @@ mod tests {
         assert!(count(&light) < 30);
     }
 
+    /// One [`LinkConditioner::transfer_into`] call, returning the
+    /// delivered bytes.
+    fn transfer(c: &mut LinkConditioner, dir: Direction, data: &[u8], round: usize) -> Vec<u8> {
+        let mut out = Vec::new();
+        c.transfer_into(dir, data, round, &mut out);
+        out
+    }
+
     #[test]
     fn reset_cuts_at_offset() {
         let mut c = LinkConditioner::new(SessionFaults {
@@ -562,12 +563,12 @@ mod tests {
             dns: None,
         });
         c.begin_round(0);
-        let out = c.transfer(Direction::C2s, b"0123456789", 0);
+        let out = transfer(&mut c, Direction::C2s, b"0123456789", 0);
         assert_eq!(out, b"01234");
         assert!(c.is_cut());
         assert!(c.tainted());
         // Nothing flows after the cut, either direction.
-        assert!(c.transfer(Direction::S2c, b"xyz", 1).is_empty());
+        assert!(transfer(&mut c, Direction::S2c, b"xyz", 1).is_empty());
         assert_eq!(c.failure_cause(false), Some(FailureCause::Reset));
     }
 
@@ -577,10 +578,10 @@ mod tests {
             ops: vec![FaultOp::Garble { offset: 2 }],
             dns: None,
         });
-        let out = c.transfer(Direction::C2s, b"aaaa", 0);
+        let out = transfer(&mut c, Direction::C2s, b"aaaa", 0);
         assert_eq!(out, vec![b'a', b'a', b'a' ^ 0x5A, b'a']);
         // Later traffic is untouched.
-        assert_eq!(c.transfer(Direction::S2c, b"bb", 1), b"bb");
+        assert_eq!(transfer(&mut c, Direction::S2c, b"bb", 1), b"bb");
         assert_eq!(c.failure_cause(false), Some(FailureCause::Garbled));
     }
 
@@ -591,11 +592,11 @@ mod tests {
             dns: None,
         });
         c.begin_round(1);
-        assert_eq!(c.transfer(Direction::C2s, b"abc", 1), b"a");
+        assert_eq!(transfer(&mut c, Direction::C2s, b"abc", 1), b"a");
         assert!(c.has_backlog());
         c.begin_round(2);
-        assert_eq!(c.transfer(Direction::C2s, b"", 2), b"b");
-        assert_eq!(c.transfer(Direction::S2c, b"zz", 2), b"z");
+        assert_eq!(transfer(&mut c, Direction::C2s, b"", 2), b"b");
+        assert_eq!(transfer(&mut c, Direction::S2c, b"zz", 2), b"z");
         assert_eq!(c.failure_cause(true), Some(FailureCause::Wedged));
     }
 
@@ -606,9 +607,9 @@ mod tests {
             dns: None,
         });
         c.begin_round(0);
-        assert_eq!(c.transfer(Direction::C2s, b"hello", 0), b"hello");
+        assert_eq!(transfer(&mut c, Direction::C2s, b"hello", 0), b"hello");
         c.begin_round(2);
-        assert!(c.transfer(Direction::C2s, b"more", 2).is_empty());
+        assert!(transfer(&mut c, Direction::C2s, b"more", 2).is_empty());
         assert_eq!(c.injected().len(), 1);
         assert!(matches!(c.injected()[0], InjectedFault::PowerCycle { round: 2 }));
         // A power cycle presents as a reset on the wire.
@@ -620,7 +621,7 @@ mod tests {
         let mut c = LinkConditioner::passthrough();
         for round in 0..5 {
             c.begin_round(round);
-            assert_eq!(c.transfer(Direction::C2s, b"data", round), b"data");
+            assert_eq!(transfer(&mut c, Direction::C2s, b"data", round), b"data");
         }
         assert!(!c.tainted());
         assert_eq!(c.failure_cause(false), None);

@@ -10,10 +10,13 @@
 //! * [`events`] — virtual clock and deterministic event queue
 //!   (device boots, power cycles, capture rolls);
 //! * [`pipe`] — reliable in-order byte pipes (the transport);
-//! * [`tap`] — the passive gateway: reconstructs handshake metadata
-//!   from raw bytes, producing [`tap::TlsObservation`]s;
+//! * [`tap`] — the passive gateway: a middleware that reconstructs
+//!   handshake metadata from the bytes on the link, producing
+//!   [`tap::TlsObservation`]s;
 //! * [`driver`] — the lockstep session driver connecting sans-IO TLS
-//!   endpoints over a link, with optional tap and app payloads;
+//!   endpoints over a link, feeding the conditioned bytes to a
+//!   middleware chain (the tap's position) and exchanging app
+//!   payloads;
 //! * [`dns`] — simulated DNS with a per-device query log (revocation
 //!   endpoint detection);
 //! * [`fault`] — seeded deterministic fault injection (resets, stalls,
@@ -36,10 +39,7 @@ pub mod pipe;
 pub mod tap;
 
 pub use dns::{DnsOutcome, DnsQuery, DnsTable};
-pub use driver::{
-    drive_session, drive_session_chained, drive_session_faulted, drive_session_faulted_tapped,
-    drive_session_reusing, sessions_driven, DriveScratch, SessionParams, SessionResult,
-};
+pub use driver::{drive_session, sessions_driven, DriveScratch, SessionParams, SessionResult};
 pub use events::{EventQueue, SimClock};
 pub use fault::{
     DnsFault, FailureCause, FaultOp, FaultPlan, FaultSampler, InjectedFault, LinkConditioner,
@@ -47,8 +47,8 @@ pub use fault::{
 };
 pub use metrics::record_session_metrics;
 pub use mux::{
-    replay_flow, replay_flow_chained, replay_flow_with, AcceptLoop, FlowRound, ReplayOutcome,
-    ReplayScratch, SessionFlow,
+    replay_flow_chained, replay_flow_with, AcceptLoop, FlowRound, ReplayOutcome, ReplayScratch,
+    SessionFlow,
 };
 pub use par::{ordered_map, ordered_map_with, ordered_map_with_state, worker_count};
 pub use pipe::{DuplexLink, Pipe};

@@ -21,7 +21,9 @@ pub const SESSION_BYTES_BOUNDS: [u64; 5] = [512, 1024, 2048, 4096, 16384];
 /// * `sim.sessions.failed.<cause>` per [`FailureCause`] label;
 /// * `sim.faults.injected.<kind>` per [`InjectedFault`] label;
 /// * `sim.bytes.c2s` / `sim.bytes.s2c` link-byte totals;
-/// * `sim.tap.records_deframed` / `sim.tap.bytes` gateway-tap totals;
+/// * `sim.tap.records_deframed` / `sim.tap.bytes` gateway-tap totals
+///   (the tap sees every byte that crosses the link, so its byte count
+///   is the sum of the link totals);
 /// * the `sim.session.bytes` histogram of per-session link bytes.
 ///
 /// [`FailureCause`]: crate::fault::FailureCause
@@ -42,13 +44,10 @@ pub fn record_session_metrics(reg: &mut Registry, result: &SessionResult) {
     }
     reg.add("sim.bytes.c2s", result.bytes_c2s);
     reg.add("sim.bytes.s2c", result.bytes_s2c);
+    let link_bytes = result.bytes_c2s + result.bytes_s2c;
     reg.add("sim.tap.records_deframed", result.records_deframed);
-    reg.add("sim.tap.bytes", result.bytes_tapped);
-    reg.observe(
-        "sim.session.bytes",
-        &SESSION_BYTES_BOUNDS,
-        result.bytes_c2s + result.bytes_s2c,
-    );
+    reg.add("sim.tap.bytes", link_bytes);
+    reg.observe("sim.session.bytes", &SESSION_BYTES_BOUNDS, link_bytes);
 }
 
 #[cfg(test)]
@@ -87,7 +86,6 @@ mod tests {
             bytes_c2s: 600,
             bytes_s2c: 900,
             records_deframed: 7,
-            bytes_tapped: 1500,
         }
     }
 
@@ -100,6 +98,7 @@ mod tests {
         assert_eq!(reg.counter("sim.sessions.tainted"), 0);
         assert_eq!(reg.counter("sim.bytes.c2s"), 600);
         assert_eq!(reg.counter("sim.tap.records_deframed"), 7);
+        assert_eq!(reg.counter("sim.tap.bytes"), 1500);
         assert_eq!(reg.histogram("sim.session.bytes").unwrap().sum(), 1500);
     }
 

@@ -8,10 +8,13 @@
 //! * [`SessionFlow::record`] drives one *clean* TLS session to
 //!   quiescence once, capturing the per-round byte chunks each
 //!   endpoint emitted — the session's wire "tape";
-//! * [`replay_flow`] pushes a recorded tape through a fresh
+//! * [`replay_flow_with`] pushes a recorded tape through a fresh
 //!   [`LinkConditioner`] under that session's own fault draw and a
 //!   per-session round **deadline**, classifying the outcome without
 //!   touching the TLS state machines again;
+//!   [`replay_flow_chained`] does the same while feeding every
+//!   delivered chunk to a middleware [`Chain`]. Both wrap one replay
+//!   loop;
 //! * [`AcceptLoop`] turns a seed into the deterministic arrival
 //!   schedule (how many sessions knock per tick, and which recorded
 //!   flow each one replays), a pure function of `(seed, tick)` so the
@@ -159,21 +162,7 @@ pub struct ReplayOutcome {
     pub injected: Vec<InjectedFault>,
 }
 
-/// Replays `flow` through a fresh [`LinkConditioner`] built from
-/// `faults`, with a hard per-session round `deadline` in place of the
-/// driver's global wedge budget.
-///
-/// A stall that would previously burn the full 64-round budget now
-/// runs out at `deadline` rounds and is reported as
-/// [`FailureCause::Wedged`] with `completed == false` — the gateway
-/// reclassifies that as a deadline overrun. A garbled byte fails the
-/// session even when all bytes deliver (a corrupted handshake record
-/// breaks the transcript MAC); a cut fails it immediately.
-pub fn replay_flow(flow: &SessionFlow, faults: SessionFaults, deadline: usize) -> ReplayOutcome {
-    replay_flow_with(flow, faults, deadline, &mut ReplayScratch::default())
-}
-
-/// Reusable scratch for [`replay_flow_with`]: one post-conditioner
+/// Reusable scratch for the replay loop: one post-conditioner
 /// delivery buffer, warm across every replay a worker performs.
 #[derive(Debug, Default)]
 pub struct ReplayScratch {
@@ -187,65 +176,34 @@ impl ReplayScratch {
     }
 }
 
-/// [`replay_flow`] with caller-owned [`ReplayScratch`] — the gateway's
-/// hot path. A clean replay (no faults drawn) performs zero heap
-/// allocations once the scratch is warm.
+/// Replays `flow` through a fresh [`LinkConditioner`] built from
+/// `faults`, with a hard per-session round `deadline` in place of the
+/// driver's global wedge budget — the gateway's hot path. A clean
+/// replay (no faults drawn) performs zero heap allocations once the
+/// caller-owned scratch is warm.
+///
+/// A stall that would otherwise burn the driver's full 64-round budget
+/// runs out at `deadline` rounds and is reported as
+/// [`FailureCause::Wedged`] with `completed == false` — the gateway
+/// reclassifies that as a deadline overrun. A garbled byte fails the
+/// session even when all bytes deliver (a corrupted handshake record
+/// breaks the transcript MAC); a cut fails it immediately.
 pub fn replay_flow_with(
     flow: &SessionFlow,
     faults: SessionFaults,
     deadline: usize,
     scratch: &mut ReplayScratch,
 ) -> ReplayOutcome {
-    let mut cond = LinkConditioner::new(faults);
-    let mut delivered = 0u64;
-    let mut rounds_used = 0;
-    let mut completed = false;
-    let empty: &[u8] = &[];
-
-    for round in 0..deadline {
-        rounds_used = round + 1;
-        cond.begin_round(round);
-        let (c2s, s2c) = match flow.rounds.get(round) {
-            Some(r) => (r.c2s.as_slice(), r.s2c.as_slice()),
-            None => (empty, empty),
-        };
-        cond.transfer_into(Direction::C2s, c2s, round, &mut scratch.wire);
-        delivered += scratch.wire.len() as u64;
-        cond.transfer_into(Direction::S2c, s2c, round, &mut scratch.wire);
-        delivered += scratch.wire.len() as u64;
-        if cond.is_cut() {
-            break;
-        }
-        if round + 1 >= flow.len() && delivered >= flow.total_bytes() && !cond.has_backlog() {
-            completed = true;
-            break;
-        }
-    }
-
-    // Completed replays can still have failed as TLS sessions (a
-    // garble passed every byte through, corrupted); incomplete ones
-    // without a cut ran out of deadline.
-    let failure = cond.failure_cause(!completed && !cond.is_cut());
-    let established = flow.established && completed && failure.is_none();
-    ReplayOutcome {
-        completed,
-        established,
-        failure,
-        rounds_used,
-        bytes_delivered: delivered,
-        injected: cond.injected().to_vec(),
-    }
+    replay(flow, faults, deadline, scratch, None)
 }
 
 /// [`replay_flow_with`] with a middleware [`Chain`] riding the replay:
-/// every post-conditioner delivery is fed through the chain's
-/// byte-feed avenue ([`Chain::feed`]), so hooks see exactly the bytes
-/// the link delivered. A terminal verdict (`Intercept` / `Abort`)
-/// stops the replay immediately; the signal stays on the chain
-/// ([`Chain::terminal`]) and the per-session stats are left for the
-/// caller to [`Chain::take_stats`]. With an empty chain this is
-/// byte-for-byte [`replay_flow_with`] (feeding short-circuits before
-/// deframing), and with an observe-only chain it stays
+/// every post-conditioner delivery is fed through [`Chain::feed`], so
+/// hooks see exactly the bytes the link delivered. A terminal verdict
+/// (`Intercept` / `Abort`) stops the replay at the end of its round;
+/// the signal stays on the chain ([`Chain::terminal`]) and the
+/// per-session stats are left for the caller to
+/// [`Chain::take_stats`]. With an observe-only chain the replay stays
 /// allocation-free once chain scratch is warm.
 pub fn replay_flow_chained(
     flow: &SessionFlow,
@@ -254,13 +212,32 @@ pub fn replay_flow_chained(
     scratch: &mut ReplayScratch,
     chain: &mut Chain,
 ) -> ReplayOutcome {
-    chain.begin_session();
+    replay(flow, faults, deadline, scratch, Some(chain))
+}
+
+/// The one replay loop behind both wrappers. Inlined into each, so the
+/// chainless wrapper compiles to a loop with no chain checks at all.
+#[inline(always)]
+fn replay(
+    flow: &SessionFlow,
+    faults: SessionFaults,
+    deadline: usize,
+    scratch: &mut ReplayScratch,
+    mut chain: Option<&mut Chain>,
+) -> ReplayOutcome {
+    if let Some(ch) = chain.as_deref_mut() {
+        ch.begin_session();
+    }
     let mut cond = LinkConditioner::new(faults);
     let mut delivered = 0u64;
     let mut rounds_used = 0;
     let mut completed = false;
+    let mut stopped_by_chain = false;
     let empty: &[u8] = &[];
 
+    // ALLOC-FREE: begin (replay loop — tier1.sh greps this region for
+    // reintroduced per-session allocations; the wire buffer is the
+    // caller's scratch).
     for round in 0..deadline {
         rounds_used = round + 1;
         cond.begin_round(round);
@@ -270,12 +247,17 @@ pub fn replay_flow_chained(
         };
         cond.transfer_into(Direction::C2s, c2s, round, &mut scratch.wire);
         delivered += scratch.wire.len() as u64;
-        chain.feed(Flow::ClientToServer, &scratch.wire);
+        if let Some(ch) = chain.as_deref_mut() {
+            ch.feed(Flow::ClientToServer, &scratch.wire);
+        }
         cond.transfer_into(Direction::S2c, s2c, round, &mut scratch.wire);
         delivered += scratch.wire.len() as u64;
-        chain.feed(Flow::ServerToClient, &scratch.wire);
-        if chain.terminal().is_some() {
-            break;
+        if let Some(ch) = chain.as_deref_mut() {
+            ch.feed(Flow::ServerToClient, &scratch.wire);
+            if ch.terminal().is_some() {
+                stopped_by_chain = true;
+                break;
+            }
         }
         if cond.is_cut() {
             break;
@@ -285,13 +267,17 @@ pub fn replay_flow_chained(
             break;
         }
     }
+    // ALLOC-FREE: end (replay loop)
 
-    if chain.terminal().is_none() {
-        chain.close();
+    if let Some(ch) = chain {
+        // A no-op after a terminal verdict already stopped the session.
+        ch.close();
     }
-    // A chain-terminated session is neither wedged nor failed at the
-    // transport layer; the caller reads the verdict off the chain.
-    let stopped_by_chain = chain.terminal().is_some();
+    // Completed replays can still have failed as TLS sessions (a
+    // garble passed every byte through, corrupted); incomplete ones
+    // without a cut ran out of deadline. A chain-terminated session is
+    // neither wedged nor failed at the transport layer; the caller
+    // reads the verdict off the chain.
     let failure = cond.failure_cause(!completed && !cond.is_cut() && !stopped_by_chain);
     let established = flow.established && completed && failure.is_none();
     ReplayOutcome {
@@ -361,7 +347,7 @@ mod tests {
     #[test]
     fn clean_replay_completes_and_establishes() {
         let flow = tape(true);
-        let out = replay_flow(&flow, SessionFaults::none(), 12);
+        let out = replay_flow_with(&flow, SessionFaults::none(), 12, &mut ReplayScratch::new());
         assert!(out.completed);
         assert!(out.established);
         assert_eq!(out.failure, None);
@@ -372,7 +358,12 @@ mod tests {
 
     #[test]
     fn declined_tape_never_establishes() {
-        let out = replay_flow(&tape(false), SessionFaults::none(), 12);
+        let out = replay_flow_with(
+            &tape(false),
+            SessionFaults::none(),
+            12,
+            &mut ReplayScratch::new(),
+        );
         assert!(out.completed);
         assert!(!out.established, "endpoint declined on the clean link");
         assert_eq!(out.failure, None);
@@ -384,7 +375,7 @@ mod tests {
             ops: vec![FaultOp::Reset { offset: 128 }],
             dns: None,
         };
-        let out = replay_flow(&tape(true), faults, 12);
+        let out = replay_flow_with(&tape(true), faults, 12, &mut ReplayScratch::new());
         assert!(!out.completed);
         assert!(!out.established);
         assert_eq!(out.failure, Some(FailureCause::Reset));
@@ -397,7 +388,7 @@ mod tests {
             ops: vec![FaultOp::Garble { offset: 10 }],
             dns: None,
         };
-        let out = replay_flow(&tape(true), faults, 12);
+        let out = replay_flow_with(&tape(true), faults, 12, &mut ReplayScratch::new());
         assert!(out.completed, "all bytes still flow");
         assert!(!out.established);
         assert_eq!(out.failure, Some(FailureCause::Garbled));
@@ -409,7 +400,7 @@ mod tests {
             ops: vec![FaultOp::Stall { after_round: 0 }],
             dns: None,
         };
-        let out = replay_flow(&tape(true), faults, 12);
+        let out = replay_flow_with(&tape(true), faults, 12, &mut ReplayScratch::new());
         assert!(!out.completed);
         assert_eq!(out.failure, Some(FailureCause::Wedged));
         assert_eq!(out.rounds_used, 12, "burns exactly the deadline, not 64");
@@ -422,8 +413,8 @@ mod tests {
             ops: vec![FaultOp::Garble { offset: 500 }, FaultOp::Stall { after_round: 1 }],
             dns: None,
         };
-        let a = replay_flow(&tape(true), faults(), 8);
-        let b = replay_flow(&tape(true), faults(), 8);
+        let a = replay_flow_with(&tape(true), faults(), 8, &mut ReplayScratch::new());
+        let b = replay_flow_with(&tape(true), faults(), 8, &mut ReplayScratch::new());
         assert_eq!(a.completed, b.completed);
         assert_eq!(a.failure, b.failure);
         assert_eq!(a.bytes_delivered, b.bytes_delivered);

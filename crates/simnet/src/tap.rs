@@ -2,11 +2,14 @@
 //!
 //! The paper's passive experiments record traffic at the home gateway
 //! and later extract handshake metadata from pcaps. [`GatewayTap`]
-//! does the equivalent: it watches the raw bytes of both directions of
-//! a link, deframes TLS records, and parses ClientHello / ServerHello
-//! / Alert messages *without participating in the connection*. The
-//! result is a [`TlsObservation`] — the unit every longitudinal
-//! analysis (Figures 1–3, Table 8) consumes.
+//! does the equivalent: a [`Middleware`] that rides the session's
+//! [`Chain`] — fed the conditioned bytes of both link directions by
+//! the session driver — and parses ClientHello / ServerHello /
+//! Certificate / Alert records *without participating in the
+//! connection*. The result is a [`TlsObservation`] — the unit every
+//! longitudinal analysis (Figures 1–3, Table 8) consumes.
+//!
+//! [`Chain`]: iotls_tls::middleware::Chain
 
 use iotls_tls::alert::{Alert, AlertDescription};
 use iotls_tls::fingerprint::{Fingerprint, FingerprintId};
@@ -14,7 +17,7 @@ use iotls_tls::handshake::{
     first_certificate, msg_type, next_raw_message, server_hello_fields, validate_body, ClientHello,
 };
 use iotls_tls::middleware::{Flow, Middleware, Verdict};
-use iotls_tls::record::{ContentType, Deframer};
+use iotls_tls::record::ContentType;
 use iotls_tls::version::ProtocolVersion;
 use iotls_x509::Timestamp;
 
@@ -94,13 +97,14 @@ impl TlsObservation {
     }
 }
 
-/// The per-connection parse state behind [`GatewayTap`], separated
-/// from the deframers so the shared record skim
-/// ([`TapState::observe_record`]) can run while a popped record still
-/// borrows a deframer — and so the same skim serves both the byte-feed
-/// avenue and the [`Middleware`] hooks.
+/// A passive observer of one connection at a time: attach it to a
+/// middleware [`Chain`], drive the session, then
+/// [`GatewayTap::take_observation`]. Its observe-only `on_record`
+/// hook skims every record the chain deframes.
+///
+/// [`Chain`]: iotls_tls::middleware::Chain
 #[derive(Default)]
-struct TapState {
+pub struct GatewayTap {
     client_hello: Option<ClientHello>,
     negotiated_version: Option<ProtocolVersion>,
     negotiated_suite: Option<u16>,
@@ -111,10 +115,14 @@ struct TapState {
     alerts_from_client: Vec<Alert>,
     alerts_from_server: Vec<Alert>,
     records_deframed: u64,
-    bytes_tapped: u64,
 }
 
-impl TapState {
+impl GatewayTap {
+    /// A fresh tap.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
     /// Skims one complete record: handshake bodies are scanned as
     /// borrowed slices; the only allocation is the ClientHello itself
     /// (and the leaf issuer name), which the observation keeps.
@@ -194,111 +202,32 @@ impl TapState {
             ContentType::ChangeCipherSpec => {}
         }
     }
-}
-
-/// A passive observer of one connection's bytes.
-///
-/// Works on either avenue of the session path: feed raw transport
-/// bytes through [`GatewayTap::observe_c2s`] /
-/// [`GatewayTap::observe_s2c`] (the tap deframes them itself), or
-/// attach the tap to a middleware [`Chain`] — it implements
-/// [`Middleware`] with an observe-only `on_record` hook over the same
-/// record skim.
-///
-/// [`Chain`]: iotls_tls::middleware::Chain
-#[derive(Default)]
-pub struct GatewayTap {
-    c2s: Deframer,
-    s2c: Deframer,
-    state: TapState,
-}
-
-impl GatewayTap {
-    /// A fresh tap.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Observes client→server bytes.
-    ///
-    /// Records and handshake bodies are scanned as borrowed slices;
-    /// the only allocation is the ClientHello itself, which the
-    /// observation keeps.
-    pub fn observe_c2s(&mut self, data: &[u8]) {
-        self.state.bytes_tapped += data.len() as u64;
-        self.c2s.push(data);
-        while let Ok(Some(rec)) = self.c2s.pop_ref() {
-            self.state
-                .observe_record(Flow::ClientToServer, rec.content_type, rec.payload);
-        }
-    }
-
-    /// Observes server→client bytes.
-    pub fn observe_s2c(&mut self, data: &[u8]) {
-        self.state.bytes_tapped += data.len() as u64;
-        self.s2c.push(data);
-        while let Ok(Some(rec)) = self.s2c.pop_ref() {
-            self.state
-                .observe_record(Flow::ServerToClient, rec.content_type, rec.payload);
-        }
-    }
 
     /// Clears all per-connection state, keeping buffer allocations, so
-    /// one tap (and its scratch buffers) can observe many connections.
+    /// one tap can observe many connections.
     pub fn reset(&mut self) {
-        self.c2s.clear();
-        self.s2c.clear();
-        self.state.client_hello = None;
-        self.state.negotiated_version = None;
-        self.state.negotiated_suite = None;
-        self.state.ocsp_stapled = false;
-        self.state.leaf_issuer = None;
-        self.state.server_finished = false;
-        self.state.saw_app_data = false;
-        self.state.alerts_from_client.clear();
-        self.state.alerts_from_server.clear();
-        self.state.records_deframed = 0;
-        self.state.bytes_tapped = 0;
+        self.client_hello = None;
+        self.negotiated_version = None;
+        self.negotiated_suite = None;
+        self.ocsp_stapled = false;
+        self.leaf_issuer = None;
+        self.server_finished = false;
+        self.saw_app_data = false;
+        self.alerts_from_client.clear();
+        self.alerts_from_server.clear();
+        self.records_deframed = 0;
     }
 
-    /// Complete TLS records deframed (both directions) since the last
+    /// Complete TLS records seen (both directions) since the last
     /// [`GatewayTap::reset`].
     pub fn records_deframed(&self) -> u64 {
-        self.state.records_deframed
+        self.records_deframed
     }
 
-    /// Raw bytes tapped (both directions) since the last
-    /// [`GatewayTap::reset`]. On the byte-feed avenue this counts raw
-    /// transport bytes; on the middleware avenue it counts framed
-    /// record bytes (header + payload), which is the same total
-    /// whenever every tapped byte belongs to a complete record.
-    pub fn bytes_tapped(&self) -> u64 {
-        self.state.bytes_tapped
-    }
-
-    /// The observed ClientHello, if one was seen.
-    pub fn client_hello(&self) -> Option<&ClientHello> {
-        self.state.client_hello.as_ref()
-    }
-
-    /// Alerts seen from the client side.
-    pub fn alerts_from_client(&self) -> &[Alert] {
-        &self.state.alerts_from_client
-    }
-
-    /// Finalizes the observation. Returns `None` when no ClientHello
-    /// was observed (nothing TLS happened on the link).
-    pub fn into_observation(
-        mut self,
-        time: Timestamp,
-        device: &str,
-        destination: &str,
-    ) -> Option<TlsObservation> {
-        self.take_observation(time, device, destination)
-    }
-
-    /// Takes the observation out of a reusable tap, leaving the
-    /// per-connection state spent. Call [`GatewayTap::reset`] before
+    /// Takes the observation of the connection, stamped with the
+    /// caller's metadata, leaving the per-connection state spent.
+    /// Returns `None` when no ClientHello was observed (nothing TLS
+    /// happened on the link). Call [`GatewayTap::reset`] before
     /// observing the next connection.
     pub fn take_observation(
         &mut self,
@@ -306,7 +235,7 @@ impl GatewayTap {
         device: &str,
         destination: &str,
     ) -> Option<TlsObservation> {
-        let ch = self.state.client_hello.take()?;
+        let ch = self.client_hello.take()?;
         let fingerprint = Fingerprint::from_client_hello(&ch).id();
         let sni = ch.server_name().map(str::to_string);
         let advertised_versions = ch.advertised_versions();
@@ -322,19 +251,17 @@ impl GatewayTap {
             offered_suites: ch.cipher_suites,
             requested_ocsp,
             fingerprint,
-            negotiated_version: self.state.negotiated_version.take(),
-            negotiated_suite: self.state.negotiated_suite.take(),
-            ocsp_stapled: std::mem::take(&mut self.state.ocsp_stapled),
-            leaf_issuer: self.state.leaf_issuer.take(),
-            established: self.state.server_finished || self.state.saw_app_data,
+            negotiated_version: self.negotiated_version.take(),
+            negotiated_suite: self.negotiated_suite.take(),
+            ocsp_stapled: std::mem::take(&mut self.ocsp_stapled),
+            leaf_issuer: self.leaf_issuer.take(),
+            established: self.server_finished || self.saw_app_data,
             alerts_from_client: self
-                .state
                 .alerts_from_client
                 .drain(..)
                 .map(|a| a.description)
                 .collect(),
             alerts_from_server: self
-                .state
                 .alerts_from_server
                 .drain(..)
                 .map(|a| a.description)
@@ -343,17 +270,10 @@ impl GatewayTap {
     }
 }
 
-/// The tap as a protocol middleware: an observe-only `on_record` hook
-/// over the same record skim as the byte-feed avenue. Record streams
-/// are identical between the two avenues (the chain and the tap
-/// deframe the same conditioned byte chunks), so observations are too.
+/// The tap's only hook: an observe-only skim of every record.
 impl Middleware for GatewayTap {
     fn on_record(&mut self, flow: Flow, content_type: ContentType, payload: &mut [u8]) -> Verdict {
-        // Framed size: the chain hands us the payload of an
-        // already-deframed record, so account its 5-byte header here
-        // to match the raw-byte count of the byte-feed avenue.
-        self.state.bytes_tapped += 5 + payload.len() as u64;
-        self.state.observe_record(flow, content_type, payload);
+        self.observe_record(flow, content_type, payload);
         Verdict::Continue
     }
 
@@ -365,6 +285,7 @@ impl Middleware for GatewayTap {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use iotls_tls::middleware::Chain;
     use iotls_tls::record::Record;
     use iotls_tls::HandshakeMessage;
 
@@ -381,12 +302,23 @@ mod tests {
         Record::new(ContentType::Handshake, ProtocolVersion::Tls12, msg).encode()
     }
 
+    /// A session chain with a fresh tap at slot 0.
+    fn tapped() -> Chain {
+        let mut chain = Chain::new().with(Box::new(GatewayTap::new()));
+        chain.begin_session();
+        chain
+    }
+
+    fn tap(chain: &mut Chain) -> &mut GatewayTap {
+        chain.middleware_mut::<GatewayTap>(0).unwrap()
+    }
+
     #[test]
     fn tap_extracts_client_hello_metadata() {
-        let mut tap = GatewayTap::new();
-        tap.observe_c2s(&hello_bytes());
-        let obs = tap
-            .into_observation(Timestamp(0), "TestCam", "dev.example.com")
+        let mut chain = tapped();
+        chain.feed(Flow::ClientToServer, &hello_bytes());
+        let obs = tap(&mut chain)
+            .take_observation(Timestamp(0), "TestCam", "dev.example.com")
             .unwrap();
         assert_eq!(obs.sni.as_deref(), Some("dev.example.com"));
         assert_eq!(obs.max_advertised, ProtocolVersion::Tls12);
@@ -398,8 +330,8 @@ mod tests {
 
     #[test]
     fn tap_sees_alerts_and_server_hello() {
-        let mut tap = GatewayTap::new();
-        tap.observe_c2s(&hello_bytes());
+        let mut chain = tapped();
+        chain.feed(Flow::ClientToServer, &hello_bytes());
         let sh = iotls_tls::ServerHello {
             version: ProtocolVersion::Tls12,
             random: [2u8; 32],
@@ -414,7 +346,7 @@ mod tests {
             HandshakeMessage::ServerHello(sh).encode(),
         )
         .encode();
-        tap.observe_s2c(&sh_bytes);
+        chain.feed(Flow::ServerToClient, &sh_bytes);
         let alert = Alert::fatal(AlertDescription::UnknownCa);
         let alert_bytes = Record::new(
             ContentType::Alert,
@@ -422,9 +354,10 @@ mod tests {
             alert.to_bytes().to_vec(),
         )
         .encode();
-        tap.observe_c2s(&alert_bytes);
-        let obs = tap
-            .into_observation(Timestamp(5), "TestCam", "dev.example.com")
+        chain.feed(Flow::ClientToServer, &alert_bytes);
+        assert_eq!(tap(&mut chain).records_deframed(), 3);
+        let obs = tap(&mut chain)
+            .take_observation(Timestamp(5), "TestCam", "dev.example.com")
             .unwrap();
         assert_eq!(obs.negotiated_version, Some(ProtocolVersion::Tls12));
         assert_eq!(obs.negotiated_suite, Some(0xc02f));
@@ -436,32 +369,46 @@ mod tests {
 
     #[test]
     fn no_client_hello_no_observation() {
-        let tap = GatewayTap::new();
-        assert!(tap.into_observation(Timestamp(0), "d", "h").is_none());
+        let mut tap = GatewayTap::new();
+        assert!(tap.take_observation(Timestamp(0), "d", "h").is_none());
     }
 
     #[test]
     fn tap_tolerates_partial_delivery() {
         let bytes = hello_bytes();
-        let mut tap = GatewayTap::new();
+        let mut chain = tapped();
         for chunk in bytes.chunks(3) {
-            tap.observe_c2s(chunk);
+            chain.feed(Flow::ClientToServer, chunk);
         }
-        assert!(tap.client_hello().is_some());
+        let obs = tap(&mut chain).take_observation(Timestamp(0), "d", "h");
+        assert_eq!(obs.unwrap().sni.as_deref(), Some("dev.example.com"));
     }
 
     #[test]
     fn app_data_marks_established() {
-        let mut tap = GatewayTap::new();
-        tap.observe_c2s(&hello_bytes());
+        let mut chain = tapped();
+        chain.feed(Flow::ClientToServer, &hello_bytes());
         let app = Record::new(
             ContentType::ApplicationData,
             ProtocolVersion::Tls12,
             vec![0xaa; 16],
         )
         .encode();
-        tap.observe_s2c(&app);
-        let obs = tap.into_observation(Timestamp(0), "d", "h").unwrap();
+        chain.feed(Flow::ServerToClient, &app);
+        let obs = tap(&mut chain)
+            .take_observation(Timestamp(0), "d", "h")
+            .unwrap();
         assert!(obs.established);
+    }
+
+    #[test]
+    fn reset_clears_the_previous_connection() {
+        let mut chain = tapped();
+        chain.feed(Flow::ClientToServer, &hello_bytes());
+        tap(&mut chain).reset();
+        assert_eq!(tap(&mut chain).records_deframed(), 0);
+        assert!(tap(&mut chain)
+            .take_observation(Timestamp(0), "d", "h")
+            .is_none());
     }
 }

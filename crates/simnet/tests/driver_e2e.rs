@@ -3,9 +3,11 @@
 
 use iotls_crypto::drbg::Drbg;
 use iotls_crypto::rsa::RsaPrivateKey;
-use iotls_simnet::driver::{drive_session, SessionParams};
+use iotls_simnet::driver::{drive_session, DriveScratch, SessionParams, SessionResult};
+use iotls_simnet::{GatewayTap, LinkConditioner, TlsObservation};
 use iotls_tls::alert::AlertDescription;
 use iotls_tls::client::{ClientConfig, ClientConnection};
+use iotls_tls::middleware::Chain;
 use iotls_tls::server::{ServerConfig, ServerConnection};
 use iotls_tls::version::ProtocolVersion;
 use iotls_x509::{CertifiedKey, DistinguishedName, IssueParams, RootStore, Timestamp};
@@ -36,6 +38,30 @@ fn now() -> Timestamp {
     Timestamp::from_ymd(2021, 3, 1)
 }
 
+/// Drives one session on a clean link with a gateway tap in the chain;
+/// returns the result and the tap's observation of `device`.
+fn drive_tapped(
+    client: ClientConnection,
+    server: ServerConnection,
+    params: SessionParams<'_>,
+    device: &str,
+) -> (SessionResult, Option<TlsObservation>) {
+    let mut chain = Chain::new().with(Box::new(GatewayTap::new()));
+    let result = drive_session(
+        client,
+        server,
+        params,
+        &mut LinkConditioner::passthrough(),
+        &mut chain,
+        &mut DriveScratch::new(),
+    );
+    let tap = chain.middleware_mut::<GatewayTap>(0).unwrap();
+    (
+        result,
+        tap.take_observation(now(), device, "cloud.example.com"),
+    )
+}
+
 #[test]
 fn tapped_session_produces_full_observation() {
     let (roots, server_cfg) = setup();
@@ -46,22 +72,19 @@ fn tapped_session_produces_full_observation() {
         Drbg::from_seed(1),
     );
     let server = ServerConnection::new(server_cfg, Drbg::from_seed(2));
-    let result = drive_session(
+    let (result, obs) = drive_tapped(
         client,
         server,
         SessionParams {
             client_payload: Some(b"POST /telemetry bearer=tok123"),
             server_payload: Some(b"200 OK"),
-            tap: true,
-            time: now(),
-            device: "Test Device",
-            destination: "cloud.example.com",
         },
+        "Test Device",
     );
     assert!(result.established);
     assert_eq!(result.server_received, b"POST /telemetry bearer=tok123");
     assert_eq!(result.client_received, b"200 OK");
-    let obs = result.observation.expect("tap produced observation");
+    let obs = obs.expect("tap produced observation");
     assert!(obs.established);
     assert_eq!(obs.negotiated_version, Some(ProtocolVersion::Tls13));
     assert_eq!(obs.sni.as_deref(), Some("cloud.example.com"));
@@ -81,17 +104,14 @@ fn tap_does_not_see_plaintext_payload() {
         Drbg::from_seed(3),
     );
     let server = ServerConnection::new(server_cfg, Drbg::from_seed(4));
-    let result = drive_session(
+    let (result, _) = drive_tapped(
         client,
         server,
         SessionParams {
             client_payload: Some(b"deviceSecret=BEEF"),
             server_payload: None,
-            tap: true,
-            time: now(),
-            device: "d",
-            destination: "cloud.example.com",
         },
+        "d",
     );
     assert!(result.established);
     assert_eq!(result.server_received, b"deviceSecret=BEEF");
@@ -114,13 +134,9 @@ fn failed_validation_session_observed_with_alert() {
         Drbg::from_seed(5),
     );
     let server = ServerConnection::new(server_cfg, Drbg::from_seed(6));
-    let result = drive_session(
-        client,
-        server,
-        SessionParams::tapped(now(), "d", "cloud.example.com"),
-    );
+    let (result, obs) = drive_tapped(client, server, SessionParams::default(), "d");
     assert!(!result.established);
-    let obs = result.observation.unwrap();
+    let obs = obs.unwrap();
     assert!(!obs.established);
     assert!(obs
         .alerts_from_client
@@ -138,13 +154,9 @@ fn mute_server_session_terminates_without_observation_negotiation() {
         Drbg::from_seed(7),
     );
     let server = ServerConnection::new(server_cfg, Drbg::from_seed(8));
-    let result = drive_session(
-        client,
-        server,
-        SessionParams::tapped(now(), "d", "cloud.example.com"),
-    );
+    let (result, obs) = drive_tapped(client, server, SessionParams::default(), "d");
     assert!(!result.established);
-    let obs = result.observation.unwrap();
+    let obs = obs.unwrap();
     assert!(obs.negotiated_version.is_none());
     assert!(!obs.established);
 }
@@ -162,14 +174,10 @@ fn untapped_session_has_no_observation() {
     let result = drive_session(
         client,
         server,
-        SessionParams {
-            client_payload: None,
-            server_payload: None,
-            tap: false,
-            time: now(),
-            device: "d",
-            destination: "cloud.example.com",
-        },
+        SessionParams::default(),
+        &mut LinkConditioner::passthrough(),
+        &mut Chain::new(),
+        &mut DriveScratch::new(),
     );
     assert!(result.established);
     assert!(result.observation.is_none());

@@ -7,10 +7,7 @@
 //! a caller-owned [`SessionBuf`]; drive loops reuse one buffer per
 //! direction (and one [`SessionScratch`] per lane, via
 //! [`ClientConnection::with_scratch`]) so the steady state allocates
-//! nothing per session. The older buffered API
-//! ([`ClientConnection::read_tls`] / [`ClientConnection::take_output`])
-//! remains as a thin shim over the same core for tests and one-shot
-//! callers.
+//! nothing per session.
 //!
 //! Device emulations configure the client through [`ClientConfig`],
 //! which captures everything the paper measures about a *TLS
@@ -31,7 +28,6 @@ use crate::codec::CodecError;
 use crate::extension::{sig_scheme, Extension};
 use crate::fingerprint::Fingerprint;
 use crate::handshake::{ClientHello, HandshakeMessage, ServerKeyExchange};
-use crate::middleware::{Chain, Flow};
 use crate::profile::LibraryProfile;
 use crate::record::{write_record, ContentType, Deframer, SessionBuf};
 use crate::session::{
@@ -315,11 +311,12 @@ impl ClientConnection {
         self.scratch
     }
 
-    /// Arms session resumption: the next [`Self::start`] offers the
-    /// cached session id, and an echoing server short-circuits to the
-    /// abbreviated handshake. Must be called before `start`.
+    /// Arms session resumption: the ClientHello that
+    /// [`Self::start_into`] encodes offers the cached session id, and
+    /// an echoing server short-circuits to the abbreviated handshake.
+    /// Must be called before `start_into`.
     pub fn resume(&mut self, cached: CachedSession) {
-        assert_eq!(self.state, State::Start, "resume() after start()");
+        assert_eq!(self.state, State::Start, "resume() after start_into()");
         self.resume = Some(cached);
     }
 
@@ -394,21 +391,12 @@ impl ClientConnection {
     /// Encodes the ClientHello into `out`. Must be called exactly
     /// once, first.
     pub fn start_into(&mut self, out: &mut SessionBuf) {
-        assert_eq!(self.state, State::Start, "start() called twice");
+        assert_eq!(self.state, State::Start, "start_into() called twice");
         let hello = self.build_client_hello();
         let msg = HandshakeMessage::ClientHello(hello.clone());
         self.send_handshake(&msg, out);
         self.hello = Some(hello);
         self.state = State::AwaitServerHello;
-    }
-
-    /// Sends the ClientHello into the internal pending buffer
-    /// (legacy buffered API; drain with
-    /// [`ClientConnection::take_output`]).
-    pub fn start(&mut self) {
-        let mut pending = std::mem::take(&mut self.scratch.pending);
-        self.start_into(&mut pending);
-        self.scratch.pending = pending;
     }
 
     /// The fingerprint of this connection's ClientHello.
@@ -417,13 +405,6 @@ impl ClientConnection {
             Some(h) => Fingerprint::from_client_hello(h),
             None => Fingerprint::from_client_hello(&self.build_client_hello()),
         }
-    }
-
-    /// Drains bytes destined for the transport (legacy buffered API;
-    /// the unbuffered loop writes through [`ClientConnection::process`]
-    /// instead).
-    pub fn take_output(&mut self) -> Vec<u8> {
-        self.scratch.pending.take_vec()
     }
 
     /// The connection's coarse status.
@@ -481,42 +462,6 @@ impl ClientConnection {
     /// [`Status::Failed`]; the caller reads wire bytes from `out`
     /// regardless (a failing connection still sends its fatal alert).
     pub fn process(&mut self, incoming: &[u8], out: &mut SessionBuf) -> Status {
-        let _ = self.process_bytes(incoming, out, None);
-        self.status()
-    }
-
-    /// [`ClientConnection::process`] with a middleware [`Chain`]
-    /// riding the record loop: every incoming record is dispatched
-    /// through the chain (as [`Flow::ServerToClient`]) *before* the
-    /// state machine consumes it, so a `Rewrite` hook changes what
-    /// this endpoint sees and an `Intercept`/`Abort` hook stops record
-    /// consumption. The terminal signal is left on the chain for the
-    /// caller ([`Chain::terminal`]).
-    pub fn process_with(
-        &mut self,
-        incoming: &[u8],
-        out: &mut SessionBuf,
-        chain: &mut Chain,
-    ) -> Status {
-        let _ = self.process_bytes(incoming, out, Some(chain));
-        self.status()
-    }
-
-    /// Feeds transport bytes into the connection, buffering replies
-    /// internally (legacy buffered API over the same sans-IO core).
-    pub fn read_tls(&mut self, data: &[u8]) -> Result<(), CodecError> {
-        let mut pending = std::mem::take(&mut self.scratch.pending);
-        let result = self.process_bytes(data, &mut pending, None);
-        self.scratch.pending = pending;
-        result
-    }
-
-    fn process_bytes(
-        &mut self,
-        incoming: &[u8],
-        out: &mut SessionBuf,
-        chain: Option<&mut Chain>,
-    ) -> Result<(), CodecError> {
         self.scratch.deframer.push(incoming);
         // Disjoint-field dance: the deframer and the record-payload
         // scratch move out of `self` for the duration of the loop (a
@@ -524,43 +469,26 @@ impl ClientConnection {
         // while the state machine borrows `self`.
         let mut deframer = std::mem::take(&mut self.scratch.deframer);
         let mut rx = std::mem::take(&mut self.scratch.rx);
-        let result = self.process_deframed(&mut deframer, &mut rx, out, chain);
+        let _ = self.process_deframed(&mut deframer, &mut rx, out);
         self.scratch.deframer = deframer;
         self.scratch.rx = rx;
-        result
+        self.status()
     }
 
+    /// Consumes every complete record; stops at the first codec
+    /// error, leaving the rest queued behind it.
     fn process_deframed(
         &mut self,
         deframer: &mut Deframer,
         rx: &mut Vec<u8>,
         out: &mut SessionBuf,
-        mut chain: Option<&mut Chain>,
     ) -> Result<(), CodecError> {
-        loop {
-            let content_type = match deframer.pop_ref() {
-                Ok(Some(rec)) => {
-                    rx.clear();
-                    rx.extend_from_slice(rec.payload);
-                    rec.content_type
-                }
-                Ok(None) => return Ok(()),
-                Err(e) => return Err(e),
-            };
-            // Middleware hooks fire on the record scratch before the
-            // state machine consumes it: rewrites are real, terminal
-            // verdicts stop consumption (unread records stay queued in
-            // the deframer behind the sticky signal).
-            if let Some(ch) = chain.as_deref_mut() {
-                if ch
-                    .dispatch_record(Flow::ServerToClient, content_type, rx)
-                    .is_some()
-                {
-                    return Ok(());
-                }
-            }
-            self.process_record_ref(content_type, rx, out)?;
+        while let Some(rec) = deframer.pop_ref()? {
+            rx.clear();
+            rx.extend_from_slice(rec.payload);
+            self.process_record_ref(rec.content_type, rx, out)?;
         }
+        Ok(())
     }
 
     /// Encodes application data into `out` (only valid once
@@ -581,14 +509,6 @@ impl ClientConnection {
             &self.scratch.tx,
             out,
         );
-    }
-
-    /// Queues application data into the internal pending buffer
-    /// (legacy buffered API).
-    pub fn send_application_data(&mut self, data: &[u8]) {
-        let mut pending = std::mem::take(&mut self.scratch.pending);
-        self.send_application_data_into(data, &mut pending);
-        self.scratch.pending = pending;
     }
 
     /// Appends decrypted application data received from the peer to

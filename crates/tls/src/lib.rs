@@ -14,9 +14,9 @@
 //! * [`client`] / [`server`] — event-driven state machines in the
 //!   smoltcp style: bytes in, bytes out, no sockets, no clock of
 //!   their own;
-//! * [`middleware`] — observe/rewrite/intercept hook chains that ride
-//!   the sans-IO record loop (in-path via `process_with`, passive via
-//!   `Chain::feed`);
+//! * [`middleware`] — observe/rewrite/intercept hook chains fed a
+//!   session's wire bytes from a gateway tap's position
+//!   (`Chain::feed`);
 //! * [`fingerprint`] — JA3-shaped client fingerprinting (§5.3);
 //! * [`profile`] — per-library alert behavior from Table 4, which
 //!   determines amenability to the root-store probe;

@@ -1,39 +1,32 @@
 //! Protocol middleware: staged observe / rewrite / intercept hooks on
 //! the TLS session path.
 //!
-//! A [`Chain`] of [`Middleware`]s rides the sans-IO record loop. Hooks
-//! fire per record (and per handshake message for the staged hooks)
-//! with *borrowed, mutable* payload slices — no buffering, no copy,
-//! and after warm-up no per-session allocation — and return a
-//! [`Verdict`]:
+//! A [`Chain`] of [`Middleware`]s watches one session's records from
+//! where a gateway tap sits: downstream of the link, upstream of both
+//! endpoints. [`Chain::feed`] takes each flow direction's transport
+//! bytes as the link delivered them, deframes them with a chain-owned
+//! [`Deframer`] per [`Flow`] direction, and dispatches every complete
+//! record. The session driver and gateway tape replay (`iotls-simnet`)
+//! both feed their chain this way, so a middleware is written once and
+//! runs on every session path.
+//!
+//! Hooks fire per record (and per handshake message for the staged
+//! hooks) with *borrowed, mutable* payload slices — no copy beyond
+//! the deframer, and after warm-up no per-session allocation — and
+//! return a [`Verdict`]:
 //!
 //! * [`Verdict::Continue`] — pure observation, the default;
-//! * [`Verdict::Rewrite`] — the hook mutated the payload in place and
-//!   the endpoint consumes the rewritten bytes;
+//! * [`Verdict::Rewrite`] — the hook mutated the chain's copy of the
+//!   payload in place; later hooks see the rewritten bytes, the
+//!   endpoints still consume what the link delivered;
 //! * [`Verdict::Intercept`] — terminate the session from the chain
 //!   (policy stop: the session is *taken over*, not failed);
 //! * [`Verdict::Abort`] — terminate the session as a failure.
 //!
-//! Two dispatch avenues share one chain type:
-//!
-//! 1. **In-path** — [`ClientConnection::process_with`] /
-//!    [`ServerConnection::process_with`] fire the chain from inside
-//!    `process_deframed`, on the record scratch *before* the state
-//!    machine consumes it, so a `Rewrite` genuinely changes what the
-//!    endpoint sees.
-//! 2. **Byte-feed** — [`Chain::feed`] deframes raw transport bytes
-//!    with chain-owned [`Deframer`]s (one per [`Flow`] direction), for
-//!    passive paths like gateway tape replay where no live endpoint
-//!    exists.
-//!
-//! Both avenues funnel into the same hook dispatch, so a middleware is
-//! written once and runs anywhere on the session path. Terminal
-//! verdicts are sticky per session: once a hook intercepts or aborts,
-//! [`Chain::terminal`] reports it and further dispatch short-circuits
-//! until [`Chain::begin_session`].
-//!
-//! [`ClientConnection::process_with`]: crate::client::ClientConnection::process_with
-//! [`ServerConnection::process_with`]: crate::server::ServerConnection::process_with
+//! Terminal verdicts are sticky per session: once a hook intercepts
+//! or aborts, [`Chain::terminal`] reports it, further dispatch
+//! short-circuits until [`Chain::begin_session`], and the driving
+//! loop stops pumping.
 
 use std::any::Any;
 
@@ -120,7 +113,7 @@ pub enum Verdict {
     /// Observed only; dispatch continues.
     Continue,
     /// The hook mutated the payload in place; dispatch continues and
-    /// downstream consumers see the rewritten bytes.
+    /// later hooks in the chain see the rewritten bytes.
     Rewrite,
     /// Terminate the session under chain control (not a failure).
     Intercept,
@@ -226,8 +219,8 @@ pub trait Middleware: Send {
 }
 
 /// An ordered chain of middlewares plus the per-session scratch that
-/// keeps dispatch allocation-free: chain-owned deframers for the
-/// byte-feed avenue and `Copy` stats. Reused across sessions via
+/// keeps dispatch allocation-free: one chain-owned deframer per flow
+/// direction and `Copy` stats. Reused across sessions via
 /// [`Chain::begin_session`].
 #[derive(Default)]
 pub struct Chain {
@@ -315,35 +308,14 @@ impl Chain {
     // allocator tests in simnet prove it at runtime with an
     // observe-only chain).
 
-    /// Dispatches one record through the chain: the `Record` hook for
-    /// every middleware, then the staged handshake-message hooks.
-    /// Returns the terminal signal if any hook intercepted or aborted
-    /// (dispatch stops at the first terminal verdict).
-    pub fn dispatch_record(
-        &mut self,
-        flow: Flow,
-        content_type: ContentType,
-        payload: &mut [u8],
-    ) -> Option<Signal> {
-        if self.mws.is_empty() || self.terminal.is_some() {
-            return self.terminal;
-        }
-        Self::dispatch_parts(
-            &mut self.mws,
-            &mut self.stats,
-            &mut self.terminal,
-            flow,
-            content_type,
-            payload,
-        )
-    }
-
     /// Feeds raw transport bytes for one flow direction through the
-    /// chain-owned deframer and dispatches each complete record — the
-    /// passive avenue, used where no live endpoint exists (tape
-    /// replay). Garbled record headers stop observation of the current
-    /// buffer for that direction, mirroring the tap's poisoning
-    /// behavior. An empty chain skips deframing entirely.
+    /// chain-owned deframer and dispatches each complete record: the
+    /// `Record` hook for every middleware, then the staged
+    /// handshake-message hooks. Returns the terminal signal if any
+    /// hook intercepted or aborted (dispatch stops at the first
+    /// terminal verdict). A garbled record header drops the bytes
+    /// buffered for that direction, so observation resumes with the
+    /// next delivery. An empty chain skips deframing entirely.
     pub fn feed(&mut self, flow: Flow, data: &[u8]) -> Option<Signal> {
         if self.mws.is_empty() {
             return None;
@@ -393,7 +365,7 @@ impl Chain {
         }
     }
 
-    /// The shared dispatch core, written over disjoint field borrows
+    /// The dispatch of one record, written over disjoint field borrows
     /// so [`Chain::feed`] can hold a deframer-borrowed payload while
     /// the hooks and stats are driven.
     fn dispatch_parts(
@@ -471,8 +443,7 @@ impl Chain {
 
 /// A trivial observe-only middleware: counts records and payload bytes
 /// per flow direction. Allocation-free by construction — the chain
-/// member used by the alloc-discipline tests and the `steady_replay`
-/// bench gate.
+/// member used by the alloc-discipline tests.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct RecordCounter {
     /// Records seen client-to-server.
@@ -648,14 +619,30 @@ mod tests {
                 self
             }
         }
-        let mut chain = Chain::new().with(Box::new(Zeroer));
+        /// Remembers whether every payload byte it saw was zero.
+        #[derive(Default)]
+        struct AllZero(Option<bool>);
+        impl Middleware for AllZero {
+            fn on_record(&mut self, _f: Flow, _ct: ContentType, payload: &mut [u8]) -> Verdict {
+                self.0 = Some(payload.iter().all(|&b| b == 0));
+                Verdict::Continue
+            }
+            fn as_any_mut(&mut self) -> &mut dyn Any {
+                self
+            }
+        }
+        let mut chain = Chain::new()
+            .with(Box::new(Zeroer))
+            .with(Box::new(AllZero::default()));
         chain.begin_session();
-        let mut payload = [0xaau8; 16];
-        assert_eq!(
-            chain.dispatch_record(Flow::ClientToServer, ContentType::ApplicationData, &mut payload),
-            None
-        );
-        assert!(payload.iter().all(|&b| b == 0));
+        let rec = Record::new(
+            ContentType::ApplicationData,
+            ProtocolVersion::Tls12,
+            vec![0xaa; 16],
+        )
+        .encode();
+        assert_eq!(chain.feed(Flow::ClientToServer, &rec), None);
+        assert_eq!(chain.middleware_mut::<AllZero>(1).unwrap().0, Some(true));
         assert_eq!(chain.take_stats().rewrites, 1);
     }
 

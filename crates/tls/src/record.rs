@@ -138,9 +138,9 @@ impl SessionBuf {
         self.buf.clear();
     }
 
-    /// Takes the contents as an owned vector (legacy-shim path; the
-    /// zero-allocation consumers use [`SessionBuf::as_slice`] +
-    /// [`SessionBuf::clear`] instead).
+    /// Takes the contents as an owned vector (for callers that keep
+    /// the bytes, like tape recording; the zero-allocation consumers
+    /// use [`SessionBuf::as_slice`] + [`SessionBuf::clear`] instead).
     pub fn take_vec(&mut self) -> Vec<u8> {
         std::mem::take(&mut self.buf)
     }

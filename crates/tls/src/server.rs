@@ -20,7 +20,6 @@ use crate::alert::{Alert, AlertDescription, AlertLevel};
 use crate::ciphersuite::by_id;
 use crate::codec::CodecError;
 use crate::handshake::{ClientHello, HandshakeMessage, ServerHello, ServerKeyExchange};
-use crate::middleware::{Chain, Flow};
 use crate::record::{write_record, ContentType, Deframer, SessionBuf};
 use crate::session::{
     derive_master_secret, derive_write_keys, finished_verify_data, DirectionCipher,
@@ -208,15 +207,6 @@ impl ServerConnection {
         self.scratch
     }
 
-    /// Drains bytes destined for the transport (legacy buffered API).
-    pub fn take_output(&mut self) -> Vec<u8> {
-        if self.config.mute {
-            self.scratch.pending.clear();
-            return Vec::new();
-        }
-        self.scratch.pending.take_vec()
-    }
-
     /// The connection's coarse status.
     pub fn status(&self) -> Status {
         match &self.state {
@@ -289,14 +279,6 @@ impl ServerConnection {
         }
     }
 
-    /// Queues application data into the internal pending buffer
-    /// (legacy buffered API).
-    pub fn send_application_data(&mut self, data: &[u8]) {
-        let mut pending = std::mem::take(&mut self.scratch.pending);
-        self.send_application_data_into(data, &mut pending);
-        self.scratch.pending = pending;
-    }
-
     /// Appends decrypted application data from the client to `sink`
     /// and clears the internal accumulator (keeping its allocation).
     pub fn drain_application_data_into(&mut self, sink: &mut Vec<u8>) {
@@ -313,82 +295,32 @@ impl ServerConnection {
     /// appends every reply record to the caller-owned `out` (nothing,
     /// for a mute server).
     pub fn process(&mut self, incoming: &[u8], out: &mut SessionBuf) -> Status {
-        let _ = self.process_bytes(incoming, out, None);
-        self.status()
-    }
-
-    /// [`ServerConnection::process`] with a middleware [`Chain`]
-    /// riding the record loop: every incoming record is dispatched
-    /// through the chain (as [`Flow::ClientToServer`]) *before* the
-    /// state machine consumes it — the server-side mirror of
-    /// `ClientConnection::process_with`. The terminal signal is left
-    /// on the chain for the caller ([`Chain::terminal`]).
-    pub fn process_with(
-        &mut self,
-        incoming: &[u8],
-        out: &mut SessionBuf,
-        chain: &mut Chain,
-    ) -> Status {
-        let _ = self.process_bytes(incoming, out, Some(chain));
-        self.status()
-    }
-
-    /// Feeds transport bytes into the connection, buffering replies
-    /// internally (legacy buffered API over the same sans-IO core).
-    pub fn read_tls(&mut self, data: &[u8]) -> Result<(), CodecError> {
-        let mut pending = std::mem::take(&mut self.scratch.pending);
-        let result = self.process_bytes(data, &mut pending, None);
-        self.scratch.pending = pending;
-        result
-    }
-
-    fn process_bytes(
-        &mut self,
-        incoming: &[u8],
-        out: &mut SessionBuf,
-        chain: Option<&mut Chain>,
-    ) -> Result<(), CodecError> {
         self.scratch.deframer.push(incoming);
         // Disjoint-field dance mirroring the client: deframer and
         // record-payload scratch move out of `self` (Vec moves, no
         // allocation) so the loop can borrow both.
         let mut deframer = std::mem::take(&mut self.scratch.deframer);
         let mut rx = std::mem::take(&mut self.scratch.rx);
-        let result = self.process_deframed(&mut deframer, &mut rx, out, chain);
+        let _ = self.process_deframed(&mut deframer, &mut rx, out);
         self.scratch.deframer = deframer;
         self.scratch.rx = rx;
-        result
+        self.status()
     }
 
+    /// Consumes every complete record; stops at the first codec
+    /// error, leaving the rest queued behind it.
     fn process_deframed(
         &mut self,
         deframer: &mut Deframer,
         rx: &mut Vec<u8>,
         out: &mut SessionBuf,
-        mut chain: Option<&mut Chain>,
     ) -> Result<(), CodecError> {
-        loop {
-            let content_type = match deframer.pop_ref() {
-                Ok(Some(rec)) => {
-                    rx.clear();
-                    rx.extend_from_slice(rec.payload);
-                    rec.content_type
-                }
-                Ok(None) => return Ok(()),
-                Err(e) => return Err(e),
-            };
-            // Hooks fire on the record scratch before the state
-            // machine consumes it, mirroring the client side.
-            if let Some(ch) = chain.as_deref_mut() {
-                if ch
-                    .dispatch_record(Flow::ClientToServer, content_type, rx)
-                    .is_some()
-                {
-                    return Ok(());
-                }
-            }
-            self.process_record_ref(content_type, rx, out)?;
+        while let Some(rec) = deframer.pop_ref()? {
+            rx.clear();
+            rx.extend_from_slice(rec.payload);
+            self.process_record_ref(rec.content_type, rx, out)?;
         }
+        Ok(())
     }
 
     fn send_handshake(&mut self, msg: &HandshakeMessage, out: &mut SessionBuf) {

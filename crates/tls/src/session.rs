@@ -13,7 +13,7 @@
 
 use crate::ciphersuite::{by_id, BulkCipher};
 use crate::prf;
-use crate::record::{Deframer, SessionBuf};
+use crate::record::Deframer;
 use iotls_crypto::aes::Aes128Ctr;
 use iotls_crypto::chacha20::ChaCha20;
 use iotls_crypto::des::TripleDesOfb;
@@ -96,8 +96,7 @@ pub enum Status {
 
 /// Per-session scratch memory for the sans-IO state machines: the
 /// incoming deframer, the message-encode and record-payload buffers,
-/// the decrypted application-data accumulator, and the pending-output
-/// buffer backing the legacy buffered API.
+/// and the decrypted application-data accumulator.
 ///
 /// A scratch outlives any one connection: construct connections with
 /// `with_scratch`, and reclaim the (warm) scratch via `into_scratch`
@@ -115,8 +114,6 @@ pub struct SessionScratch {
     pub(crate) rx: Vec<u8>,
     /// Decrypted application data awaiting the caller.
     pub(crate) app: Vec<u8>,
-    /// Buffered wire output backing the legacy `take_output` API.
-    pub(crate) pending: SessionBuf,
 }
 
 impl SessionScratch {
@@ -131,7 +128,6 @@ impl SessionScratch {
         self.tx.clear();
         self.rx.clear();
         self.app.clear();
-        self.pending.clear();
     }
 }
 

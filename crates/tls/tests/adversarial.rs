@@ -5,7 +5,9 @@
 use iotls_crypto::drbg::Drbg;
 use iotls_crypto::rsa::RsaPrivateKey;
 use iotls_tls::client::{ClientConfig, ClientConnection};
+use iotls_tls::record::SessionBuf;
 use iotls_tls::server::{ServerConfig, ServerConnection};
+use iotls_tls::Status;
 use iotls_x509::{CertifiedKey, DistinguishedName, IssueParams, RootStore, Timestamp};
 
 fn setup(seed: u64) -> (RootStore, ServerConfig) {
@@ -34,6 +36,18 @@ fn now() -> Timestamp {
     Timestamp::from_ymd(2021, 3, 1)
 }
 
+/// A client that has sent its ClientHello (discarded).
+fn started_client(roots: &RootStore, seed: u64) -> ClientConnection {
+    let mut client = ClientConnection::new(
+        ClientConfig::modern(roots.clone()),
+        "adv.example.com",
+        now(),
+        Drbg::from_seed(seed),
+    );
+    client.start_into(&mut SessionBuf::new());
+    client
+}
+
 /// Captures the server's first flight for a fresh handshake.
 fn first_flights(seed: u64) -> (Vec<u8>, Vec<u8>, RootStore, ServerConfig) {
     let (roots, server_cfg) = setup(seed);
@@ -44,11 +58,16 @@ fn first_flights(seed: u64) -> (Vec<u8>, Vec<u8>, RootStore, ServerConfig) {
         Drbg::from_seed(seed + 1),
     );
     let mut server = ServerConnection::new(server_cfg.clone(), Drbg::from_seed(seed + 2));
-    client.start();
-    let hello = client.take_output();
-    server.read_tls(&hello).unwrap();
-    let server_flight = server.take_output();
-    (hello, server_flight, roots, server_cfg)
+    let (mut hello, mut server_flight) = (SessionBuf::new(), SessionBuf::new());
+    client.start_into(&mut hello);
+    let status = server.process(hello.as_slice(), &mut server_flight);
+    assert_eq!(status, Status::Handshaking);
+    (
+        hello.take_vec(),
+        server_flight.take_vec(),
+        roots,
+        server_cfg,
+    )
 }
 
 #[test]
@@ -57,16 +76,9 @@ fn client_survives_every_single_byte_flip_of_the_server_flight() {
     for i in 0..server_flight.len() {
         let mut corrupted = server_flight.clone();
         corrupted[i] ^= 0xff;
-        let mut client = ClientConnection::new(
-            ClientConfig::modern(roots.clone()),
-            "adv.example.com",
-            now(),
-            Drbg::from_seed(5001),
-        );
-        client.start();
-        let _ = client.take_output();
+        let mut client = started_client(&roots, 5001);
         // Must not panic; outcome may be error or failure state.
-        let _ = client.read_tls(&corrupted);
+        client.process(&corrupted, &mut SessionBuf::new());
         assert!(
             !client.is_established(),
             "byte {i}: corrupted flight must never establish"
@@ -78,15 +90,8 @@ fn client_survives_every_single_byte_flip_of_the_server_flight() {
 fn client_survives_truncated_flights() {
     let (_, server_flight, roots, _) = first_flights(5010);
     for cut in (0..server_flight.len()).step_by(7) {
-        let mut client = ClientConnection::new(
-            ClientConfig::modern(roots.clone()),
-            "adv.example.com",
-            now(),
-            Drbg::from_seed(5011),
-        );
-        client.start();
-        let _ = client.take_output();
-        let _ = client.read_tls(&server_flight[..cut]);
+        let mut client = started_client(&roots, 5011);
+        client.process(&server_flight[..cut], &mut SessionBuf::new());
         assert!(!client.is_established(), "cut at {cut}");
     }
 }
@@ -98,7 +103,7 @@ fn server_survives_every_single_byte_flip_of_the_client_hello() {
         let mut corrupted = hello.clone();
         corrupted[i] ^= 0xff;
         let mut server = ServerConnection::new(server_cfg.clone(), Drbg::from_seed(5021));
-        let _ = server.read_tls(&corrupted);
+        server.process(&corrupted, &mut SessionBuf::new());
         assert!(!server.is_established(), "byte {i}");
     }
 }
@@ -106,18 +111,12 @@ fn server_survives_every_single_byte_flip_of_the_client_hello() {
 #[test]
 fn replayed_server_flight_does_not_confuse_the_client() {
     let (_, server_flight, roots, _) = first_flights(5030);
-    let mut client = ClientConnection::new(
-        ClientConfig::modern(roots),
-        "adv.example.com",
-        now(),
-        Drbg::from_seed(5031),
-    );
-    client.start();
-    let _ = client.take_output();
-    let _ = client.read_tls(&server_flight);
+    let mut client = started_client(&roots, 5031);
+    let mut out = SessionBuf::new();
+    client.process(&server_flight, &mut out);
     // A replay of the same flight arrives again: unexpected messages
     // in the current state must fail the connection, not panic.
-    let _ = client.read_tls(&server_flight);
+    client.process(&server_flight, &mut out);
     assert!(!client.is_established());
 }
 
@@ -130,19 +129,12 @@ fn random_garbage_never_panics_either_endpoint() {
         let mut junk = vec![0u8; len];
         rng.fill_bytes(&mut junk);
 
-        let mut client = ClientConnection::new(
-            ClientConfig::modern(roots.clone()),
-            "adv.example.com",
-            now(),
-            Drbg::from_seed(round),
-        );
-        client.start();
-        let _ = client.take_output();
-        let _ = client.read_tls(&junk);
+        let mut client = started_client(&roots, round);
+        client.process(&junk, &mut SessionBuf::new());
         assert!(!client.is_established());
 
         let mut server = ServerConnection::new(server_cfg.clone(), Drbg::from_seed(round));
-        let _ = server.read_tls(&junk);
+        server.process(&junk, &mut SessionBuf::new());
         assert!(!server.is_established());
     }
 }
@@ -159,7 +151,7 @@ fn injected_flight_before_hello_poisons_the_connection() {
         now(),
         Drbg::from_seed(5051),
     );
-    let _ = client.read_tls(&server_flight);
+    client.process(&server_flight, &mut SessionBuf::new());
     assert!(!client.is_established());
     assert!(client.is_terminal(), "unexpected message must fail closed");
     assert!(client.failure().is_some());
@@ -171,21 +163,15 @@ fn cross_session_flight_splice_fails_the_finished_check() {
     // flight of session B — randoms mismatch, so key exchange or
     // Finished must fail.
     let (_, flight_b, roots, server_cfg) = first_flights(5060);
-    let mut client_a = ClientConnection::new(
-        ClientConfig::modern(roots),
-        "adv.example.com",
-        now(),
-        Drbg::from_seed(5061), // different randoms than session B's client
-    );
-    client_a.start();
-    let _ = client_a.take_output();
-    let _ = client_a.read_tls(&flight_b);
+    // Different randoms than session B's client.
+    let mut client_a = started_client(&roots, 5061);
+    let mut tail = SessionBuf::new();
+    client_a.process(&flight_b, &mut tail);
     // Client A may even send its second flight, but the server of
     // session B is gone; at minimum it is not established now, and a
     // fresh honest server cannot complete it either.
     assert!(!client_a.is_established());
     let mut server = ServerConnection::new(server_cfg, Drbg::from_seed(5062));
-    let tail = client_a.take_output();
-    let _ = server.read_tls(&tail);
+    server.process(tail.as_slice(), &mut SessionBuf::new());
     assert!(!server.is_established(), "spliced session must not complete");
 }

@@ -5,8 +5,10 @@ use iotls_crypto::drbg::Drbg;
 use iotls_crypto::rsa::RsaPrivateKey;
 use iotls_tls::alert::AlertDescription;
 use iotls_tls::client::{ClientConfig, ClientConnection, HandshakeFailure};
+use iotls_tls::record::SessionBuf;
 use iotls_tls::server::{ServerConfig, ServerConnection};
 use iotls_tls::version::ProtocolVersion;
+use iotls_tls::Status;
 use iotls_x509::{
     CertifiedKey, DistinguishedName, IssueParams, RootStore, Timestamp, ValidationError,
     ValidationPolicy,
@@ -43,18 +45,23 @@ fn server_for(pki: &TestPki, host: &str, seed: u64) -> ServerConfig {
 
 const NOW: fn() -> Timestamp = || Timestamp::from_ymd(2021, 3, 1);
 
-/// Pumps bytes both ways until neither side produces output.
-fn pump(client: &mut ClientConnection, server: &mut ServerConnection) {
+/// Starts the client, then pumps bytes both ways until neither side
+/// produces output.
+fn handshake(client: &mut ClientConnection, server: &mut ServerConnection) {
+    let (mut c2s, mut s2c) = (SessionBuf::new(), SessionBuf::new());
+    client.start_into(&mut c2s);
     for _ in 0..20 {
-        let c2s = client.take_output();
-        if !c2s.is_empty() {
-            server.read_tls(&c2s).ok();
+        let sent = !c2s.is_empty();
+        if sent {
+            server.process(c2s.as_slice(), &mut s2c);
+            c2s.clear();
         }
-        let s2c = server.take_output();
-        if !s2c.is_empty() {
-            client.read_tls(&s2c).ok();
+        let answered = !s2c.is_empty();
+        if answered {
+            client.process(s2c.as_slice(), &mut c2s);
+            s2c.clear();
         }
-        if c2s.is_empty() && s2c.is_empty() {
+        if !sent && !answered {
             break;
         }
     }
@@ -67,9 +74,22 @@ fn run(
 ) -> (ClientConnection, ServerConnection) {
     let mut client = ClientConnection::new(client_config, host, NOW(), Drbg::from_seed(0xC11E));
     let mut server = ServerConnection::new(server_config, Drbg::from_seed(0x5E44));
-    client.start();
-    pump(&mut client, &mut server);
+    handshake(&mut client, &mut server);
     (client, server)
+}
+
+/// Sends `data` from an established client to its server; returns the
+/// wire bytes.
+fn client_sends(
+    client: &mut ClientConnection,
+    server: &mut ServerConnection,
+    data: &[u8],
+) -> Vec<u8> {
+    let mut wire = SessionBuf::new();
+    client.send_application_data_into(data, &mut wire);
+    let status = server.process(wire.as_slice(), &mut SessionBuf::new());
+    assert_eq!(status, Status::Established);
+    wire.take_vec()
 }
 
 #[test]
@@ -98,18 +118,17 @@ fn application_data_roundtrip_and_confidentiality() {
     );
     assert!(client.is_established() && server.is_established());
 
-    client.send_application_data(b"deviceSecret=abc123");
-    let wire = client.take_output();
+    let wire = client_sends(&mut client, &mut server, b"deviceSecret=abc123");
     // Payload is encrypted on the wire.
     assert!(!wire
         .windows(12)
         .any(|w| w == b"deviceSecret"));
-    server.read_tls(&wire).unwrap();
     assert_eq!(server.take_application_data(), b"deviceSecret=abc123");
 
-    server.send_application_data(b"ok");
-    let wire = server.take_output();
-    client.read_tls(&wire).unwrap();
+    let mut wire = SessionBuf::new();
+    server.send_application_data_into(b"ok", &mut wire);
+    let status = client.process(wire.as_slice(), &mut SessionBuf::new());
+    assert_eq!(status, Status::Established);
     assert_eq!(client.take_application_data(), b"ok");
 }
 
@@ -133,9 +152,7 @@ fn rsa_key_transport_suite_works() {
     cfg.cipher_suites = vec![0x009c]; // TLS_RSA_WITH_AES_128_GCM_SHA256
     let (mut client, mut server) = run(cfg, server_for(&p, "h.example.com", 1007), "h.example.com");
     assert!(client.is_established(), "{:?}", client.failure());
-    client.send_application_data(b"ping");
-    let wire = client.take_output();
-    server.read_tls(&wire).unwrap();
+    client_sends(&mut client, &mut server, b"ping");
     assert_eq!(server.take_application_data(), b"ping");
 }
 
@@ -149,10 +166,8 @@ fn rc4_suite_works_end_to_end() {
     let (mut client, mut server) = run(cfg, server_for(&p, "h.example.com", 1009), "h.example.com");
     assert!(client.is_established(), "{:?}", client.failure());
     assert_eq!(client.summary().version, Some(ProtocolVersion::Tls10));
-    client.send_application_data(b"legacy payload");
-    let wire = client.take_output();
+    let wire = client_sends(&mut client, &mut server, b"legacy payload");
     assert!(!wire.windows(6).any(|w| w == b"legacy"));
-    server.read_tls(&wire).unwrap();
     assert_eq!(server.take_application_data(), b"legacy payload");
 }
 
@@ -201,9 +216,7 @@ fn no_validation_client_accepts_self_signed() {
     let (mut client, mut server) = run(cfg, server_cfg, "cloud.example.com");
     assert!(client.is_established(), "{:?}", client.failure());
     // The vulnerable device then leaks its payload to the attacker.
-    client.send_application_data(b"encrypt_key=SECRET");
-    let wire = client.take_output();
-    server.read_tls(&wire).unwrap();
+    client_sends(&mut client, &mut server, b"encrypt_key=SECRET");
     assert_eq!(server.take_application_data(), b"encrypt_key=SECRET");
 }
 
@@ -376,11 +389,9 @@ fn handshake_is_deterministic_per_seed() {
             Drbg::from_seed(42),
         );
         let mut server = ServerConnection::new(server_cfg.clone(), Drbg::from_seed(43));
-        client.start();
-        pump(&mut client, &mut server);
+        handshake(&mut client, &mut server);
         assert!(client.is_established());
-        client.send_application_data(b"x");
-        out.extend(client.take_output());
+        out.extend(client_sends(&mut client, &mut server, b"x"));
     }
     assert_eq!(out1, out2);
 }
@@ -399,9 +410,7 @@ fn triple_des_suite_works_end_to_end() {
     let (mut client, mut server) = run(cfg, server_cfg, "h.example.com");
     assert!(client.is_established(), "{:?}", client.failure());
     assert_eq!(client.summary().cipher_suite, Some(0x000a));
-    client.send_application_data(b"legacy 3des payload");
-    let wire = client.take_output();
+    let wire = client_sends(&mut client, &mut server, b"legacy 3des payload");
     assert!(!wire.windows(6).any(|w| w == b"legacy"));
-    server.read_tls(&wire).unwrap();
     assert_eq!(server.take_application_data(), b"legacy 3des payload");
 }

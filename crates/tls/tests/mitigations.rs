@@ -5,6 +5,7 @@
 use iotls_crypto::drbg::Drbg;
 use iotls_crypto::rsa::RsaPrivateKey;
 use iotls_tls::client::{ClientConfig, ClientConnection, HandshakeFailure, PinPolicy};
+use iotls_tls::record::SessionBuf;
 use iotls_tls::server::{ServerConfig, ServerConnection};
 use iotls_x509::{
     CertifiedKey, DistinguishedName, IssueParams, OcspResponse, RevocationStatus, RootStore,
@@ -50,17 +51,20 @@ fn now() -> Timestamp {
 fn run(cfg: ClientConfig, server_cfg: ServerConfig) -> ClientConnection {
     let mut client = ClientConnection::new(cfg, "pinned.example.com", now(), Drbg::from_seed(7));
     let mut server = ServerConnection::new(server_cfg, Drbg::from_seed(8));
-    client.start();
+    let (mut c2s, mut s2c) = (SessionBuf::new(), SessionBuf::new());
+    client.start_into(&mut c2s);
     for _ in 0..16 {
-        let c2s = client.take_output();
-        if !c2s.is_empty() {
-            server.read_tls(&c2s).ok();
+        let sent = !c2s.is_empty();
+        if sent {
+            server.process(c2s.as_slice(), &mut s2c);
+            c2s.clear();
         }
-        let s2c = server.take_output();
-        if !s2c.is_empty() {
-            client.read_tls(&s2c).ok();
+        let answered = !s2c.is_empty();
+        if answered {
+            client.process(s2c.as_slice(), &mut c2s);
+            s2c.clear();
         }
-        if c2s.is_empty() && s2c.is_empty() {
+        if !sent && !answered {
             break;
         }
     }

@@ -5,7 +5,9 @@
 use iotls_crypto::drbg::Drbg;
 use iotls_crypto::rsa::RsaPrivateKey;
 use iotls_tls::client::{CachedSession, ClientConfig, ClientConnection};
+use iotls_tls::record::SessionBuf;
 use iotls_tls::server::{ServerConfig, ServerConnection, SessionCache};
+use iotls_tls::Status;
 use iotls_x509::{CertifiedKey, DistinguishedName, IssueParams, RootStore, Timestamp};
 
 struct World {
@@ -44,26 +46,37 @@ fn now() -> Timestamp {
     Timestamp::from_ymd(2021, 3, 1)
 }
 
-/// Pumps to quiescence; returns (client, wire bytes server→client).
-fn run(mut client: ClientConnection, server_cfg: ServerConfig, seed: u64) -> (ClientConnection, Vec<u8>) {
-    let mut server = ServerConnection::new(server_cfg, Drbg::from_seed(seed));
+/// Starts the client and pumps to quiescence; returns the wire bytes
+/// server→client.
+fn pump(client: &mut ClientConnection, server: &mut ServerConnection) -> Vec<u8> {
     let mut s2c_total = Vec::new();
-    client.start();
+    let (mut c2s, mut s2c) = (SessionBuf::new(), SessionBuf::new());
+    client.start_into(&mut c2s);
     for _ in 0..16 {
-        let c2s = client.take_output();
-        if !c2s.is_empty() {
-            server.read_tls(&c2s).ok();
+        let sent = !c2s.is_empty();
+        if sent {
+            server.process(c2s.as_slice(), &mut s2c);
+            c2s.clear();
         }
-        let s2c = server.take_output();
-        if !s2c.is_empty() {
-            s2c_total.extend_from_slice(&s2c);
-            client.read_tls(&s2c).ok();
+        let answered = !s2c.is_empty();
+        if answered {
+            s2c_total.extend_from_slice(s2c.as_slice());
+            client.process(s2c.as_slice(), &mut c2s);
+            s2c.clear();
         }
-        if c2s.is_empty() && s2c.is_empty() {
+        if !sent && !answered {
             break;
         }
     }
-    (client, s2c_total)
+    s2c_total
+}
+
+/// [`pump`] against a fresh server; returns (client, wire bytes
+/// server→client).
+fn run(mut client: ClientConnection, server_cfg: ServerConfig, seed: u64) -> (ClientConnection, Vec<u8>) {
+    let mut server = ServerConnection::new(server_cfg, Drbg::from_seed(seed));
+    let s2c = pump(&mut client, &mut server);
+    (client, s2c)
 }
 
 fn full_handshake(w: &World, seed: u64) -> (CachedSession, usize) {
@@ -120,26 +133,17 @@ fn resumed_session_carries_application_data() {
     );
     client.resume(cached);
     let mut server = ServerConnection::new(w.server_cfg.clone(), Drbg::from_seed(12));
-    client.start();
-    for _ in 0..16 {
-        let c2s = client.take_output();
-        if !c2s.is_empty() {
-            server.read_tls(&c2s).ok();
-        }
-        let s2c = server.take_output();
-        if !s2c.is_empty() {
-            client.read_tls(&s2c).ok();
-        }
-        if c2s.is_empty() && s2c.is_empty() {
-            break;
-        }
-    }
+    pump(&mut client, &mut server);
     assert!(client.is_established() && server.is_established());
     assert!(server.is_resumed());
-    client.send_application_data(b"resumed payload");
-    let wire = client.take_output();
-    assert!(!wire.windows(7).any(|w| w == b"resumed"), "encrypted");
-    server.read_tls(&wire).unwrap();
+    let mut wire = SessionBuf::new();
+    client.send_application_data_into(b"resumed payload", &mut wire);
+    assert!(
+        !wire.as_slice().windows(7).any(|w| w == b"resumed"),
+        "encrypted"
+    );
+    let status = server.process(wire.as_slice(), &mut SessionBuf::new());
+    assert_eq!(status, Status::Established);
     assert_eq!(server.take_application_data(), b"resumed payload");
 }
 

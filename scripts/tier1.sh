@@ -37,13 +37,20 @@ cargo test -q --offline --test store_persistence
 # explicitly.
 cargo test -q --offline --test segmented_store
 # Middleware-chain suite: chained-gateway byte-identity across worker
-# counts, the audit-as-middleware and survey-as-middleware oracles
-# (chain observation must equal the byte-feed tap sweep exactly), the
-# benign-roster zero-false-positive check for the drift detector, and
-# empty/observe-chain replay equivalence. Also in the workspace run;
-# repeated by name so a hook-dispatch regression is called out
-# explicitly.
+# counts, the audit- and survey-as-middleware oracles (held to the
+# report digests of the byte-feed tap sweeps they once ran beside),
+# the benign-roster zero-false-positive check for the drift
+# detector, and empty/observe-chain replay equivalence. Also in the
+# workspace run; repeated by name so a hook-dispatch regression is
+# called out explicitly.
 cargo test -q --offline --test middleware_chain
+# Session-path pins: every engine's report and counter digests, and
+# the seed-scale capture's, at 0, 50 and 200 per mille uniform faults,
+# held to the values of the byte-feed tap path the chain-fed driver
+# replaced. Also in the workspace run; repeated by name so a drift in
+# what the one session path drives or observes is called out
+# explicitly.
+cargo test -q --offline --test session_path_pins
 
 # Docs gate: rustdoc warnings (broken intra-doc links, bad code
 # fences) fail tier-1, same as clippy warnings do.
@@ -51,10 +58,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 
 # Allocation-discipline gate: the source regions bracketed by
 # "ALLOC-FREE: begin/end" markers (the tls record write path, the
-# middleware hook dispatch, the simnet drive loop, and the detection
-# hooks) are the per-session hot path; the sans-IO rework made them
-# allocation-free and the counting-allocator tests prove it at
-# runtime. Fail fast here if an allocating call is reintroduced
+# middleware hook dispatch, the simnet drive and replay loops, and the
+# detection hooks) are the per-session hot path; the sans-IO rework
+# made them allocation-free and the counting-allocator tests prove it
+# at runtime. Fail fast here if an allocating call is reintroduced
 # textually, so the regression is caught before any bench runs.
 if ! awk '
     /ALLOC-FREE: begin/ { inside = 1; next }
@@ -64,7 +71,7 @@ if ! awk '
     }
     END { exit found }
 ' crates/tls/src/record.rs crates/tls/src/middleware.rs \
-  crates/simnet/src/driver.rs crates/core/src/detect.rs; then
+  crates/simnet/src/driver.rs crates/simnet/src/mux.rs crates/core/src/detect.rs; then
     echo "tier1: FAILED (allocating call inside an ALLOC-FREE region)" >&2
     exit 1
 fi
@@ -74,6 +81,17 @@ fi
 # into the engine crate.
 if grep -rnE 'fn [a-z_]+_(with|metered)\(' crates/core/src; then
     echo "tier1: FAILED (_with/_metered engine variant reintroduced in crates/core/src)" >&2
+    exit 1
+fi
+
+# API-surface gate: a session has one drive function, one replay loop,
+# and one observation avenue (the chain fed from the conditioned
+# wire). Fail if a driver variant, the chainless `replay_flow`, the
+# in-path `process_with`, the buffered `read_tls`/`take_output` shim,
+# or the tap's own byte feed comes back.
+if grep -rnE 'fn (drive_session_[a-z_]+|replay_flow|process_with|read_tls|take_output|observe_(c2s|s2c))\(' \
+    crates/*/src; then
+    echo "tier1: FAILED (second session path reintroduced in crates/*/src)" >&2
     exit 1
 fi
 

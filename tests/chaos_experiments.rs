@@ -15,10 +15,11 @@ use iotls_repro::core::{
 };
 use iotls_repro::devices::{client_config, Testbed};
 use iotls_repro::simnet::{
-    drive_session_faulted, FailureCause, FaultOp, FaultPlan, LinkConditioner, SessionFaults,
-    SessionParams,
+    drive_session, DriveScratch, FailureCause, FaultOp, FaultPlan, GatewayTap, LinkConditioner,
+    SessionFaults, SessionParams,
 };
 use iotls_repro::tls::client::ClientConnection;
+use iotls_repro::tls::middleware::Chain;
 use iotls_repro::tls::server::ServerConnection;
 use iotls_repro::crypto::drbg::Drbg;
 
@@ -201,11 +202,13 @@ fn stalled_peer_is_reported_wedged_not_rejected() {
         ops: vec![FaultOp::Stall { after_round: 0 }],
         dns: None,
     });
-    let result = drive_session_faulted(
+    let result = drive_session(
         client,
         server,
-        SessionParams::tapped(now, &dev.spec.name, &dest.hostname),
+        SessionParams::default(),
         &mut conditioner,
+        &mut Chain::new().with(Box::new(GatewayTap::new())),
+        &mut DriveScratch::new(),
     );
     assert!(!result.established);
     assert_eq!(result.failure, Some(FailureCause::Wedged));
