@@ -40,7 +40,9 @@ pub enum InterceptPolicy {
     ForcedVersion(ProtocolVersion),
 }
 
-/// The attacker's materials.
+/// The attacker's materials. Immutable once provisioned, so the labs
+/// of one engine run share one attacker per lab seed
+/// ([`crate::lab::LabSeed`]).
 pub struct Attacker {
     /// Key used for every forged certificate.
     key: RsaPrivateKey,
@@ -50,10 +52,14 @@ pub struct Attacker {
 }
 
 impl Attacker {
-    /// Provisions the attacker: generates a key and obtains a
-    /// legitimate certificate for its own domain from the popular web
-    /// CA (`pki.common[0]`), exactly as anyone can.
+    /// Provisions the attacker: generates two RSA-512 keys, one for
+    /// every forged certificate and one for its own domain, and obtains
+    /// a legitimate certificate for that domain from the popular web CA
+    /// (`pki.common[0]`), exactly as anyone can. A pure function of
+    /// `pki` and `seed`.
     pub fn new(pki: &SimPki, seed: u64) -> Attacker {
+        #[cfg(test)]
+        DERIVED.with(|n| n.set(n.get() + 1));
         let mut rng = Drbg::from_seed(seed).fork("attacker");
         let key = RsaPrivateKey::generate(512, &mut rng);
         let own_key = RsaPrivateKey::generate(512, &mut rng);
@@ -181,6 +187,18 @@ impl Attacker {
 }
 
 #[cfg(test)]
+thread_local! {
+    /// [`Attacker::new`] calls made on this thread.
+    static DERIVED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// How many attackers this thread has derived so far.
+#[cfg(test)]
+pub(crate) fn derived_on_this_thread() -> u64 {
+    DERIVED.with(|n| n.get())
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use iotls_x509::{validate_chain, RootStore, ValidationError, ValidationPolicy};
@@ -277,12 +295,31 @@ mod tests {
 
     #[test]
     fn attacker_is_deterministic_per_seed() {
+        // Sharing one attacker across labs relies on this: deriving it
+        // twice from the same seed yields the same chains and keys under
+        // every policy shape.
         let pki = SimPki::global();
-        let a = Attacker::new(pki, 1);
-        let b = Attacker::new(pki, 1);
-        assert_eq!(
-            a.chain_for(&InterceptPolicy::SelfSigned, "h")[0],
-            b.chain_for(&InterceptPolicy::SelfSigned, "h")[0]
-        );
+        let (a, b) = (Attacker::new(pki, 1), Attacker::new(pki, 1));
+        let target = pki.universe.get(pki.common[3]).cert.clone();
+        let policies = [
+            InterceptPolicy::SelfSigned,
+            InterceptPolicy::WrongHostname,
+            InterceptPolicy::InvalidBasicConstraints,
+            InterceptPolicy::SpoofedCa(Box::new(target)),
+            InterceptPolicy::Mute,
+            InterceptPolicy::ForcedVersion(ProtocolVersion::Tls10),
+        ];
+        let chain = |cfg: &ServerConfig| -> Vec<Vec<u8>> {
+            cfg.chain.iter().map(Certificate::to_bytes).collect()
+        };
+        for policy in &policies {
+            let (x, y) = (a.server_config(policy, "h"), b.server_config(policy, "h"));
+            assert_eq!(chain(&x), chain(&y), "{policy:?}");
+            assert_eq!(x.key.public_key(), y.key.public_key(), "{policy:?}");
+            assert_eq!(x.key.sign(b"shared"), y.key.sign(b"shared"), "{policy:?}");
+            assert_eq!(x.versions, y.versions);
+            assert_eq!(x.cipher_suites, y.cipher_suites);
+            assert_eq!((x.forced_version, x.mute), (y.forced_version, y.mute));
+        }
     }
 }

@@ -11,7 +11,7 @@ use crate::attacker::InterceptPolicy;
 use crate::experiment::{
     cache_stats_json, fault_stats_json, Experiment, ExperimentCtx, InterceptionAudit, Report,
 };
-use crate::lab::{ActiveLab, FaultStats};
+use crate::lab::{ActiveLab, FaultStats, LabSeed};
 use iotls_capture::json::Json;
 use iotls_devices::Testbed;
 use iotls_obs::Registry;
@@ -215,7 +215,16 @@ impl Experiment for InterceptionAudit {
         // Each device gets fresh labs seeded independently of roster
         // position, so the per-device work fans out across workers and
         // the ordered merge below reproduces the sequential
-        // accumulation exactly.
+        // accumulation exactly. One lab seed (and its attacker) per
+        // attack, shared by every device's lab for that attack.
+        let policies = [
+            InterceptPolicy::SelfSigned,
+            InterceptPolicy::InvalidBasicConstraints,
+            InterceptPolicy::WrongHostname,
+        ];
+        let lab_seeds: Vec<LabSeed> = (0..policies.len() as u64)
+            .map(|i| LabSeed::new(testbed.pki, seed ^ i << 8))
+            .collect();
         let devices: Vec<_> = testbed.devices.iter().filter(|d| d.spec.in_active).collect();
         let per_device = iotls_simnet::ordered_map_with(ctx.threads(), devices, |device| {
             // Fresh lab per device per attack so the Yi quirk and boot
@@ -228,13 +237,8 @@ impl Experiment for InterceptionAudit {
             let mut leaks: Vec<String> = Vec::new();
             let mut observed: BTreeSet<String> = BTreeSet::new();
             let mut flags = [false; 3];
-            let policies = [
-                InterceptPolicy::SelfSigned,
-                InterceptPolicy::InvalidBasicConstraints,
-                InterceptPolicy::WrongHostname,
-            ];
-            for (i, policy) in policies.iter().enumerate() {
-                let mut lab = ActiveLab::with_ctx(testbed, ctx, seed ^ (i as u64) << 8);
+            for (i, (policy, lab_seed)) in policies.iter().zip(&lab_seeds).enumerate() {
+                let mut lab = ActiveLab::with_ctx(testbed, ctx, lab_seed);
                 let (compromised, attack_leaks, seen) =
                     attack_device(&mut lab, &device.spec.name, policy);
                 flags[i] = !compromised.is_empty();

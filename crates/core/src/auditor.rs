@@ -7,7 +7,7 @@
 //! observations — so either could run against real devices unchanged.
 
 use crate::experiment::{fault_stats_json, AuditService, Experiment, ExperimentCtx, Report};
-use crate::lab::{ActiveLab, FaultStats};
+use crate::lab::{ActiveLab, FaultStats, LabSeed};
 use iotls_capture::json::Json;
 use iotls_devices::Testbed;
 use iotls_obs::Registry;
@@ -207,9 +207,10 @@ impl Experiment for AuditService {
         // Each device gets its own lab and RNG stream; the ordered
         // fan-out keeps the report in roster order at any thread
         // count.
+        let lab_seed = LabSeed::new(testbed.pki, seed ^ 0xA0D17);
         let devices: Vec<_> = testbed.devices.iter().filter(|d| d.spec.in_active).collect();
         let per_device = iotls_simnet::ordered_map_with(ctx.threads(), devices, |device| {
-            let mut lab = ActiveLab::with_ctx(testbed, ctx, seed ^ 0xA0D17);
+            let mut lab = ActiveLab::with_ctx(testbed, ctx, &lab_seed);
             let mut per_fp: BTreeMap<FingerprintId, Vec<AuditIssue>> = BTreeMap::new();
             for _ in 0..4 {
                 for o in lab.boot_and_connect(device, None) {

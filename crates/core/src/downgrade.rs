@@ -11,7 +11,7 @@ use crate::attacker::InterceptPolicy;
 use crate::experiment::{
     fault_stats_json, DowngradeProbe, Experiment, ExperimentCtx, OldVersionScan, Report,
 };
-use crate::lab::{ActiveLab, FaultStats};
+use crate::lab::{ActiveLab, FaultStats, LabSeed};
 use iotls_capture::json::Json;
 use iotls_devices::Testbed;
 use iotls_obs::Registry;
@@ -144,6 +144,12 @@ impl Experiment for DowngradeProbe {
         let mut rows = Vec::new();
         let mut fault_stats = FaultStats::default();
         let mut reg = Registry::new();
+        // One lab seed (and its attacker) per attack mode, shared by
+        // every device's lab for that mode.
+        let policies = [InterceptPolicy::Mute, InterceptPolicy::SelfSigned];
+        let lab_seeds: Vec<LabSeed> = (0..policies.len() as u64)
+            .map(|mode| LabSeed::new(testbed.pki, seed ^ mode << 16))
+            .collect();
         let devices: Vec<_> = testbed.devices.iter().filter(|d| d.spec.in_active).collect();
         let per_device = iotls_simnet::ordered_map_with(ctx.threads(), devices, |device| {
             let mut device_stats = FaultStats::default();
@@ -154,11 +160,8 @@ impl Experiment for DowngradeProbe {
             let mut downgraded = BTreeSet::new();
             let mut total = 0;
 
-            for (mode_idx, policy) in [InterceptPolicy::Mute, InterceptPolicy::SelfSigned]
-                .iter()
-                .enumerate()
-            {
-                let mut lab = ActiveLab::with_ctx(testbed, ctx, seed ^ (mode_idx as u64) << 16);
+            for (mode_idx, (policy, lab_seed)) in policies.iter().zip(&lab_seeds).enumerate() {
+                let mut lab = ActiveLab::with_ctx(testbed, ctx, lab_seed);
                 let dev = lab.testbed.device(&device.spec.name);
                 if mode_idx == 0 {
                     total = dev.spec.boot_destinations().len();
@@ -382,15 +385,20 @@ impl Experiment for OldVersionScan {
         let mut rows = Vec::new();
         let mut fault_stats = FaultStats::default();
         let mut reg = Registry::new();
+        // One lab seed (and its attacker) per scanned version.
+        let (seed10, seed11) = (
+            LabSeed::new(testbed.pki, seed ^ 0x10),
+            LabSeed::new(testbed.pki, seed ^ 0x11),
+        );
         let devices: Vec<_> = testbed.devices.iter().filter(|d| d.spec.in_active).collect();
         let per_device = iotls_simnet::ordered_map_with(ctx.threads(), devices, |device| {
             let mut device_stats = FaultStats::default();
             let mut device_reg = Registry::new();
-            let mut lab10 = ActiveLab::with_ctx(testbed, ctx, seed ^ 0x10);
+            let mut lab10 = ActiveLab::with_ctx(testbed, ctx, &seed10);
             let tls10 = accepts_version(&mut lab10, &device.spec.name, ProtocolVersion::Tls10);
             device_stats.merge(&lab10.fault_stats());
             device_reg.merge(&lab10.metrics());
-            let mut lab11 = ActiveLab::with_ctx(testbed, ctx, seed ^ 0x11);
+            let mut lab11 = ActiveLab::with_ctx(testbed, ctx, &seed11);
             let tls11 = accepts_version(&mut lab11, &device.spec.name, ProtocolVersion::Tls11);
             device_stats.merge(&lab11.fault_stats());
             device_reg.merge(&lab11.metrics());

@@ -8,7 +8,7 @@
 use crate::experiment::{
     fault_stats_json, Experiment, ExperimentCtx, FingerprintSurveyor, Report,
 };
-use crate::lab::{ActiveLab, FaultStats};
+use crate::lab::{ActiveLab, FaultStats, LabSeed};
 use iotls_capture::json::Json;
 use iotls_devices::Testbed;
 use iotls_obs::Registry;
@@ -84,9 +84,10 @@ impl Experiment for FingerprintSurveyor {
         // Per-device collection fans out; the BTreeMap accumulators
         // make the merge order-insensitive anyway, but the ordered
         // merge keeps the degenerate paths identical too.
+        let lab_seed = LabSeed::new(testbed.pki, seed ^ 0xF19E4);
         let devices: Vec<_> = testbed.devices.iter().filter(|d| d.spec.in_active).collect();
         let per_device = iotls_simnet::ordered_map_with(ctx.threads(), devices, |device| {
-            let mut lab = ActiveLab::with_ctx(testbed, ctx, seed ^ 0xF19E4);
+            let mut lab = ActiveLab::with_ctx(testbed, ctx, &lab_seed);
             let mut counts: BTreeMap<FingerprintId, u64> = BTreeMap::new();
             let mut seen: BTreeSet<FingerprintId> = BTreeSet::new();
             // A few reboots to ride out flaky boots and reach

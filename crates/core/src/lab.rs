@@ -13,6 +13,7 @@ use iotls_crypto::drbg::Drbg;
 use iotls_devices::spec::Destination;
 use iotls_devices::{apply_fallback, client_config, DeviceSetup, Testbed};
 use iotls_obs::Registry;
+use iotls_rootstore::SimPki;
 use iotls_simnet::{
     drive_session, record_session_metrics, DnsTable, DriveScratch, FailureCause, FaultPlan,
     GatewayTap, InjectedFault, LinkConditioner, SessionFaults, SessionParams, SessionResult,
@@ -22,6 +23,7 @@ use iotls_tls::middleware::Chain;
 use iotls_tls::fingerprint::Fingerprint;
 use iotls_x509::{Timestamp, ValidationPolicy};
 use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
 
 /// How many times one logical attempt transparently re-dials after a
 /// fault that a plain reconnect can heal (reset, garble, stall, DNS).
@@ -136,12 +138,40 @@ impl LabCtx<'_> {
     }
 }
 
-/// The laboratory: the testbed plus an attacker and device states.
+/// A lab seed bound to the attacker derived from it.
+///
+/// An engine builds one per distinct lab seed, once per run and before
+/// its per-device fan-out; every lab built from it seeds its DRBG with
+/// the same `seed` and borrows the same read-only [`Attacker`], so the
+/// two cannot drift apart. Deriving the attacker (two RSA-512 keys and
+/// a certificate) costs as much as all the sessions of a typical lab or
+/// more, which is why it is not repeated per device.
+pub struct LabSeed {
+    seed: u64,
+    attacker: Arc<Attacker>,
+}
+
+impl LabSeed {
+    /// Derives the attacker for `seed` ([`Attacker::new`]).
+    pub fn new(pki: &SimPki, seed: u64) -> LabSeed {
+        LabSeed {
+            seed,
+            attacker: Arc::new(Attacker::new(pki, seed)),
+        }
+    }
+}
+
+/// The laboratory: the testbed, an attacker and device states. Engines
+/// build one per device per attack; its device states, DRBG, session
+/// scratch and (under the default cache scope) verification cache are
+/// its own, and only the attacker is shared, read-only, with the other
+/// labs of its [`LabSeed`].
 pub struct ActiveLab<'a> {
     /// The testbed under test.
     pub testbed: &'a Testbed,
-    /// The on-path attacker.
-    pub attacker: Attacker,
+    /// The on-path attacker, shared read-only with every other lab
+    /// built from the same [`LabSeed`].
+    attacker: Arc<Attacker>,
     /// The fault plan and cache policy come from here; the lab holds
     /// no parallel copies of the ctx's fields.
     ctx: LabCtx<'a>,
@@ -175,28 +205,34 @@ pub struct ActiveLab<'a> {
 }
 
 impl<'a> ActiveLab<'a> {
-    /// Sets up the lab at probe time (March 2021).
+    /// Sets up a stand-alone lab at probe time (March 2021), deriving
+    /// its own attacker from `seed`.
     pub fn new(testbed: &'a Testbed, seed: u64) -> ActiveLab<'a> {
         Self::with_faults(testbed, seed, FaultPlan::none())
     }
 
-    /// Sets up the lab with an injected-fault schedule (chaos runs).
+    /// [`Self::new`] with an injected-fault schedule (chaos runs).
     pub fn with_faults(testbed: &'a Testbed, seed: u64, plan: FaultPlan) -> ActiveLab<'a> {
-        Self::init(testbed, seed, LabCtx::Owned(Box::new(ExperimentCtx::bare(seed, plan))))
+        Self::init(
+            testbed,
+            &LabSeed::new(testbed.pki, seed),
+            LabCtx::Owned(Box::new(ExperimentCtx::bare(seed, plan))),
+        )
     }
 
-    /// Sets up a lab borrowing an engine's context. `lab_seed` is the
-    /// engine-derived lab seed (a pure function of `ctx.seed()`), kept
-    /// separate so the XOR derivations of the six engines stay intact.
+    /// Sets up a lab borrowing an engine's context and sharing the
+    /// attacker of `lab_seed`. The seed is the engine-derived lab seed
+    /// (a pure function of `ctx.seed()`), kept separate so the XOR
+    /// derivations of the six engines stay intact.
     pub fn with_ctx(
         testbed: &'a Testbed,
         ctx: &'a ExperimentCtx,
-        lab_seed: u64,
+        lab_seed: &LabSeed,
     ) -> ActiveLab<'a> {
         Self::init(testbed, lab_seed, LabCtx::Borrowed(ctx))
     }
 
-    fn init(testbed: &'a Testbed, seed: u64, ctx: LabCtx<'a>) -> ActiveLab<'a> {
+    fn init(testbed: &'a Testbed, lab_seed: &LabSeed, ctx: LabCtx<'a>) -> ActiveLab<'a> {
         let mut dns = DnsTable::new();
         for device in &testbed.devices {
             for dest in &device.spec.destinations {
@@ -206,10 +242,10 @@ impl<'a> ActiveLab<'a> {
         let verify_cache = ctx.get().lab_cache();
         ActiveLab {
             testbed,
-            attacker: Attacker::new(testbed.pki, seed),
+            attacker: Arc::clone(&lab_seed.attacker),
             ctx,
             states: HashMap::new(),
-            rng: Drbg::from_seed(seed).fork("active-lab"),
+            rng: Drbg::from_seed(lab_seed.seed).fork("active-lab"),
             now: iotls_rootstore::probe_time(),
             dns,
             stats: FaultStats::default(),
@@ -785,6 +821,28 @@ mod tests {
         assert!(stats_a.hits > stats_a.misses, "{stats_a:?}");
         assert_eq!(stats_a, stats_b);
         assert_eq!(outcomes_a, outcomes_b);
+    }
+
+    #[test]
+    fn each_engine_derives_one_attacker_per_lab_seed() {
+        use crate::experiment::ExperimentKind;
+        // At one worker the per-device fan-out runs inline on this
+        // thread, so the thread-local tally sees every derivation.
+        let tb = Testbed::global();
+        let base = ExperimentCtx::builder().threads(1).build();
+        for (kind, distinct_seeds) in [
+            (ExperimentKind::InterceptionAudit, 3),
+            (ExperimentKind::RootProbe, 3),
+            (ExperimentKind::DowngradeProbe, 2),
+            (ExperimentKind::OldVersionScan, 2),
+            (ExperimentKind::FingerprintSurvey, 1),
+            (ExperimentKind::AuditService, 1),
+        ] {
+            let before = crate::attacker::derived_on_this_thread();
+            kind.run(tb, &base.with_seed(kind.canonical_seed()));
+            let derived = crate::attacker::derived_on_this_thread() - before;
+            assert_eq!(derived, distinct_seeds, "{}", kind.name());
+        }
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub use gateway::{
     BreakerState, ChainFactory, CircuitBreaker, ClassRow, Gateway, GatewayConfig, GatewayReport,
     Rejected, SessionVerdict, TokenBucket,
 };
-pub use lab::{ActiveLab, ConnectionOutcome, DeviceState, FaultStats};
+pub use lab::{ActiveLab, ConnectionOutcome, DeviceState, FaultStats, LabSeed};
 pub use party::{label_party, party_version_bias, PartyBiasRow, THIRD_PARTY_DOMAINS};
 pub use passive::{
     analyze_columnar, analyze_store, analyze_store_slice, analyze_streamed, cipher_series,

@@ -14,7 +14,7 @@ use crate::attacker::InterceptPolicy;
 use crate::experiment::{
     cache_stats_json, fault_stats_json, Experiment, ExperimentCtx, Report, RootProbe,
 };
-use crate::lab::{ActiveLab, FaultStats};
+use crate::lab::{ActiveLab, FaultStats, LabSeed};
 use iotls_capture::json::Json;
 use iotls_devices::{canonical_probe_order, DeviceSetup, Testbed};
 use iotls_obs::Registry;
@@ -288,6 +288,12 @@ fn probe_all(testbed: &Testbed, ctx: &ExperimentCtx) -> RootProbeReport {
         Probed(Box<RootProbeRow>),
     }
 
+    // One lab seed (and its attacker) per probe stage, shared by every
+    // device's lab for that stage. Derived up front even when no device
+    // reaches the stage.
+    let screening = LabSeed::new(testbed.pki, seed ^ 0x5C4EE4);
+    let amenability = LabSeed::new(testbed.pki, seed ^ 0xA3E4AB);
+    let probing = LabSeed::new(testbed.pki, seed ^ 0x9420BE);
     let devices: Vec<_> = testbed.devices.iter().filter(|d| d.spec.in_active).collect();
     let per_device = iotls_simnet::ordered_map_with(ctx.threads(), devices, |device| {
         let mut device_stats = FaultStats::default();
@@ -311,7 +317,7 @@ fn probe_all(testbed: &Testbed, ctx: &ExperimentCtx) -> RootProbeReport {
         // verdict: it earns an extra screening attempt instead of
         // consuming one.
         {
-            let mut lab = ActiveLab::with_ctx(testbed, ctx, seed ^ 0x5C4EE4);
+            let mut lab = ActiveLab::with_ctx(testbed, ctx, &screening);
             let mut never_validates = false;
             let mut budget = 5;
             let mut attempts = 0;
@@ -354,7 +360,7 @@ fn probe_all(testbed: &Testbed, ctx: &ExperimentCtx) -> RootProbeReport {
         let baseline;
         let known;
         {
-            let mut lab = ActiveLab::with_ctx(testbed, ctx, seed ^ 0xA3E4AB);
+            let mut lab = ActiveLab::with_ctx(testbed, ctx, &amenability);
             baseline = probe_retrying(&mut lab, device, &InterceptPolicy::SelfSigned, 8)
                 .flatten();
             let popular = testbed.pki.universe.get(testbed.pki.common[0]).cert.clone();
@@ -390,7 +396,7 @@ fn probe_all(testbed: &Testbed, ctx: &ExperimentCtx) -> RootProbeReport {
             };
             // Fresh lab so probe boot k aligns with the device's boot
             // schedule for cert k.
-            let mut lab = ActiveLab::with_ctx(testbed, ctx, seed ^ 0x9420BE);
+            let mut lab = ActiveLab::with_ctx(testbed, ctx, &probing);
             let mut faulted_probes: Vec<usize> = Vec::new();
             for (idx, ca_id) in order.iter().enumerate() {
                 let target = testbed.pki.universe.get(*ca_id).cert.clone();

@@ -94,6 +94,13 @@ impl MontCtx {
         built
     }
 
+    /// Whether the process-wide cache holds a context for `m`.
+    #[cfg(test)]
+    pub(crate) fn is_cached(m: &Uint) -> bool {
+        let cache = ctx_cache().lock().unwrap_or_else(|e| e.into_inner());
+        cache.contains_key(m.limbs.as_slice())
+    }
+
     /// Modulus limb count.
     fn k(&self) -> usize {
         self.m.len()

@@ -411,4 +411,13 @@ mod tests {
         let b = RsaPrivateKey::generate(256, &mut Drbg::from_seed(5));
         assert_eq!(a.public_key(), b.public_key());
     }
+
+    #[test]
+    fn keygen_is_pinned() {
+        let mut rng = Drbg::from_seed(0xBEEF);
+        let key = RsaPrivateKey::generate(512, &mut rng);
+        let digest = sha256(&key.public_key().to_bytes());
+        assert_eq!(crate::sha256::hex(&digest[..8]), "81e2194a421dd0e7");
+        assert_eq!(rng.next_u64(), 0x6d63b9c9ecbb1210);
+    }
 }

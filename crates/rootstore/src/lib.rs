@@ -80,6 +80,19 @@ mod tests {
     }
 
     #[test]
+    fn probe_set_keys_are_pinned() {
+        // Every probe-set CA key, common then deprecated: the keys the
+        // root-store probe spoofs, pinned through the prime search.
+        let pki = SimPki::global();
+        let mut keys = Vec::new();
+        for id in pki.common.iter().chain(&pki.deprecated) {
+            keys.extend(pki.universe.get(*id).cert.tbs.public_key.to_bytes());
+        }
+        let digest = iotls_crypto::sha256::sha256(&keys);
+        assert_eq!(iotls_crypto::sha256::hex(&digest[..8]), "4ef92c7711c38477");
+    }
+
+    #[test]
     fn global_is_shared() {
         let a = SimPki::global() as *const SimPki;
         let b = SimPki::global() as *const SimPki;

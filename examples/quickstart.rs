@@ -8,7 +8,7 @@
 //! end shows the injected chaos and the lab's recovery work.
 
 use iotls_repro::cli::{fault_stats_line, ExampleArgs};
-use iotls_repro::core::{ActiveLab, InterceptPolicy};
+use iotls_repro::core::{ActiveLab, InterceptPolicy, LabSeed};
 use iotls_repro::devices::Testbed;
 
 fn main() {
@@ -30,8 +30,10 @@ fn main() {
 
     // A benign connection: the D-Link camera phones home while the
     // gateway passively observes. The lab borrows the ctx, so the
-    // fault plan and verification cache follow the flags.
-    let mut lab = ActiveLab::with_ctx(testbed, &ctx, ctx.seed());
+    // fault plan and verification cache follow the flags, and takes its
+    // attacker from the lab seed.
+    let lab_seed = LabSeed::new(testbed.pki, ctx.seed());
+    let mut lab = ActiveLab::with_ctx(testbed, &ctx, &lab_seed);
     let camera = testbed.device("D-Link Camera");
     let dest = camera.spec.destinations[0].clone();
     let outcome = lab.connect(camera, &dest, None);

@@ -51,6 +51,14 @@ cargo test -q --offline --test middleware_chain
 # what the one session path drives or observes is called out
 # explicitly.
 cargo test -q --offline --test session_path_pins
+# Attacker sharing: at one worker, each active engine run derives
+# exactly one attacker per distinct lab seed (audit 3, root probe 3,
+# downgrade 2, old-version 2, survey 1, auditor 1), before its
+# per-device fan-out, and every lab built from that seed borrows it.
+# Also in the workspace run; repeated by name so a derivation that
+# slips back into the fan-out (two RSA-512 key generations per lab)
+# is called out explicitly.
+cargo test -q --offline -p iotls --lib lab::tests::each_engine_derives_one_attacker_per_lab_seed
 
 # Docs gate: rustdoc warnings (broken intra-doc links, bad code
 # fences) fail tier-1, same as clippy warnings do.
