@@ -10,9 +10,12 @@
 //!
 //! * [`bigint::Uint`] — arbitrary-precision unsigned arithmetic
 //!   (Knuth Algorithm D division, modular exponentiation/inverse);
-//! * [`mont::MontCtx`] — Montgomery-form multiplication and
-//!   fixed-window exponentiation, the hot path behind `Uint::modpow`
-//!   for odd moduli;
+//! * [`mont::MontCtx`] — Montgomery-form multiplication, squaring and
+//!   windowed exponentiation, the hot path behind `Uint::modpow` for
+//!   odd moduli: fixed-width kernels for the 4-, 8- and 12-limb moduli
+//!   the simulator uses, a slice path for every other size, and a
+//!   fixed-base table that DH key generation raises its generator
+//!   with;
 //! * [`mod@sha256`] — FIPS 180-4 SHA-256;
 //! * [`hmac`] — HMAC-SHA256 (RFC 2104);
 //! * [`rsa`] — RSA keygen / PKCS#1 v1.5-shaped signatures and key

@@ -46,8 +46,8 @@ pub fn is_probably_prime(n: &Uint, rounds: u32, rng: &mut Drbg) -> bool {
     let d = n_minus_1.shr(r);
     let n_minus_3 = n.sub(&Uint::from_u64(3));
     let ctx = MontCtx::new(n).expect("odd candidate above the small primes");
-    // Squarings stay in Montgomery form, where x == n-1 exactly when
-    // x·R == (n-1)·R (mod n).
+    // Squarings stay in Montgomery form (through the squaring kernel),
+    // where x == n-1 exactly when x·R == (n-1)·R (mod n).
     let minus_one = ctx.to_mont(&n_minus_1);
     'witness: for _ in 0..rounds {
         // Random base a in [2, n-2].
@@ -58,7 +58,7 @@ pub fn is_probably_prime(n: &Uint, rounds: u32, rng: &mut Drbg) -> bool {
         }
         let mut x = ctx.to_mont(&x);
         for _ in 1..r {
-            x = ctx.mont_mul(&x, &x);
+            x = ctx.mont_sqr(&x);
             if x == minus_one {
                 continue 'witness;
             }

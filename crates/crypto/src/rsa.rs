@@ -420,4 +420,11 @@ mod tests {
         assert_eq!(crate::sha256::hex(&digest[..8]), "81e2194a421dd0e7");
         assert_eq!(rng.next_u64(), 0x6d63b9c9ecbb1210);
     }
+
+    #[test]
+    fn crt_signature_is_pinned() {
+        let key = RsaPrivateKey::generate(512, &mut Drbg::from_seed(0xBEEF));
+        let digest = sha256(&key.sign(b"iotls-pin"));
+        assert_eq!(crate::sha256::hex(&digest[..8]), "88e96e36ff17be87");
+    }
 }

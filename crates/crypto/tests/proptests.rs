@@ -126,6 +126,58 @@ fn modinv_inverts() {
     });
 }
 
+/// Limb counts the Montgomery dispatch serves with fixed-width kernels
+/// (4, 8, 12), plus one it sends to the generic slice path (6).
+const DISPATCH_LIMBS: [usize; 4] = [4, 6, 8, 12];
+
+/// Odd moduli of exactly `k` limbs: a random one, the all-ones value
+/// and `2^(64k−1) + 1`.
+fn edge_moduli(rng: &mut Drbg, k: usize) -> [Uint; 3] {
+    let mut bytes = vec![0u8; 8 * k];
+    rng.fill_bytes(&mut bytes);
+    bytes[0] |= 0x80;
+    bytes[8 * k - 1] |= 1;
+    let top = Uint::one().shl(64 * k - 1);
+    [
+        Uint::from_be_bytes(&bytes),
+        top.shl(1).sub(&Uint::one()),
+        top.add(&Uint::one()),
+    ]
+}
+
+/// Bases 0, 1, `m − 1`, one at or above `m`, and a random one.
+fn edge_bases(rng: &mut Drbg, m: &Uint) -> [Uint; 5] {
+    [
+        Uint::zero(),
+        Uint::one(),
+        m.sub(&Uint::one()),
+        m.add(&random_uint(rng)),
+        random_uint(rng).rem(m),
+    ]
+}
+
+/// A random exponent of exactly `bits` bits.
+fn exponent_of_bits(rng: &mut Drbg, bits: usize) -> Uint {
+    let mut bytes = vec![0u8; bits.div_ceil(8)];
+    rng.fill_bytes(&mut bytes);
+    let e = Uint::from_be_bytes(&bytes).rem(&Uint::one().shl(bits - 1));
+    e.add(&Uint::one().shl(bits - 1))
+}
+
+/// Exponents 0, 1, 15, 16, 17, 255, 65537 and 2^64 − 1, and random
+/// ones of 256, 257 and 512 bits: every window width the ladder picks
+/// (1 to 5), and the lengths of the simulator's RSA and DH exponents.
+fn edge_exponents(rng: &mut Drbg) -> Vec<Uint> {
+    let mut out: Vec<Uint> = [0, 1, 15, 16, 17, 255, 65537, u64::MAX]
+        .into_iter()
+        .map(Uint::from_u64)
+        .collect();
+    for bits in [256, 257, 512] {
+        out.push(exponent_of_bits(rng, bits));
+    }
+    out
+}
+
 #[test]
 fn montgomery_modpow_matches_generic_oracle() {
     // `Uint::modpow` dispatches to the Montgomery fast path for odd
@@ -145,11 +197,39 @@ fn montgomery_modpow_matches_generic_oracle() {
         }
         assert_eq!(a.modpow(&e, &m), a.modpow_generic(&e, &m), "m={}", m.to_hex());
     });
+    // Every limb count the dispatch serves, and one it does not, over
+    // edge moduli, bases and exponents.
+    cases(6, "mont-vs-generic-limbs", |rng| {
+        for k in DISPATCH_LIMBS {
+            for m in edge_moduli(rng, k) {
+                for a in edge_bases(rng, &m) {
+                    for e in edge_exponents(rng) {
+                        assert_eq!(
+                            a.modpow(&e, &m),
+                            a.modpow_generic(&e, &m),
+                            "k={k} m={} a={} e={}",
+                            m.to_hex(),
+                            a.to_hex(),
+                            e.to_hex()
+                        );
+                    }
+                }
+            }
+        }
+    });
 }
 
 #[test]
 fn montgomery_context_mul_matches_modmul() {
     use iotls_crypto::mont::MontCtx;
+    let check = |m: &Uint, a: &Uint, b: &Uint| {
+        let ctx = MontCtx::new(m).expect("odd modulus > 1 must build a context");
+        let (am, bm) = (ctx.to_mont(a), ctx.to_mont(b));
+        let product = ctx.from_mont(&ctx.mont_mul(&am, &bm));
+        assert_eq!(product, a.modmul(b, m), "m={} a={} b={}", m.to_hex(), a.to_hex(), b.to_hex());
+        // The squaring kernel against the multiply kernel, same operand.
+        assert_eq!(ctx.mont_sqr(&am), ctx.mont_mul(&am, &am), "m={} a={}", m.to_hex(), a.to_hex());
+    };
     cases(48, "mont-mul", |rng| {
         let mut m = random_uint(rng);
         if m.is_even() {
@@ -158,10 +238,25 @@ fn montgomery_context_mul_matches_modmul() {
         if m.is_one() {
             return;
         }
-        let ctx = MontCtx::new(&m).expect("odd modulus > 1 must build a context");
         let (a, b) = (random_uint(rng).rem(&m), random_uint(rng).rem(&m));
-        let product = ctx.from_mont(&ctx.mont_mul(&ctx.to_mont(&a), &ctx.to_mont(&b)));
-        assert_eq!(product, a.modmul(&b, &m));
+        check(&m, &a, &b);
+    });
+    // Operands 0, 1, m − 1 and random ones below every edge modulus of
+    // every limb count the dispatch serves, and one it does not.
+    cases(8, "mont-mul-limbs", |rng| {
+        for k in DISPATCH_LIMBS {
+            for m in edge_moduli(rng, k) {
+                let operands: Vec<Uint> = edge_bases(rng, &m)
+                    .into_iter()
+                    .map(|x| x.rem(&m))
+                    .collect();
+                for a in &operands {
+                    for b in &operands {
+                        check(&m, a, b);
+                    }
+                }
+            }
+        }
     });
 }
 

@@ -173,7 +173,7 @@ fn encode_into_matches_legacy_encode_under_sweep_inputs() {
     // payload lengths around every boundary the record layer cares
     // about. The sans-IO writer must agree with the legacy oracle on
     // all of them, byte for byte.
-    let mut rng = Drbg::from_seed(0xB17E_1D).fork("encode-identity");
+    let mut rng = Drbg::from_seed(0x00B1_7E1D).fork("encode-identity");
     let boundary_lens = [
         0usize,
         1,

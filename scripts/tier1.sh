@@ -9,7 +9,7 @@ cd "$(dirname "$0")/.."
 start=$(date +%s)
 
 cargo build --release --offline --workspace
-cargo clippy --offline --workspace -- -D warnings
+cargo clippy --offline --workspace --all-targets -- -D warnings
 cargo test -q --offline --workspace
 # Golden-snapshot suite: every exported paper artifact (Tables 4-9,
 # Figures 1-5, §5.1 summary) pinned against tests/golden/ fixtures.
@@ -59,6 +59,18 @@ cargo test -q --offline --test session_path_pins
 # slips back into the fan-out (two RSA-512 key generations per lab)
 # is called out explicitly.
 cargo test -q --offline -p iotls --lib lab::tests::each_engine_derives_one_attacker_per_lab_seed
+# Exponentiation kernels: the fixed-width Montgomery multiply and
+# squaring kernels against the schoolbook oracle at every limb count
+# the dispatch serves (4, 8, 12) and one it does not (6), over edge
+# moduli, bases and exponents; the fixed-base DH table against the
+# variable-base ladder at every exponent length; and Oakley key pairs,
+# one RSA key and one RSA-CRT signature pinned to values captured
+# before the kernels changed. Also in the workspace run; repeated by
+# name so a kernel drift is called out in milliseconds, before
+# session_path_pins catches it indirectly through the engine digests.
+cargo test -q --offline -p iotls-crypto --test proptests montgomery
+cargo test -q --offline -p iotls-crypto --lib -- mont::tests dh::tests \
+    rsa::tests::keygen_is_pinned rsa::tests::crt_signature_is_pinned
 
 # Docs gate: rustdoc warnings (broken intra-doc links, bad code
 # fences) fail tier-1, same as clippy warnings do.

@@ -65,7 +65,7 @@ fn obs(rng: &mut Drbg, device: &str, month: Month, dest: &str) -> TlsObservation
         fingerprint: FingerprintId([fp; 16]),
         negotiated_version: negotiated.then_some(ProtocolVersion::Tls12),
         negotiated_suite: negotiated.then_some(0xc02f),
-        ocsp_stapled: fp % 2 == 0,
+        ocsp_stapled: fp.is_multiple_of(2),
         leaf_issuer: negotiated.then(|| "SimTrust Root".into()),
         established: negotiated,
         alerts_from_client: vec![AlertDescription::CloseNotify],

@@ -43,7 +43,7 @@ fn obs(device: &str, month: Month, dest: &str, fp: u8) -> TlsObservation {
         fingerprint: FingerprintId([fp; 16]),
         negotiated_version: Some(ProtocolVersion::Tls12),
         negotiated_suite: Some(0xc02f),
-        ocsp_stapled: fp % 2 == 0,
+        ocsp_stapled: fp.is_multiple_of(2),
         leaf_issuer: Some("SimTrust Root".into()),
         established: true,
         alerts_from_client: vec![AlertDescription::CloseNotify],
