@@ -86,12 +86,62 @@ impl ColumnarStats {
     }
 }
 
-/// Row flag bits.
-mod flag {
+/// Bits of the `flags` column (see [`Columns`]).
+pub mod flag {
+    /// The ClientHello requested an OCSP staple.
     pub const REQUESTED_OCSP: u8 = 1;
+    /// The server stapled an OCSP response.
     pub const OCSP_STAPLED: u8 = 2;
+    /// The connection reached application data.
     pub const ESTABLISHED: u8 = 4;
+    /// The `neg_suite` column holds a negotiated suite (without this
+    /// bit its value means nothing).
     pub const HAS_NEG_SUITE: u8 = 8;
+}
+
+/// Read-only column slices of one chunk, for scans that work a column
+/// at a time instead of a row at a time. All of them, so which columns
+/// a scan reads stays the scanning code's decision. Every column holds
+/// one entry per row. Optional symbol columns (`sni`, `leaf_issuer`)
+/// hold `u32::MAX` for "absent", `neg_version` holds 0 for "no
+/// ServerHello", and the span columns are `(offset, len)` into
+/// `pool_u16` (versions, suites) or `pool_u8` (alerts).
+#[derive(Debug, Clone, Copy)]
+pub struct Columns<'a> {
+    /// Observation times (unix seconds).
+    pub time: &'a [i64],
+    /// Device name symbols.
+    pub device: &'a [u32],
+    /// Destination hostname symbols.
+    pub destination: &'a [u32],
+    /// SNI hostname symbols.
+    pub sni: &'a [u32],
+    /// Fingerprint digest indices.
+    pub fingerprint: &'a [u32],
+    /// Advertised-version spans into `pool_u16`.
+    pub adv_versions: &'a [(u32, u16)],
+    /// Maximum advertised version wire values.
+    pub max_adv: &'a [u16],
+    /// Offered-suite spans into `pool_u16`.
+    pub suites: &'a [(u32, u16)],
+    /// Negotiated version wire values.
+    pub neg_version: &'a [u16],
+    /// Negotiated suites (meaningful under [`flag::HAS_NEG_SUITE`]).
+    pub neg_suite: &'a [u16],
+    /// Leaf issuer CN symbols.
+    pub leaf_issuer: &'a [u32],
+    /// Client→server alert spans into `pool_u8`.
+    pub alerts_c2s: &'a [(u32, u16)],
+    /// Server→client alert spans into `pool_u8`.
+    pub alerts_s2c: &'a [(u32, u16)],
+    /// [`flag`] bits.
+    pub flags: &'a [u8],
+    /// Connections per row.
+    pub count: &'a [u64],
+    /// The chunk's u16 pool.
+    pub pool_u16: &'a [u16],
+    /// The chunk's u8 pool.
+    pub pool_u8: &'a [u8],
 }
 
 /// One columnar chunk of observations. Symbol columns index the
@@ -206,6 +256,29 @@ impl ObsChunk {
             c.max_time += dt;
         }
         c
+    }
+
+    /// Every column as a read-only slice.
+    pub fn columns(&self) -> Columns<'_> {
+        Columns {
+            time: &self.time,
+            device: &self.device,
+            destination: &self.destination,
+            sni: &self.sni,
+            fingerprint: &self.fingerprint,
+            adv_versions: &self.adv_versions,
+            max_adv: &self.max_adv,
+            suites: &self.suites,
+            neg_version: &self.neg_version,
+            neg_suite: &self.neg_suite,
+            leaf_issuer: &self.leaf_issuer,
+            alerts_c2s: &self.alerts_c2s,
+            alerts_s2c: &self.alerts_s2c,
+            flags: &self.flags,
+            count: &self.count,
+            pool_u16: &self.pool_u16,
+            pool_u8: &self.pool_u8,
+        }
     }
 
     /// Symbol-level view of row `i`.

@@ -21,8 +21,8 @@ pub mod store;
 pub mod timeline;
 
 pub use columnar::{
-    ChunkWriter, ColumnarDataset, ColumnarStats, DatasetBuilder, ObsChunk, ObsRef, RawRow, RevRow,
-    RowView, CHUNK_ROWS,
+    flag, ChunkWriter, ColumnarDataset, ColumnarStats, Columns, DatasetBuilder, ObsChunk, ObsRef,
+    RawRow, RevRow, RowView, CHUNK_ROWS,
 };
 pub use segstore::{SegmentedStore, SegmentedWriter};
 pub use store::{ChunkStore, ColumnarStore, StoreError, StoreSummary, StoreWriter};

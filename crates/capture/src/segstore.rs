@@ -59,7 +59,7 @@
 use crate::columnar::{ColumnarDataset, ObsChunk};
 use crate::intern::{DigestInterner, Interner, Symbol};
 use crate::store::{
-    crc32, put_u64s, trunc, ChunkStore, ColumnarStore, Reader, StoreError, StoreWriter, NO_SYM,
+    crc32, put_le, trunc, ChunkStore, ColumnarStore, Reader, StoreError, StoreWriter, NO_SYM,
 };
 use crate::RevRow;
 use std::fs::{self, File};
@@ -135,7 +135,7 @@ fn encode_manifest(entries: &[SegmentMeta], strings_len: u32, fps_len: u32) -> V
         b.extend_from_slice(&e.min_time.to_le_bytes());
         b.extend_from_slice(&e.max_time.to_le_bytes());
         b.extend_from_slice(&(e.device_bits.len() as u32).to_le_bytes());
-        put_u64s(&mut b, &e.device_bits);
+        put_le(&mut b, &e.device_bits);
         b.extend_from_slice(&e.footer_crc.to_le_bytes());
         b.extend_from_slice(&e.file_len.to_le_bytes());
     }
@@ -373,13 +373,13 @@ impl SegmentedStore {
         })
     }
 
-    /// Which segment global chunk `i` lives in.
+    /// Which segment global chunk `i` lives in: the last segment
+    /// starting at or before `i`. Empty segments (a chunkless first
+    /// batch, a flows-only batch) repeat their successor's offset, so
+    /// "last" is what skips them.
     pub fn segment_of(&self, i: usize) -> usize {
         debug_assert!(i < self.chunk_count());
-        match self.offsets.binary_search(&i) {
-            Ok(seg) => seg,
-            Err(ins) => ins - 1,
-        }
+        self.offsets.partition_point(|&o| o <= i) - 1
     }
 
     /// Rows in global chunk `i` (directory metadata; no frame read).

@@ -73,13 +73,15 @@ pub(crate) const NO_SYM: u32 = u32::MAX;
 
 // ── CRC-32C ─────────────────────────────────────────────────────────
 
+/// The Castagnoli polynomial, bit-reflected.
+const CRC_POLY: u32 = 0x82F6_3B78;
+
 /// CRC-32C lookup tables (Castagnoli polynomial `0x82F6_3B78`), built
 /// at compile time. Eight tables for the slicing-by-8 software
 /// kernel: every frame of the paper-scale store (~1 GB) is
 /// checksummed on open, so the classic byte-at-a-time loop would
 /// dominate the reload path. Castagnoli (not IEEE) because x86_64
-/// ships a dedicated `crc32` instruction for exactly this polynomial
-/// — on SSE4.2 hardware the checksum costs roughly a memory read.
+/// ships a dedicated `crc32` instruction for exactly this polynomial.
 static CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
 const fn crc_tables() -> [[u32; 256]; 8] {
@@ -89,7 +91,7 @@ const fn crc_tables() -> [[u32; 256]; 8] {
         let mut c = i as u32;
         let mut k = 0;
         while k < 8 {
-            c = if c & 1 != 0 { 0x82F6_3B78 ^ (c >> 1) } else { c >> 1 };
+            c = if c & 1 != 0 { CRC_POLY ^ (c >> 1) } else { c >> 1 };
             k += 1;
         }
         t[0][i] = c;
@@ -107,8 +109,76 @@ const fn crc_tables() -> [[u32; 256]; 8] {
     t
 }
 
-/// CRC-32C of `bytes`. Hardware `crc32q` on x86_64 with SSE4.2,
-/// software slicing-by-8 everywhere else.
+/// Bytes per chain in the three-chain hardware kernel: each block of
+/// `3 * CRC_STRIDE` bytes runs as three independent `crc32q` chains,
+/// one per consecutive third.
+const CRC_STRIDE: usize = 4096;
+
+/// Applies `CRC_STRIDE` zero bytes to a raw CRC state, one table per
+/// state byte (built at compile time, like [`CRC_TABLES`]).
+static CRC_SHIFT: [[u32; 256]; 4] = crc_shift_tables(CRC_STRIDE);
+
+/// A GF(2) 32×32 matrix (column `i` is the image of bit `i`) times a
+/// vector.
+const fn gf2_times(mat: &[u32; 32], mut vec: u32) -> u32 {
+    let mut sum = 0;
+    let mut i = 0;
+    while vec != 0 {
+        if vec & 1 != 0 {
+            sum ^= mat[i];
+        }
+        vec >>= 1;
+        i += 1;
+    }
+    sum
+}
+
+/// Tables applying `bytes` zero bytes (a power of two) to a raw state,
+/// as zlib's `crc32_combine` derives them: start from the operator for
+/// one zero bit and square it until it covers `8 * bytes` bits.
+const fn crc_shift_tables(bytes: usize) -> [[u32; 256]; 4] {
+    assert!(bytes.is_power_of_two());
+    let mut op = [0u32; 32];
+    op[0] = CRC_POLY;
+    let mut n = 1;
+    while n < 32 {
+        op[n] = 1 << (n - 1);
+        n += 1;
+    }
+    let mut bits = 8 * bytes;
+    while bits > 1 {
+        let mut sq = [0u32; 32];
+        let mut n = 0;
+        while n < 32 {
+            sq[n] = gf2_times(&op, op[n]);
+            n += 1;
+        }
+        op = sq;
+        bits >>= 1;
+    }
+    let mut t = [[0u32; 256]; 4];
+    let mut v = 0;
+    while v < 256 {
+        let mut k = 0;
+        while k < 4 {
+            t[k][v] = gf2_times(&op, (v as u32) << (8 * k));
+            k += 1;
+        }
+        v += 1;
+    }
+    t
+}
+
+/// The raw state after `CRC_STRIDE` zero bytes.
+fn crc_shift(state: u32) -> u32 {
+    CRC_SHIFT[0][(state & 0xFF) as usize]
+        ^ CRC_SHIFT[1][((state >> 8) & 0xFF) as usize]
+        ^ CRC_SHIFT[2][((state >> 16) & 0xFF) as usize]
+        ^ CRC_SHIFT[3][(state >> 24) as usize]
+}
+
+/// CRC-32C of `bytes`. Three-chain hardware `crc32q` on x86_64 with
+/// SSE4.2, software slicing-by-8 everywhere else.
 pub fn crc32(bytes: &[u8]) -> u32 {
     !crc32_raw(!0, bytes)
 }
@@ -120,11 +190,48 @@ fn crc32_raw(state: u32, bytes: &[u8]) -> u32 {
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("sse4.2") {
         // SAFETY: guarded by the runtime SSE4.2 detection above.
-        return unsafe { crc32_hw(state, bytes) };
+        return unsafe { crc32_hw3(state, bytes) };
     }
     crc32_sw(state, bytes)
 }
 
+/// One `crc32q` has a latency of three cycles but a throughput of one
+/// per cycle, so a single chain leaves two thirds of the unit idle.
+/// Each `3 * CRC_STRIDE` block runs three independent chains over its
+/// thirds — the first continuing `state`, the others from zero — and
+/// recombines them by linearity: shifting a state through
+/// `CRC_STRIDE` zero bytes and XORing in the next third's chain is
+/// the state after both thirds. The one-chain kernel takes the tail.
+///
+/// # Safety
+///
+/// The CPU must support SSE4.2.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+unsafe fn crc32_hw3(state: u32, bytes: &[u8]) -> u32 {
+    use std::arch::x86_64::_mm_crc32_u64;
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().unwrap());
+    let mut blocks = bytes.chunks_exact(3 * CRC_STRIDE);
+    let mut c = state;
+    for block in &mut blocks {
+        let (a, rest) = block.split_at(CRC_STRIDE);
+        let (b, d) = rest.split_at(CRC_STRIDE);
+        let (mut c0, mut c1, mut c2) = (c as u64, 0u64, 0u64);
+        for ((x, y), z) in a.chunks_exact(8).zip(b.chunks_exact(8)).zip(d.chunks_exact(8)) {
+            c0 = _mm_crc32_u64(c0, word(x));
+            c1 = _mm_crc32_u64(c1, word(y));
+            c2 = _mm_crc32_u64(c2, word(z));
+        }
+        c = crc_shift(crc_shift(c0 as u32) ^ c1 as u32) ^ c2 as u32;
+    }
+    crc32_hw(c, blocks.remainder())
+}
+
+/// One `crc32q` chain over `bytes`.
+///
+/// # Safety
+///
+/// The CPU must support SSE4.2.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse4.2")]
 unsafe fn crc32_hw(state: u32, bytes: &[u8]) -> u32 {
@@ -293,61 +400,62 @@ fn read_at_or_trunc(
 
 // ── Little-endian encode helpers ────────────────────────────────────
 
-pub(crate) fn put_u16s(buf: &mut Vec<u8>, vals: &[u16]) {
-    for v in vals {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
+/// Fixed-width integers the codec lays down little-endian.
+pub(crate) trait LeWord: Copy {
+    /// The value's little-endian bytes (`to_le_bytes`).
+    type Bytes: IntoIterator<Item = u8>;
+    fn le_bytes(self) -> Self::Bytes;
 }
 
-pub(crate) fn put_u32s(buf: &mut Vec<u8>, vals: &[u32]) {
-    for v in vals {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
+macro_rules! le_word {
+    ($($t:ty),*) => {$(
+        impl LeWord for $t {
+            type Bytes = [u8; std::mem::size_of::<$t>()];
+            fn le_bytes(self) -> Self::Bytes {
+                self.to_le_bytes()
+            }
+        }
+    )*};
+}
+le_word!(u16, u32, u64, i64);
+
+/// Appends a column little-endian in one bulk pass — the write-side
+/// mirror of [`decode_le`]. Flattening fixed-size arrays keeps the
+/// iterator's exact length, so `extend` reserves once and writes
+/// without a capacity check per element (a per-element
+/// `extend_from_slice` cannot vectorize).
+pub(crate) fn put_le<T: LeWord>(buf: &mut Vec<u8>, vals: &[T]) {
+    buf.extend(vals.iter().flat_map(|v| v.le_bytes()));
 }
 
-pub(crate) fn put_u64s(buf: &mut Vec<u8>, vals: &[u64]) {
-    for v in vals {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-pub(crate) fn put_i64s(buf: &mut Vec<u8>, vals: &[i64]) {
-    for v in vals {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// Span columns serialize as all offsets then all lengths.
+/// Span columns serialize as all offsets then all lengths: one bulk
+/// pass each.
 fn put_spans(buf: &mut Vec<u8>, spans: &[(u32, u16)]) {
-    for (off, _) in spans {
-        buf.extend_from_slice(&off.to_le_bytes());
-    }
-    for (_, len) in spans {
-        buf.extend_from_slice(&len.to_le_bytes());
-    }
+    buf.extend(spans.iter().flat_map(|&(off, _)| off.to_le_bytes()));
+    buf.extend(spans.iter().flat_map(|&(_, len)| len.to_le_bytes()));
 }
 
 /// Serializes one chunk's payload (everything the frame carries; the
 /// pruning metadata lives in the directory instead).
 fn encode_chunk(c: &ObsChunk, buf: &mut Vec<u8>) {
     buf.clear();
-    put_i64s(buf, &c.time);
-    put_u32s(buf, &c.device);
-    put_u32s(buf, &c.destination);
-    put_u32s(buf, &c.sni);
-    put_u32s(buf, &c.fingerprint);
-    put_u32s(buf, &c.leaf_issuer);
-    put_u16s(buf, &c.max_adv);
-    put_u16s(buf, &c.neg_version);
-    put_u16s(buf, &c.neg_suite);
+    put_le(buf, &c.time);
+    put_le(buf, &c.device);
+    put_le(buf, &c.destination);
+    put_le(buf, &c.sni);
+    put_le(buf, &c.fingerprint);
+    put_le(buf, &c.leaf_issuer);
+    put_le(buf, &c.max_adv);
+    put_le(buf, &c.neg_version);
+    put_le(buf, &c.neg_suite);
     buf.extend_from_slice(&c.flags);
-    put_u64s(buf, &c.count);
+    put_le(buf, &c.count);
     put_spans(buf, &c.adv_versions);
     put_spans(buf, &c.suites);
     put_spans(buf, &c.alerts_c2s);
     put_spans(buf, &c.alerts_s2c);
     buf.extend_from_slice(&(c.pool_u16.len() as u32).to_le_bytes());
-    put_u16s(buf, &c.pool_u16);
+    put_le(buf, &c.pool_u16);
     buf.extend_from_slice(&(c.pool_u8.len() as u32).to_le_bytes());
     buf.extend_from_slice(&c.pool_u8);
 }
@@ -584,7 +692,7 @@ impl StoreWriter {
             f.extend_from_slice(&e.min_time.to_le_bytes());
             f.extend_from_slice(&e.max_time.to_le_bytes());
             f.extend_from_slice(&(e.device_bits.len() as u32).to_le_bytes());
-            put_u64s(&mut f, &e.device_bits);
+            put_le(&mut f, &e.device_bits);
         }
         f.extend_from_slice(&(strings.len() as u32).to_le_bytes());
         for s in strings.iter() {
@@ -1361,33 +1469,94 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// The definitional byte-at-a-time loop over a raw state: the
+    /// oracle every kernel is held to.
+    fn bytewise_raw(state: u32, bytes: &[u8]) -> u32 {
+        let mut c = state;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+        }
+        c
+    }
+
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len as u32).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect()
+    }
+
     #[test]
     fn crc_kernels_agree_with_bytewise_at_every_alignment() {
-        fn bytewise(bytes: &[u8]) -> u32 {
-            let mut c = 0xFFFF_FFFFu32;
-            for &b in bytes {
-                c = CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-            }
-            !c
+        let block = 3 * CRC_STRIDE;
+        let mut lens = vec![0, 1, 7, 8, 9, 63, 64, 65, 1000, 1024, 256 << 10, 1 << 20];
+        for k in 1..=3 {
+            lens.extend([k * block - 1, k * block, k * block + 1, k * block + 7]);
         }
-        let data: Vec<u8> = (0..1024u32).map(|i| (i.wrapping_mul(31) >> 3) as u8).collect();
-        for len in [0, 1, 7, 8, 9, 63, 64, 65, 1000, 1024] {
-            // crc32() picks the hardware kernel when available, the
-            // software slicing-by-8 kernel otherwise; both must match
-            // the definitional byte-at-a-time loop.
-            assert_eq!(crc32(&data[..len]), bytewise(&data[..len]), "len {len}");
-            assert_eq!(!crc32_sw(!0, &data[..len]), bytewise(&data[..len]), "sw len {len}");
+        let data = pattern((1 << 20) + 8);
+        for len in lens {
+            for start in 0..8 {
+                let bytes = &data[start..start + len];
+                let want = bytewise_raw(!0, bytes);
+                // crc32() dispatches to the three-chain hardware kernel
+                // when available and the software slicing-by-8 kernel
+                // otherwise; every kernel must match the definitional
+                // byte-at-a-time loop.
+                assert_eq!(!crc32(bytes), want, "len {len} start {start}");
+                assert_eq!(crc32_sw(!0, bytes), want, "sw len {len} start {start}");
+                #[cfg(target_arch = "x86_64")]
+                if std::arch::is_x86_feature_detected!("sse4.2") {
+                    // SAFETY: guarded by the runtime detection.
+                    let (one, three) = unsafe { (crc32_hw(!0, bytes), crc32_hw3(!0, bytes)) };
+                    assert_eq!(one, want, "one-chain len {len} start {start}");
+                    assert_eq!(three, want, "three-chain len {len} start {start}");
+                }
+            }
         }
     }
 
     #[test]
+    fn shift_tables_match_shifting_through_zero_bytes() {
+        // crc_shift is linear and reads each state byte through its own
+        // table, so the states `v << 8k` reach every entry of every
+        // table exactly once.
+        let zeros = vec![0u8; CRC_STRIDE];
+        for k in 0..4 {
+            for v in 0..256u32 {
+                let state = v << (8 * k);
+                assert_eq!(crc_shift(state), bytewise_raw(state, &zeros), "table {k} entry {v}");
+            }
+        }
+        assert_eq!(crc_shift(!0), bytewise_raw(!0, &zeros));
+    }
+
+    #[test]
     fn streaming_crc_update_matches_one_shot() {
-        let data: Vec<u8> = (0..4096u32).map(|i| (i.wrapping_mul(131) >> 2) as u8).collect();
-        for split in [0, 1, 9, 100, 4095, 4096] {
+        let block = 3 * CRC_STRIDE;
+        let data = pattern(3 * block + 4097);
+        let splits = [
+            0,
+            1,
+            9,
+            100,
+            4095,
+            4096,
+            CRC_STRIDE + 5,
+            2 * CRC_STRIDE - 3,
+            block - 1,
+            block,
+            block + 1,
+            block + CRC_STRIDE + 7,
+            2 * block + 2 * CRC_STRIDE + 1,
+            data.len() - 1,
+            data.len(),
+        ];
+        for split in splits {
             let mut state = !0u32;
             state = crc32_raw(state, &data[..split]);
             state = crc32_raw(state, &data[split..]);
             assert_eq!(!state, crc32(&data), "split {split}");
         }
+        // Three pieces, both cuts inside three-chain blocks.
+        let (a, b) = (CRC_STRIDE / 2 + 3, block + 2 * CRC_STRIDE + 11);
+        let state = crc32_raw(crc32_raw(crc32_raw(!0, &data[..a]), &data[a..b]), &data[b..]);
+        assert_eq!(!state, crc32(&data));
     }
 }

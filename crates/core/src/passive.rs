@@ -6,7 +6,7 @@
 
 use crate::experiment::ExperimentCtx;
 use iotls_capture::{
-    ChunkStore, ColumnarDataset, Interner, ObsChunk, PassiveDataset, RawRow, RevRow,
+    flag, ChunkStore, ColumnarDataset, Columns, Interner, ObsChunk, PassiveDataset, RevRow,
     RevocationKind, StoreError, Symbol,
 };
 use iotls_devices::Testbed;
@@ -380,7 +380,7 @@ pub fn revocation_summary(ds: &PassiveDataset) -> RevocationSummary {
 /// One (device, month) cell of integer counters — the union of the
 /// Figure 1 and Figures 2–3 cell inputs plus the dominant-version
 /// histogram feeding the transition detector.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 struct Cell {
     total: u64,
     adv_tls13: u64,
@@ -417,7 +417,7 @@ impl Cell {
 }
 
 /// Whole-study per-device aggregates (the §5.1 summary inputs).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct DeviceAgg {
     only_tls12: bool,
     adv_insecure: bool,
@@ -478,23 +478,76 @@ pub struct PassiveAnalysis {
     pub total_connections: u64,
 }
 
-/// True when two rows are identical in every field
-/// [`PassiveAccumulator::fold_run`] reads (`count` excluded — runs
-/// sum it). The span columns compare by pool offset and length: equal
-/// spans imply equal content, and distinct spans with equal content
-/// merely split a run into two fold calls, which is still exact.
-fn same_fold_shape(a: RawRow<'_>, b: RawRow<'_>) -> bool {
-    fn same_span(x: &[u16], y: &[u16]) -> bool {
-        std::ptr::eq(x.as_ptr(), y.as_ptr()) && x.len() == y.len()
+/// Rows per scan block: one bit each of a `u64` mask.
+const BLOCK: usize = 64;
+
+/// The flag bits [`PassiveAccumulator::fold_run`] reads.
+const FOLD_FLAGS: u8 = flag::REQUESTED_OCSP | flag::HAS_NEG_SUITE;
+
+/// A mask with the low `rows` bits set (`1 <= rows <= 64`).
+fn all_rows(rows: usize) -> u64 {
+    u64::MAX >> (BLOCK - rows)
+}
+
+/// Bit `k` set when row `lo + k` differs from row `lo + k - 1` under
+/// `key` (`1 <= lo`, `hi - lo <= 64`). Runs average thousands of rows,
+/// so most blocks repeat the row before them: one branch-free
+/// reduction, which vectorizes, settles those before any per-row mask
+/// bit is built.
+fn changes<T: Copy, K: PartialEq>(col: &[T], lo: usize, hi: usize, key: impl Fn(T) -> K) -> u64 {
+    let prev = key(col[lo - 1]);
+    if col[lo..hi].iter().fold(true, |same, &v| same & (key(v) == prev)) {
+        return 0;
     }
-    a.time() == b.time()
-        && a.device() == b.device()
-        && a.max_advertised_wire() == b.max_advertised_wire()
-        && a.negotiated_version_wire() == b.negotiated_version_wire()
-        && a.negotiated_suite() == b.negotiated_suite()
-        && a.requested_ocsp() == b.requested_ocsp()
-        && same_span(a.suites(), b.suites())
-        && same_span(a.advertised_wire(), b.advertised_wire())
+    col[lo - 1..hi - 1]
+        .iter()
+        .zip(&col[lo..hi])
+        .enumerate()
+        .fold(0, |m, (k, (&a, &b))| m | (u64::from(key(a) != key(b)) << k))
+}
+
+/// Marks in bit `k` each row `lo + k` of the block `[lo, hi)` that
+/// starts a fold run: row 0, or a row that differs from the row before
+/// it in a column [`PassiveAccumulator::fold_run`] reads — time,
+/// device, `max_adv`, `neg_version`, the raw `neg_suite`, the OCSP and
+/// has-suite flag bits, and the suite and advertised-version spans as
+/// (offset, len). Raw suites and span offsets are at worst finer than
+/// what the fold reads (a suite under an unset has-suite flag, equal
+/// spans at different pool offsets), and a finer split only adds fold
+/// calls, never changes a sum.
+fn run_starts(c: &Columns<'_>, lo: usize, hi: usize) -> u64 {
+    if lo == 0 {
+        return if hi > 1 { 1 | run_starts(c, 1, hi) << 1 } else { 1 };
+    }
+    changes(c.time, lo, hi, |v| v)
+        | changes(c.device, lo, hi, |v| v)
+        | changes(c.max_adv, lo, hi, |v| v)
+        | changes(c.neg_version, lo, hi, |v| v)
+        | changes(c.neg_suite, lo, hi, |v| v)
+        | changes(c.flags, lo, hi, |f| f & FOLD_FLAGS)
+        | changes(c.suites, lo, hi, |v| v)
+        | changes(c.adv_versions, lo, hi, |v| v)
+}
+
+/// Bit `k` set when row `lo + k` lies inside `[from, to]` and, when
+/// `device` is given, belongs to it.
+fn window_rows(
+    c: &Columns<'_>,
+    lo: usize,
+    hi: usize,
+    from: i64,
+    to: i64,
+    device: Option<Symbol>,
+) -> u64 {
+    let (any_device, dev) = (device.is_none(), device.map_or(0, |d| d.0));
+    c.time[lo..hi]
+        .iter()
+        .zip(&c.device[lo..hi])
+        .enumerate()
+        .fold(0, |m, (k, (&t, &d))| {
+            let inside = (t >= from) & (t <= to) & (any_device | (d == dev));
+            m | (u64::from(inside) << k)
+        })
 }
 
 /// Single-pass, merge-able accumulator over columnar observation
@@ -502,7 +555,7 @@ fn same_fold_shape(a: RawRow<'_>, b: RawRow<'_>) -> bool {
 /// order), flows with [`add_flows`](Self::add_flows), combine
 /// partials with [`merge`](Self::merge), then resolve with
 /// [`finish`](Self::finish).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PassiveAccumulator {
     cells: BTreeMap<(Symbol, Month), Cell>,
     devices: BTreeMap<Symbol, DeviceAgg>,
@@ -524,127 +577,22 @@ impl PassiveAccumulator {
     ///
     /// Expanded paper-scale chunks are long runs of rows identical in
     /// everything the fold reads (the row splitter only varies
-    /// `count` between `base` and `base + 1`), so the scan detects
-    /// runs — cheap field compares, with span columns compared by
-    /// pool offset — and folds each run **once** with the summed
-    /// count. Every per-run quantity the fold adds is `count`-linear
-    /// in `u64` (and the booleans are idempotent ORs), so the result
-    /// is bit-identical to folding row by row.
+    /// `count` between `base` and `base + 1`), so the scan finds run
+    /// boundaries a 64-row block at a time and folds each run **once**
+    /// with the summed count. Every per-run quantity the fold adds is
+    /// `count`-linear in `u64` (and the booleans are idempotent ORs),
+    /// so the result is bit-identical to folding row by row.
     pub fn add_chunk(&mut self, chunk: &ObsChunk) {
-        let n = chunk.len();
-        let mut i = 0;
-        while i < n {
-            let row = chunk.row(i);
-            let mut count = row.count();
-            let mut j = i + 1;
-            while j < n {
-                let next = chunk.row(j);
-                if !same_fold_shape(row, next) {
-                    break;
-                }
-                count += next.count();
-                j += 1;
-            }
-            self.fold_run(row, count);
-            i = j;
-        }
-    }
-
-    /// Folds one row shape carrying `count` connections (the sum over
-    /// a run of identical rows).
-    fn fold_run(&mut self, row: RawRow<'_>, count: u64) {
-        let tls12 = ProtocolVersion::Tls12.wire();
-        let tls13 = ProtocolVersion::Tls13.wire();
-        {
-            let month = Timestamp(row.time()).month();
-            let cell = self.cells.entry((row.device(), month)).or_default();
-            cell.total += count;
-            let max = row.max_advertised_wire();
-            if max == tls13 {
-                cell.adv_tls13 += count;
-            } else if max == tls12 {
-                cell.adv_tls12 += count;
-            } else {
-                cell.adv_older += count;
-            }
-            *cell.adv_max.entry(max).or_insert(0) += count;
-            let neg = row.negotiated_version_wire();
-            match neg {
-                Some(v) if v == tls13 => cell.est_tls13 += count,
-                Some(v) if v == tls12 => cell.est_tls12 += count,
-                Some(_) => cell.est_older += count,
-                None => {}
-            }
-            let suites = row.suites();
-            let adv_insecure = suites
-                .iter()
-                .any(|s| iotls_tls::ciphersuite::id_is_insecure(*s));
-            let adv_fs = suites
-                .iter()
-                .any(|s| iotls_tls::ciphersuite::id_is_forward_secret(*s));
-            let est_insecure = row
-                .negotiated_suite()
-                .is_some_and(iotls_tls::ciphersuite::id_is_insecure);
-            let est_fs = row
-                .negotiated_suite()
-                .is_some_and(iotls_tls::ciphersuite::id_is_forward_secret);
-            if adv_insecure {
-                cell.adv_insecure += count;
-            }
-            if est_insecure {
-                cell.est_insecure += count;
-            }
-            if adv_fs {
-                cell.adv_strong += count;
-            }
-            if est_fs {
-                cell.est_strong += count;
-            }
-
-            self.total += count;
-            if row.advertised_wire().contains(&tls13) {
-                self.tls13 += count;
-            }
-            if suites.iter().any(|s| {
-                iotls_tls::ciphersuite::by_id(*s).is_some_and(|i| {
-                    matches!(
-                        i.cipher,
-                        iotls_tls::BulkCipher::Rc4_40 | iotls_tls::BulkCipher::Rc4_128
-                    )
-                })
-            }) {
-                self.rc4 += count;
-            }
-            if suites
-                .iter()
-                .any(|s| iotls_tls::ciphersuite::id_is_null_or_anon(*s))
-            {
-                self.null_anon = true;
-            }
-
-            let dev = self.devices.entry(row.device()).or_default();
-            if max != tls12 || neg.is_some_and(|v| v != tls12) {
-                dev.only_tls12 = false;
-            }
-            dev.adv_insecure |= adv_insecure;
-            dev.est_insecure |= est_insecure;
-            dev.adv_fs |= adv_fs;
-            if row.negotiated_suite().is_some() {
-                dev.est_conns += count;
-                if est_fs {
-                    dev.fs_conns += count;
-                }
-            }
-            dev.stapling |= row.requested_ocsp();
-        }
+        self.fold_runs(&chunk.columns(), |lo, hi| all_rows(hi - lo));
     }
 
     /// Folds only the rows of one chunk inside `[from, to]` (and
     /// belonging to `device`, when given), returning how many rows
-    /// were folded. Exact despite the run detection: time and device
-    /// are part of the run-fold shape test, so the predicate is constant
-    /// across a run and accepts or rejects it whole — the result is
-    /// bit-identical to filtering row by row.
+    /// were folded. Rows outside the predicate are dropped a block at a
+    /// time before any run detection. Exact: time and device are part
+    /// of the run shape, so the predicate is constant across a run and
+    /// accepts or rejects it whole — the result is bit-identical to
+    /// filtering row by row.
     pub fn add_chunk_window(
         &mut self,
         chunk: &ObsChunk,
@@ -652,29 +600,137 @@ impl PassiveAccumulator {
         to: i64,
         device: Option<Symbol>,
     ) -> u64 {
-        let n = chunk.len();
-        let mut folded = 0u64;
-        let mut i = 0;
-        while i < n {
-            let row = chunk.row(i);
-            let mut count = row.count();
-            let mut j = i + 1;
-            while j < n {
-                let next = chunk.row(j);
-                if !same_fold_shape(row, next) {
-                    break;
+        let c = chunk.columns();
+        self.fold_runs(&c, |lo, hi| window_rows(&c, lo, hi, from, to, device))
+    }
+
+    /// The one run scan behind [`add_chunk`](Self::add_chunk) and
+    /// [`add_chunk_window`](Self::add_chunk_window): walks 64-row
+    /// blocks, asks `keep` which rows of the block the caller wants
+    /// (a mask that is constant across every run), and folds each kept
+    /// run once. Returns the rows folded. Allocates nothing.
+    fn fold_runs(&mut self, c: &Columns<'_>, keep: impl Fn(usize, usize) -> u64) -> u64 {
+        let n = c.time.len();
+        let mut folded = 0;
+        // Start of the kept run in progress, if any.
+        let mut open = None;
+        let mut lo = 0;
+        while lo < n {
+            let hi = n.min(lo + BLOCK);
+            let kept = keep(lo, hi);
+            // A block without a kept row ends the run in progress at
+            // its first row and opens none.
+            let mut starts = if kept == 0 { 1 } else { run_starts(c, lo, hi) };
+            while starts != 0 {
+                let k = starts.trailing_zeros() as usize;
+                if let Some(s) = open.take() {
+                    folded += self.fold_rows(c, s, lo + k);
                 }
-                count += next.count();
-                j += 1;
+                if kept >> k & 1 == 1 {
+                    open = Some(lo + k);
+                }
+                starts &= starts - 1;
             }
-            let t = row.time();
-            if t >= from && t <= to && device.is_none_or(|d| d == row.device()) {
-                self.fold_run(row, count);
-                folded += (j - i) as u64;
-            }
-            i = j;
+            lo = hi;
+        }
+        if let Some(s) = open {
+            folded += self.fold_rows(c, s, n);
         }
         folded
+    }
+
+    /// Folds the run `[s, e)` once, carrying its summed count; returns
+    /// its row count.
+    fn fold_rows(&mut self, c: &Columns<'_>, s: usize, e: usize) -> u64 {
+        self.fold_run(c, s, c.count[s..e].iter().sum());
+        (e - s) as u64
+    }
+
+    /// Folds the shape of row `i` carrying `count` connections (the sum
+    /// over a run of identical rows).
+    fn fold_run(&mut self, c: &Columns<'_>, i: usize, count: u64) {
+        let tls12 = ProtocolVersion::Tls12.wire();
+        let tls13 = ProtocolVersion::Tls13.wire();
+        let span = |(off, len): (u32, u16)| &c.pool_u16[off as usize..][..len as usize];
+        let device = Symbol(c.device[i]);
+        let max = c.max_adv[i];
+        let neg = Some(c.neg_version[i]).filter(|&v| v != 0);
+        let neg_suite = (c.flags[i] & flag::HAS_NEG_SUITE != 0).then_some(c.neg_suite[i]);
+        let suites = span(c.suites[i]);
+
+        let month = Timestamp(c.time[i]).month();
+        let cell = self.cells.entry((device, month)).or_default();
+        cell.total += count;
+        if max == tls13 {
+            cell.adv_tls13 += count;
+        } else if max == tls12 {
+            cell.adv_tls12 += count;
+        } else {
+            cell.adv_older += count;
+        }
+        *cell.adv_max.entry(max).or_insert(0) += count;
+        match neg {
+            Some(v) if v == tls13 => cell.est_tls13 += count,
+            Some(v) if v == tls12 => cell.est_tls12 += count,
+            Some(_) => cell.est_older += count,
+            None => {}
+        }
+        let adv_insecure = suites
+            .iter()
+            .any(|s| iotls_tls::ciphersuite::id_is_insecure(*s));
+        let adv_fs = suites
+            .iter()
+            .any(|s| iotls_tls::ciphersuite::id_is_forward_secret(*s));
+        let est_insecure = neg_suite.is_some_and(iotls_tls::ciphersuite::id_is_insecure);
+        let est_fs = neg_suite.is_some_and(iotls_tls::ciphersuite::id_is_forward_secret);
+        if adv_insecure {
+            cell.adv_insecure += count;
+        }
+        if est_insecure {
+            cell.est_insecure += count;
+        }
+        if adv_fs {
+            cell.adv_strong += count;
+        }
+        if est_fs {
+            cell.est_strong += count;
+        }
+
+        self.total += count;
+        if span(c.adv_versions[i]).contains(&tls13) {
+            self.tls13 += count;
+        }
+        if suites.iter().any(|s| {
+            iotls_tls::ciphersuite::by_id(*s).is_some_and(|i| {
+                matches!(
+                    i.cipher,
+                    iotls_tls::BulkCipher::Rc4_40 | iotls_tls::BulkCipher::Rc4_128
+                )
+            })
+        }) {
+            self.rc4 += count;
+        }
+        if suites
+            .iter()
+            .any(|s| iotls_tls::ciphersuite::id_is_null_or_anon(*s))
+        {
+            self.null_anon = true;
+        }
+
+        let dev = self.devices.entry(device).or_default();
+        if max != tls12 || neg.is_some_and(|v| v != tls12) {
+            dev.only_tls12 = false;
+        }
+        dev.adv_insecure |= adv_insecure;
+        dev.est_insecure |= est_insecure;
+        dev.adv_fs |= adv_fs;
+        if neg_suite.is_some() {
+            dev.est_conns += count;
+            if est_fs {
+                dev.fs_conns += count;
+            }
+        }
+        dev.stapling |= c.flags[i] & flag::REQUESTED_OCSP != 0;
     }
 
     /// Folds revocation endpoint flows (Table 8 CRL/OCSP columns).
@@ -1080,6 +1136,288 @@ mod tests {
     use super::*;
     use iotls_capture::global_dataset;
     use std::sync::OnceLock;
+
+    // ── Fold oracle ─────────────────────────────────────────────────
+    //
+    // The block scan is held to the row-wise scan it replaced: extend
+    // a run one row at a time while every field `fold_run` reads stays
+    // equal, fold it once when the window accepts its head row.
+
+    /// A time window and optional device, as `add_chunk_window` takes.
+    type Window = (i64, i64, Option<Symbol>);
+
+    /// True when rows `a` and `b` are identical in every field
+    /// `fold_run` reads (`count` excluded — runs sum it). Spans compare
+    /// by pool offset and length, the negotiated suite only under its
+    /// has-suite flag.
+    fn same_fold_shape(c: &Columns<'_>, a: usize, b: usize) -> bool {
+        let neg_suite =
+            |i: usize| (c.flags[i] & flag::HAS_NEG_SUITE != 0).then_some(c.neg_suite[i]);
+        c.time[a] == c.time[b]
+            && c.device[a] == c.device[b]
+            && c.max_adv[a] == c.max_adv[b]
+            && c.neg_version[a] == c.neg_version[b]
+            && neg_suite(a) == neg_suite(b)
+            && (c.flags[a] ^ c.flags[b]) & flag::REQUESTED_OCSP == 0
+            && c.suites[a] == c.suites[b]
+            && c.adv_versions[a] == c.adv_versions[b]
+    }
+
+    /// The row-wise oracle; returns the rows folded.
+    fn fold_rowwise(acc: &mut PassiveAccumulator, c: &Columns<'_>, window: Option<Window>) -> u64 {
+        let n = c.time.len();
+        let mut folded = 0;
+        let mut i = 0;
+        while i < n {
+            let mut count = c.count[i];
+            let mut j = i + 1;
+            while j < n && same_fold_shape(c, i, j) {
+                count += c.count[j];
+                j += 1;
+            }
+            let (t, d) = (c.time[i], c.device[i]);
+            let inside = |(from, to, dev): Window| {
+                t >= from && t <= to && dev.is_none_or(|s| s.0 == d)
+            };
+            if window.is_none_or(inside) {
+                acc.fold_run(c, i, count);
+                folded += (j - i) as u64;
+            }
+            i = j;
+        }
+        folded
+    }
+
+    /// The block scan exactly as `add_chunk` / `add_chunk_window` run
+    /// it, over a column set that need not come from a chunk.
+    fn fold_blocks(acc: &mut PassiveAccumulator, c: &Columns<'_>, window: Option<Window>) -> u64 {
+        match window {
+            None => acc.fold_runs(c, |lo, hi| all_rows(hi - lo)),
+            Some((from, to, device)) => {
+                acc.fold_runs(c, |lo, hi| window_rows(c, lo, hi, from, to, device))
+            }
+        }
+    }
+
+    /// Folds `c` whole and through every window both ways and demands
+    /// equal accumulators, equal `finish()` output and equal folded-row
+    /// counts.
+    fn assert_matches_oracle(c: &Columns<'_>, strings: &Interner, windows: &[Window], what: &str) {
+        for window in std::iter::once(None).chain(windows.iter().copied().map(Some)) {
+            let (mut got, mut want) = (PassiveAccumulator::new(), PassiveAccumulator::new());
+            let folded = fold_blocks(&mut got, c, window);
+            let oracle = fold_rowwise(&mut want, c, window);
+            assert_eq!(folded, oracle, "{what}: rows folded, {window:?}");
+            if window.is_none() {
+                assert_eq!(folded, c.time.len() as u64, "{what}: every row folds");
+            }
+            assert_eq!(got, want, "{what}: accumulator, {window:?}");
+            assert_eq!(got.finish(strings), want.finish(strings), "{what}: finish, {window:?}");
+        }
+    }
+
+    /// An owned column set, so a test can lay down rows the chunk
+    /// writer never produces: a raw suite under an unset has-suite flag,
+    /// equal spans at different pool offsets.
+    #[derive(Default)]
+    struct Table {
+        time: Vec<i64>,
+        device: Vec<u32>,
+        max_adv: Vec<u16>,
+        neg_version: Vec<u16>,
+        neg_suite: Vec<u16>,
+        flags: Vec<u8>,
+        suites: Vec<(u32, u16)>,
+        adv_versions: Vec<(u32, u16)>,
+        count: Vec<u64>,
+        unread_u32: Vec<u32>,
+        unread_spans: Vec<(u32, u16)>,
+    }
+
+    /// The fold-relevant fields of one hand-built row.
+    #[derive(Clone, Copy, Debug)]
+    struct Shape {
+        time: i64,
+        device: u32,
+        max_adv: u16,
+        neg_version: u16,
+        neg_suite: u16,
+        flags: u8,
+        suites: (u32, u16),
+        adv_versions: (u32, u16),
+    }
+
+    /// The u16 pool every hand-built table shares: suite lists at 0,
+    /// 2 (equal content, another offset) and 4, version lists at 5, 7
+    /// (equal content, another offset) and 9.
+    const POOL: [u16; 10] = [
+        0xc02f, 0x0005, 0xc02f, 0x0005, 0x002f, 0x0303, 0x0304, 0x0303, 0x0304, 0x0302,
+    ];
+
+    impl Table {
+        fn push(&mut self, s: Shape, rows: usize) {
+            for _ in 0..rows {
+                self.time.push(s.time);
+                self.device.push(s.device);
+                self.max_adv.push(s.max_adv);
+                self.neg_version.push(s.neg_version);
+                self.neg_suite.push(s.neg_suite);
+                self.flags.push(s.flags);
+                self.suites.push(s.suites);
+                self.adv_versions.push(s.adv_versions);
+                // Counts vary inside a run, so its sum is load-bearing.
+                self.count.push(1 + self.count.len() as u64 % 3);
+                self.unread_u32.push(0);
+                self.unread_spans.push((0, 0));
+            }
+        }
+
+        /// The first `n` rows as a column view.
+        fn columns(&self, n: usize) -> Columns<'_> {
+            Columns {
+                time: &self.time[..n],
+                device: &self.device[..n],
+                destination: &self.unread_u32[..n],
+                sni: &self.unread_u32[..n],
+                fingerprint: &self.unread_u32[..n],
+                adv_versions: &self.adv_versions[..n],
+                max_adv: &self.max_adv[..n],
+                suites: &self.suites[..n],
+                neg_version: &self.neg_version[..n],
+                neg_suite: &self.neg_suite[..n],
+                leaf_issuer: &self.unread_u32[..n],
+                alerts_c2s: &self.unread_spans[..n],
+                alerts_s2c: &self.unread_spans[..n],
+                flags: &self.flags[..n],
+                count: &self.count[..n],
+                pool_u16: &POOL,
+                pool_u8: &[],
+            }
+        }
+    }
+
+    #[test]
+    fn block_scan_matches_the_rowwise_oracle_on_hand_built_chunks() {
+        let mut strings = Interner::new();
+        let (cam, hub) = (strings.intern("Cam A"), strings.intern("Hub B"));
+        let jan = Month::new(2019, 1).start().0;
+        let (t0, t1, t2) = (jan + 3 * 86_400, jan + 9 * 86_400, Month::new(2019, 2).start().0);
+        let all = flag::REQUESTED_OCSP | flag::HAS_NEG_SUITE | flag::ESTABLISHED;
+        let base = Shape {
+            time: t0,
+            device: cam.0,
+            max_adv: 0x0303,
+            neg_version: 0x0303,
+            neg_suite: 0xc02f,
+            flags: all,
+            suites: (0, 2),
+            adv_versions: (5, 2),
+        };
+        let no_suite = Shape { flags: flag::REQUESTED_OCSP, neg_suite: 0, ..base };
+        // Each neighbour of `base` changes one column alone; the last
+        // ones change what the fold never reads, or change a column
+        // only in a way the fold cannot see.
+        let variants = [
+            Shape { time: t1, ..base },
+            Shape { time: t2, ..base },
+            Shape { device: hub.0, ..base },
+            Shape { max_adv: 0x0304, ..base },
+            Shape { max_adv: 0x0302, ..base },
+            Shape { neg_version: 0x0304, ..base },
+            Shape { neg_version: 0, ..base },
+            Shape { neg_suite: 0x002f, ..base },
+            Shape { neg_suite: 0x0005, ..base },
+            Shape { flags: all & !flag::REQUESTED_OCSP, ..base },
+            Shape { flags: all & !flag::HAS_NEG_SUITE, ..base },
+            Shape { suites: (4, 1), ..base },
+            Shape { adv_versions: (9, 1), ..base },
+            Shape { flags: all & !flag::ESTABLISHED, ..base },
+            Shape { suites: (2, 2), ..base },
+            Shape { adv_versions: (7, 2), ..base },
+            Shape { neg_suite: 0x1234, ..no_suite },
+            no_suite,
+        ];
+        // Run lengths on both sides of every block edge.
+        let lengths = [1, 2, 63, 64, 65, 5, 130, 1, 3, 127, 128, 129, 7, 64];
+        let mut table = Table::default();
+        for (k, v) in variants.iter().enumerate() {
+            table.push(base, lengths[k % lengths.len()]);
+            table.push(*v, lengths[(k + 5) % lengths.len()]);
+        }
+        table.push(no_suite, 70);
+        let windows = [
+            (t0, t0, None),
+            (t0, t0, Some(cam)),
+            (t1, t1, None),
+            (t0, t1, Some(hub)),
+            (t1, t2, Some(cam)),
+            (t2, t2, Some(hub)),
+            (t0 + 1, t2 - 1, None),
+            (i64::MIN, i64::MAX, None),
+            (i64::MIN, i64::MAX, Some(Symbol(7))),
+        ];
+        let n = table.time.len();
+        assert!(n > 1_000, "the layout must cross many blocks ({n} rows)");
+        for rows in [0, 1, 63, 64, 65, 129, n] {
+            let what = format!("{rows} rows");
+            assert_matches_oracle(&table.columns(rows), &strings, &windows, &what);
+        }
+        // Every variant alone beside its base, at both block phases.
+        for (k, v) in variants.iter().enumerate() {
+            for lead in [1, 63, 64] {
+                let mut t = Table::default();
+                t.push(base, lead);
+                t.push(*v, 66);
+                t.push(base, 2);
+                let what = format!("variant {k} after {lead} base rows");
+                assert_matches_oracle(&t.columns(t.time.len()), &strings, &windows, &what);
+            }
+        }
+    }
+
+    #[test]
+    fn block_scan_matches_the_rowwise_oracle_on_generated_chunks() {
+        use iotls_devices::Testbed;
+        for per_row in [4, 1] {
+            // Whole-chunk folds, then two windows per chunk: a bound on
+            // the time of the middle row's run, and the first row's
+            // month and device — the shape of a longitudinal slice.
+            let mut got: [PassiveAccumulator; 3] = Default::default();
+            let mut want = got.clone();
+            let mut chunks = 0;
+            let capture = ExperimentCtx::new(iotls_capture::DEFAULT_SEED).capture_ctx();
+            let tail = capture.generate_streamed(Testbed::global(), per_row, &mut |chunk| {
+                let c = chunk.columns();
+                let mid = c.time[c.time.len() / 2];
+                let month = Timestamp(c.time[0]).month();
+                let windows = [
+                    None,
+                    Some((mid, mid, None)),
+                    Some((month.start().0, month.end().0, Some(Symbol(c.device[0])))),
+                ];
+                for (k, window) in windows.into_iter().enumerate() {
+                    let (mut g, mut w) = (PassiveAccumulator::new(), PassiveAccumulator::new());
+                    let rows = match window {
+                        None => {
+                            g.add_chunk(&chunk);
+                            chunk.len() as u64
+                        }
+                        Some((from, to, device)) => g.add_chunk_window(&chunk, from, to, device),
+                    };
+                    let what = format!("{per_row}/row chunk {chunks} {window:?}");
+                    assert_eq!(rows, fold_rowwise(&mut w, &c, window), "{what}");
+                    assert_eq!(g, w, "{what}");
+                    got[k].merge(&g);
+                    want[k].merge(&w);
+                }
+                chunks += 1;
+            });
+            assert!(chunks > 60, "{per_row}/row: only {chunks} chunks");
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.finish(&tail.strings), w.finish(&tail.strings), "{per_row}/row");
+            }
+        }
+    }
 
     fn summary() -> &'static PassiveSummary {
         static S: OnceLock<PassiveSummary> = OnceLock::new();

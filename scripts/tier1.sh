@@ -71,6 +71,22 @@ cargo test -q --offline -p iotls --lib lab::tests::each_engine_derives_one_attac
 cargo test -q --offline -p iotls-crypto --test proptests montgomery
 cargo test -q --offline -p iotls-crypto --lib -- mont::tests dh::tests \
     rsa::tests::keygen_is_pinned rsa::tests::crt_signature_is_pinned
+# Store codec and passive fold: SHA-256 pins of the bytes three
+# single-file and two segmented stores lay down (captured before the
+# bulk column encode and the three-chain CRC-32C landed); every CRC-32C
+# kernel against the bytewise oracle at lengths around the three-chain
+# stride and at every start offset, and the shift tables against
+# shifting through zero bytes; the block run scan of add_chunk and
+# add_chunk_window against the row-wise fold oracle; and the
+# chunk-to-segment mapping across empty segments. Also in the
+# workspace run; repeated by name so a codec or fold drift is called
+# out explicitly.
+cargo test -q --offline --test store_persistence single_file_store_bytes_are_pinned
+cargo test -q --offline --test segmented_store -- segmented_store_bytes_are_pinned \
+    empty_segments_never_own_a_chunk
+cargo test -q --offline -p iotls-capture --lib -- store::tests::crc store::tests::shift \
+    store::tests::streaming
+cargo test -q --offline -p iotls --lib -- passive::tests::block_scan
 
 # Docs gate: rustdoc warnings (broken intra-doc links, bad code
 # fences) fail tier-1, same as clippy warnings do.

@@ -15,13 +15,15 @@
 //! All scratch stores live under `target/test_segstore/`.
 
 use iotls_repro::capture::{
-    to_json_columnar, ColumnarDataset, ColumnarStore, DatasetBuilder, RevocationFlow,
-    RevocationKind, SegmentedStore, SegmentedWriter,
+    to_json_columnar, CaptureCtx, ColumnarDataset, ColumnarStore, DatasetBuilder, RevocationFlow,
+    RevocationKind, SegmentedStore, SegmentedWriter, DEFAULT_SEED,
 };
 use iotls_repro::core::{
     analyze_columnar, analyze_store, analyze_store_slice, ExperimentCtx, PassiveAnalysis,
 };
 use iotls_repro::crypto::drbg::Drbg;
+use iotls_repro::crypto::sha256::{self, Sha256};
+use iotls_repro::devices::Testbed;
 use iotls_repro::simnet::TlsObservation;
 use iotls_repro::tls::alert::AlertDescription;
 use iotls_repro::tls::fingerprint::FingerprintId;
@@ -428,4 +430,164 @@ fn append_interns_against_the_existing_symbol_tables() {
     let from_store = analyze_store(&store, &ctx).expect("analyze combined");
     assert_eq!(from_store, analyze_columnar(&merged, &ctx));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// SHA-256 over every file of a store directory in name order, each
+/// file framed by its name and length.
+fn dir_digest(dir: &Path) -> String {
+    let mut names: Vec<String> = std::fs::read_dir(dir)
+        .expect("list store directory")
+        .map(|e| e.expect("directory entry").file_name().into_string().expect("UTF-8 name"))
+        .collect();
+    names.sort();
+    let mut h = Sha256::new();
+    for name in names {
+        let bytes = std::fs::read(dir.join(&name)).expect("read store file");
+        h.update(name.as_bytes());
+        h.update(&(bytes.len() as u64).to_le_bytes());
+        h.update(&bytes);
+    }
+    sha256::hex(&h.finalize())
+}
+
+/// The exact bytes a segmented build lays down, pinned as SHA-256
+/// digests over the manifest and every segment: a two-batch build of
+/// the synthetic corpus at two chunks per segment, and the generated
+/// capture at four connections per row streamed in at 16 chunks per
+/// segment. A codec change that moves one byte fails here even when
+/// every decoded value still roundtrips.
+#[test]
+fn segmented_store_bytes_are_pinned() {
+    let ds = corpus(0x5E6, 12);
+    let small = scratch("pinned_corpus.segdir");
+    let mut w = SegmentedWriter::create(&small).expect("create").with_chunk_limit(2);
+    for chunk in &ds.chunks[..7] {
+        w.add_chunk(chunk).expect("add chunk");
+    }
+    w.finish(&ds.strings, &ds.fps, &[], 0).expect("publish batch 1");
+    let mut w = SegmentedWriter::append(&small).expect("append").with_chunk_limit(2);
+    for chunk in &ds.chunks[7..] {
+        w.add_chunk(chunk).expect("add chunk");
+    }
+    w.finish(&ds.strings, &ds.fps, &ds.revocation_flows, ds.truncated)
+        .expect("publish batch 2");
+
+    let generated = scratch("pinned_generated.segdir");
+    let mut w = SegmentedWriter::create(&generated).expect("create").with_chunk_limit(16);
+    let tail = CaptureCtx::new(DEFAULT_SEED)
+        .with_threads(2)
+        .generate_streamed(Testbed::global(), 4, &mut |c| w.add_chunk(&c).expect("add chunk"));
+    w.finish(&tail.strings, &tail.fps, &tail.revocation_flows, tail.truncated)
+        .expect("publish generated capture");
+    assert!(
+        SegmentedStore::open(&generated).expect("open").segment_count() > 1,
+        "the generated capture must span several segments"
+    );
+
+    let mut moved = Vec::new();
+    for (name, dir, want) in [
+        (
+            "corpus",
+            &small,
+            "73f4ced20b6d0a9f1cfa4c7d8d800ec81857b6fc6de6b24dc1749218d59f991d",
+        ),
+        (
+            "generated",
+            &generated,
+            "2dae9e92cb9098735366d1e6e5871b4c3480257171ccdb2735ea9d5eeb1a6ee9",
+        ),
+    ] {
+        let got = dir_digest(dir);
+        if got != want {
+            moved.push(format!("{name}: {got}"));
+        }
+        std::fs::remove_dir_all(dir).ok();
+    }
+    assert!(moved.is_empty(), "segmented store bytes moved:\n{}", moved.join("\n"));
+}
+
+/// Two kinds of batch seal an empty segment: a chunkless first batch
+/// (the store needs a segment to carry its tables) and a flows-only
+/// batch. Both leave equal cumulative offsets behind, so mapping a
+/// global chunk index to its segment must skip every empty segment.
+#[test]
+fn empty_segments_never_own_a_chunk() {
+    let ds = corpus(0xE57, 6);
+    assert_eq!(ds.revocation_flows.len(), 2, "fixture splits its flows across batches");
+    let dir = scratch("empty_segments.segdir");
+    // Batch 1: no chunks at all, so segment 0 is empty.
+    SegmentedWriter::create(&dir)
+        .expect("create")
+        .finish(&ds.strings, &ds.fps, &[], 0)
+        .expect("publish chunkless batch");
+    // Batch 2: three chunks at two per segment (segments 1 and 2);
+    // batch 3: one flow and no chunks (empty segment 3); batch 4: the
+    // rest (segments 4 and 5) with the tails.
+    let batches: [(&[_], &[_], u64); 3] = [
+        (&ds.chunks[..3], &[], 0),
+        (&[], &ds.revocation_flows[..1], 0),
+        (&ds.chunks[3..], &ds.revocation_flows[1..], ds.truncated),
+    ];
+    for (chunks, flows, truncated) in batches {
+        let mut w = SegmentedWriter::append(&dir).expect("append").with_chunk_limit(2);
+        for chunk in chunks {
+            w.add_chunk(chunk).expect("add chunk");
+        }
+        w.finish(&ds.strings, &ds.fps, flows, truncated).expect("publish batch");
+    }
+
+    let store = SegmentedStore::open(&dir).expect("open");
+    assert_eq!(store.segment_count(), 6);
+    assert_eq!(store.chunk_count(), ds.chunks.len());
+    let owner = [1usize, 1, 2, 4, 4, 5];
+    let mut read_back = Vec::new();
+    for (i, &seg) in owner.iter().enumerate() {
+        assert_eq!(store.segment_of(i), seg, "chunk {i}");
+        assert_eq!(store.chunk_rows(i), ds.chunks[i].len(), "chunk {i}");
+        read_back.push(store.read_chunk(i).expect("every chunk reads"));
+    }
+    let via_index = ColumnarDataset {
+        strings: store.strings().clone(),
+        fps: store.fps().clone(),
+        chunks: read_back,
+        revocation_flows: store.revocation_flows().to_vec(),
+        truncated: store.truncated(),
+    };
+    assert_eq!(to_json_columnar(&via_index), to_json_columnar(&ds));
+
+    let oracle_path = scratch("empty_segments_oracle.iotls");
+    ds.write_to(&oracle_path).expect("write oracle");
+    let oracle = ColumnarStore::open(&oracle_path).expect("open oracle");
+    let ctx = ExperimentCtx::new(0x10AD);
+    assert_eq!(
+        analyze_store(&store, &ctx).expect("analyze segmented"),
+        analyze_store(&oracle, &ctx).expect("analyze oracle")
+    );
+
+    for m in 0..6u32 {
+        let (from, to) = (month_n(m).start().0, month_n(m).end().0);
+        for device in std::iter::once(None).chain(DEVICES.iter().map(|d| Some(*d))) {
+            let ctx = metered_ctx(1);
+            let got = analyze_store_slice(&store, from, to, device, &ctx).expect("slice");
+            let want = analyze_store_slice(&oracle, from, to, device, &metered_ctx(1))
+                .expect("oracle slice");
+            assert_eq!(got, want, "month {m} device {device:?}");
+            let sym = device.and_then(|d| store.strings().lookup(d));
+            let named: std::collections::BTreeSet<usize> = store
+                .select_chunks(from, to, sym)
+                .into_iter()
+                .map(|i| owner[i])
+                .collect();
+            assert_eq!(
+                ctx.metrics_snapshot().counter("capture.store.segments_scanned"),
+                named.len() as u64,
+                "month {m} device {device:?}"
+            );
+            for seg in [0, 3] {
+                assert_eq!(store.segment_bytes_read(seg), 0, "empty segment {seg} was read");
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(&oracle_path).ok();
 }

@@ -16,6 +16,7 @@ use iotls_repro::capture::{
     RevocationFlow, RevocationKind, SegmentedStore, SegmentedWriter, StoreError,
 };
 use iotls_repro::core::{analyze_columnar, analyze_store, ExperimentCtx};
+use iotls_repro::crypto::sha256;
 use iotls_repro::simnet::TlsObservation;
 use iotls_repro::tls::alert::AlertDescription;
 use iotls_repro::tls::fingerprint::FingerprintId;
@@ -157,6 +158,47 @@ fn seed_scale_store_analysis_matches_in_memory() {
     assert_eq!(from_disk, analyze_columnar(ds, &ctx));
     assert!(from_disk.total_connections > 0);
     std::fs::remove_file(&path).ok();
+}
+
+/// Hex SHA-256 of a file's bytes.
+fn file_digest(path: &std::path::Path) -> String {
+    let bytes = std::fs::read(path).expect("read store file");
+    sha256::hex(&sha256::sha256(&bytes))
+}
+
+/// The exact bytes `write_to` lays down, pinned as SHA-256 digests: a
+/// codec change that moves one byte of a frame, the directory, or the
+/// footer fails here, even when every decoded value still roundtrips.
+#[test]
+fn single_file_store_bytes_are_pinned() {
+    let cases: [(&str, &ColumnarDataset, &str); 3] = [
+        (
+            "small",
+            &small_dataset(),
+            "325c0af7857e7f79be50879add242183da4f624c40a06d76869738416a0a0aff",
+        ),
+        (
+            "monthly",
+            &monthly_corpus(),
+            "a463b4b0f3b7d1e8965caedac0f0d3457344394455e4103e5d0cb90828bfc0db",
+        ),
+        (
+            "seed_scale",
+            global_columnar(),
+            "bd22627cf35f4ab04a19553f6ad0de67b2ffb8b79276e5f835ff05257c31b388",
+        ),
+    ];
+    let mut moved = Vec::new();
+    for (name, ds, want) in cases {
+        let path = scratch(&format!("pinned_{name}.iotls"));
+        ds.write_to(&path).expect("write store");
+        let got = file_digest(&path);
+        if got != want {
+            moved.push(format!("{name}: {got}"));
+        }
+        std::fs::remove_file(&path).ok();
+    }
+    assert!(moved.is_empty(), "store bytes moved:\n{}", moved.join("\n"));
 }
 
 /// A corpus with one sealed chunk per study month — realistic shape
