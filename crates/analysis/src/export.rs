@@ -82,13 +82,12 @@ pub fn staleness_csv(pki: &SimPki, report: &RootProbeReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iotls::{cipher_series, version_series};
-    use iotls_capture::global_dataset;
+    use crate::seed_analysis as analysis;
 
     #[test]
     fn version_csv_shape() {
-        let ds = global_dataset();
-        let csv = version_series_csv(&crate::figures::month_axis(ds), &version_series(ds));
+        let a = analysis();
+        let csv = version_series_csv(&a.month_axis, &a.version_series);
         let mut lines = csv.lines();
         assert_eq!(
             lines.next().unwrap(),
@@ -105,8 +104,8 @@ mod tests {
 
     #[test]
     fn cipher_csv_fractions_in_range() {
-        let ds = global_dataset();
-        let csv = cipher_series_csv(&crate::figures::month_axis(ds), &cipher_series(ds));
+        let a = analysis();
+        let csv = cipher_series_csv(&a.month_axis, &a.cipher_series);
         for line in csv.lines().skip(1) {
             let fields: Vec<&str> = line.split(',').collect();
             for v in &fields[2..] {

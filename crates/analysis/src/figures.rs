@@ -1,30 +1,18 @@
 //! Renderers for the paper's figures: monthly heatmaps (Figures 1–3),
 //! the staleness histogram (Figure 4), and the sharing graph's text
 //! form (Figure 5 lives in [`crate::fpgraph`]).
+//!
+//! The heatmaps take their axis and series from one
+//! [`iotls::PassiveAnalysis`] (`month_axis`, `version_series`,
+//! `cipher_series`), the output of the production passive fold.
 
 use crate::render::heat_row;
 use iotls::{CipherMix, RootProbeReport, Series, VersionMix};
-use iotls_capture::PassiveDataset;
 use iotls_rootstore::{staleness_histogram, SimPki};
 use iotls_x509::Month;
 use std::collections::BTreeMap;
 
 const LABEL_WIDTH: usize = 22;
-
-/// The sorted, distinct months with traffic — the heatmap x-axis.
-/// Streaming callers get this for free from
-/// `iotls::PassiveAnalysis::month_axis`; this helper derives it from
-/// a materialized row dataset.
-pub fn month_axis(ds: &PassiveDataset) -> Vec<Month> {
-    let mut months: Vec<Month> = ds
-        .observations
-        .iter()
-        .map(|o| o.observation.time.month())
-        .collect();
-    months.sort();
-    months.dedup();
-    months
-}
 
 fn series_row<T, F: Fn(&T) -> f64>(
     series: &BTreeMap<Month, T>,
@@ -167,15 +155,12 @@ pub fn fig4_staleness(pki: &SimPki, report: &RootProbeReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iotls::{cipher_series, passive_summary, version_series};
-    use iotls_capture::global_dataset;
+    use crate::seed_analysis as analysis;
 
     #[test]
     fn fig1_contains_wemo_and_axis() {
-        let ds = global_dataset();
-        let series = version_series(ds);
-        let summary = passive_summary(ds);
-        let text = fig1_versions(&month_axis(ds), &series, &summary.fig1_devices);
+        let a = analysis();
+        let text = fig1_versions(&a.month_axis, &a.version_series, &a.summary.fig1_devices);
         assert!(text.contains("Wemo Plug adv old"));
         assert!(text.contains("Google Home Mini adv 1.3"));
         // 27 months of axis between the pipes.
@@ -186,9 +171,8 @@ mod tests {
 
     #[test]
     fn fig2_skips_clean_devices() {
-        let ds = global_dataset();
-        let series = cipher_series(ds);
-        let text = fig2_insecure(&month_axis(ds), &series);
+        let a = analysis();
+        let text = fig2_insecure(&a.month_axis, &a.cipher_series);
         assert!(text.contains("Zmodo Doorbell"));
         assert!(!text.contains("D-Link Camera"));
         assert!(!text.contains("Nest Thermostat"));
@@ -196,9 +180,8 @@ mod tests {
 
     #[test]
     fn fig3_shows_transitioning_devices() {
-        let ds = global_dataset();
-        let series = cipher_series(ds);
-        let text = fig3_strong(&month_axis(ds), &series);
+        let a = analysis();
+        let text = fig3_strong(&a.month_axis, &a.cipher_series);
         assert!(text.contains("Blink Hub"));
         assert!(text.contains("Wink Hub 2"));
     }

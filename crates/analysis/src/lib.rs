@@ -25,9 +25,18 @@ pub mod render;
 pub mod tables;
 
 pub use export::{cipher_series_csv, staleness_csv, version_series_csv};
-pub use figures::month_axis;
 pub use fpdb::{template_fingerprint, FingerprintDb, DB_SIZE};
 pub use golden::experiment_artifacts;
 pub use fpgraph::{Edge, Node, SharingGraph};
 pub use minimization::{render_utilization, root_store_utilization, UtilizationRow};
 pub use render::{heat_glyph, heat_row, TextTable};
+
+/// The production passive fold over the seed-scale capture, which the
+/// renderer and export tests read.
+#[cfg(test)]
+fn seed_analysis() -> &'static iotls::PassiveAnalysis {
+    static A: std::sync::OnceLock<iotls::PassiveAnalysis> = std::sync::OnceLock::new();
+    A.get_or_init(|| {
+        iotls::analyze_columnar(iotls_capture::global_columnar(), &iotls::ExperimentCtx::new(0))
+    })
+}

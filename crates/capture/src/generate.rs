@@ -19,9 +19,10 @@
 //! sealed [`ObsChunk`]s to the caller's sink.
 //! [`CaptureCtx::generate_streamed`]
 //! can additionally split each weighted row into many physical rows
-//! (`max_count_per_row`), which is how the `passive_10m` bench
-//! materializes a paper-scale (≥10M-connection) row stream from the
-//! seed schedule while holding only one open chunk in memory.
+//! (`max_count_per_row`): at one connection per row that
+//! materializes a paper-scale (≥10M-row) stream from the seed
+//! schedule while holding only one open chunk in memory (the
+//! `passive_pipeline` benchmark workload runs it at four).
 
 use crate::columnar::{
     ChunkWriter, ColumnarDataset, ColumnarStats, DatasetBuilder, ObsChunk, RevRow, RowView,

@@ -9,6 +9,11 @@
 //! destination's monthly connection rate. The result is the ≈17M
 //! connection dataset that drives Figures 1–3 and Table 8, with JSON
 //! (de)serialization for the public-dataset deliverable.
+//!
+//! The dataset persists in one layout: a segmented store directory
+//! ([`SegmentedWriter`] builds or extends it, [`SegmentedStore`]
+//! reads it back frame by frame), whose segment files use the codec
+//! in [`store`].
 
 pub mod columnar;
 pub mod dataset;
@@ -25,7 +30,7 @@ pub use columnar::{
     RawRow, RevRow, RowView, CHUNK_ROWS,
 };
 pub use segstore::{SegmentedStore, SegmentedWriter};
-pub use store::{ChunkStore, ColumnarStore, StoreError, StoreSummary, StoreWriter};
+pub use store::StoreError;
 pub use dataset::{
     DatasetStats, PassiveDataset, RevocationFlow, RevocationKind, WeightedObservation,
 };
@@ -39,7 +44,8 @@ pub use serialize::{
 use iotls_devices::Testbed;
 use std::sync::OnceLock;
 
-/// The canonical dataset seed used by every bench and example.
+/// The canonical dataset seed used by every example, test, and
+/// benchmark workload.
 pub const DEFAULT_SEED: u64 = 0x10AD;
 
 /// The process-wide shared dataset (default seed, global testbed).

@@ -1,22 +1,24 @@
-//! Segmented persistent store: a directory of immutable segment
-//! files plus a small merged manifest.
+//! The persistent store: a directory of immutable segment files plus
+//! a small merged manifest. It is the one on-disk layout of the
+//! columnar dataset.
 //!
-//! A single [`crate::store`] file is sized for one capture campaign;
-//! the "2 years of pcap at the gateway" workload is ingested across
-//! many capture days and re-analyzed in slices. The segmented layout
-//! scales both axes:
+//! The "2 years of pcap at the gateway" workload is ingested across
+//! many capture days and re-analyzed in slices; the segmented layout
+//! scales both axes. A one-shot capture is simply a store of one
+//! batch (one segment when the writer's chunk limit is raised with
+//! [`SegmentedWriter::with_chunk_limit`]).
 //!
 //! ```text
 //! store-dir/
 //!   MANIFEST          merged directory (atomic rename publish)
-//!   seg-000000.seg    a complete, self-contained store file
-//!   seg-000001.seg    (header · frames · footer, per crate::store)
+//!   seg-000000.seg    one segment (header · frames · footer,
+//!   seg-000001.seg    in the codec of crate::store)
 //!   …
 //! ```
 //!
-//! Every segment is a full v1 columnar store file — openable on its
-//! own by [`ColumnarStore::open`] — whose footer carries the global
-//! symbol tables **as of the batch that sealed it**. Symbol tables
+//! Every segment is a complete v1 segment file of the
+//! [`crate::store`] codec whose footer carries the global symbol
+//! tables **as of the batch that sealed it**. Symbol tables
 //! only ever grow by appending (interning is insertion-ordered), so
 //! each earlier segment's tables are a prefix of every later one and
 //! the last segment's tables are authoritative for the whole store;
@@ -59,7 +61,7 @@
 use crate::columnar::{ColumnarDataset, ObsChunk};
 use crate::intern::{DigestInterner, Interner, Symbol};
 use crate::store::{
-    crc32, put_le, trunc, ChunkStore, ColumnarStore, Reader, StoreError, StoreWriter, NO_SYM,
+    crc32, may_hold, put_le, trunc, ColumnarStore, Reader, StoreError, StoreWriter, NO_SYM,
 };
 use crate::RevRow;
 use std::fs::{self, File};
@@ -230,7 +232,8 @@ struct Segment {
 /// An opened segmented store: the manifest and every listed segment's
 /// footer resident, chunk frames read on demand. Chunks are numbered
 /// globally in segment order, so analysis code shards over one flat
-/// index space exactly as it does for a single file.
+/// index space whatever the segment layout. `Sync`: readers share one
+/// store across scoped worker threads.
 pub struct SegmentedStore {
     dir: PathBuf,
     segments: Vec<Segment>,
@@ -262,8 +265,9 @@ impl SegmentedStore {
     /// manifest, opens every listed segment (footer only; frames stay
     /// on disk), checks each segment against its manifest entry
     /// (length, footer CRC, chunk/row/connection counts), and checks
-    /// the symbol-table prefix invariant. Segment files on disk that
-    /// no manifest entry names — the residue of a torn append — are
+    /// the symbol-table prefix invariant. A manifest that names one
+    /// segment twice is corrupt. Segment files on disk that no
+    /// manifest entry names — the residue of a torn append — are
     /// ignored and counted in [`orphan_segments`](Self::orphan_segments).
     pub fn open(dir: &Path) -> Result<SegmentedStore, StoreError> {
         let manifest_path = dir.join(MANIFEST_NAME);
@@ -326,6 +330,9 @@ impl SegmentedStore {
         // manifest entry names: clean recovery from a torn append.
         let named: std::collections::HashSet<&str> =
             segments.iter().map(|s| s.meta.name.as_str()).collect();
+        if named.len() != segments.len() {
+            return Err(StoreError::Corrupt("manifest names a segment twice"));
+        }
         let mut orphans = 0usize;
         for entry in fs::read_dir(dir)? {
             let entry = entry?;
@@ -426,7 +433,8 @@ impl SegmentedStore {
     pub fn select_chunks(&self, from: i64, to: i64, device: Option<Symbol>) -> Vec<usize> {
         let mut out = Vec::new();
         for (idx, seg) in self.segments.iter().enumerate() {
-            if !segment_matches(&seg.meta, from, to, device) {
+            let m = &seg.meta;
+            if !may_hold(m.min_time, m.max_time, &m.device_bits, from, to, device) {
                 continue;
             }
             let base = self.offsets[idx];
@@ -445,8 +453,10 @@ impl SegmentedStore {
         self.read_chunk_with(i, &mut Vec::new())
     }
 
-    /// [`read_chunk`](Self::read_chunk) with a caller-owned scratch
-    /// buffer (see [`ColumnarStore::read_chunk_with`]).
+    /// [`read_chunk`](Self::read_chunk) through a caller-owned `pread`
+    /// buffer. A loop that walks many frames through one scratch
+    /// vector pays for the frame-sized allocation once instead of per
+    /// chunk — the buffer is grow-only and overwritten in place.
     pub fn read_chunk_with(&self, i: usize, scratch: &mut Vec<u8>) -> Result<ObsChunk, StoreError> {
         if i >= self.chunk_count() {
             return Err(StoreError::Corrupt("chunk index out of range"));
@@ -488,64 +498,6 @@ impl SegmentedStore {
             revocation_flows: self.flows.clone(),
             truncated: self.truncated,
         })
-    }
-}
-
-/// Segment-level pruning predicate off the manifest entry alone.
-fn segment_matches(meta: &SegmentMeta, from: i64, to: i64, device: Option<Symbol>) -> bool {
-    let time_ok = meta.min_time <= to && meta.max_time >= from;
-    let device_ok = match device {
-        None => true,
-        Some(d) => {
-            let (word, bit) = (d.index() / 64, d.index() % 64);
-            meta.device_bits.get(word).is_some_and(|&w| (w >> bit) & 1 == 1)
-        }
-    };
-    time_ok && device_ok
-}
-
-impl ChunkStore for SegmentedStore {
-    fn chunk_count(&self) -> usize {
-        SegmentedStore::chunk_count(self)
-    }
-    fn chunk_rows(&self, i: usize) -> usize {
-        SegmentedStore::chunk_rows(self, i)
-    }
-    fn segment_count(&self) -> usize {
-        SegmentedStore::segment_count(self)
-    }
-    fn segment_of(&self, i: usize) -> usize {
-        SegmentedStore::segment_of(self, i)
-    }
-    fn read_chunk_with(&self, i: usize, scratch: &mut Vec<u8>) -> Result<ObsChunk, StoreError> {
-        SegmentedStore::read_chunk_with(self, i, scratch)
-    }
-    fn select_chunks(&self, from: i64, to: i64, device: Option<Symbol>) -> Vec<usize> {
-        SegmentedStore::select_chunks(self, from, to, device)
-    }
-    fn strings(&self) -> &Interner {
-        SegmentedStore::strings(self)
-    }
-    fn fps(&self) -> &DigestInterner {
-        SegmentedStore::fps(self)
-    }
-    fn revocation_flows(&self) -> &[RevRow] {
-        SegmentedStore::revocation_flows(self)
-    }
-    fn truncated(&self) -> u64 {
-        SegmentedStore::truncated(self)
-    }
-    fn total_rows(&self) -> u64 {
-        SegmentedStore::total_rows(self)
-    }
-    fn total_connections(&self) -> u64 {
-        SegmentedStore::total_connections(self)
-    }
-    fn frame_bytes_read(&self) -> u64 {
-        SegmentedStore::frame_bytes_read(self)
-    }
-    fn frame_bytes_total(&self) -> u64 {
-        SegmentedStore::frame_bytes_total(self)
     }
 }
 
@@ -782,11 +734,11 @@ impl SegmentedWriter {
     }
 
     /// Publishes the batch with explicitly supplied final tables and
-    /// tail deltas (the streaming-generator path, mirroring
-    /// [`StoreWriter::finish`]): `strings`/`fps` must extend the
-    /// tables the writer was seeded with, `flows`/`truncated` are
-    /// this batch's additions. Atomic: the new manifest is written
-    /// to a temporary file and renamed over the old one.
+    /// tail deltas (the streaming-generator path): `strings`/`fps`
+    /// must extend the tables the writer was seeded with,
+    /// `flows`/`truncated` are this batch's additions. Atomic: the new
+    /// manifest is written to a temporary file and renamed over the
+    /// old one.
     pub fn finish(
         self,
         strings: &Interner,

@@ -1,6 +1,7 @@
-//! Persistent on-disk form of the columnar dataset.
+//! The segment codec: the on-disk form of one segment of a
+//! [`SegmentedStore`](crate::segstore::SegmentedStore).
 //!
-//! A store file is a length-prefixed frame sequence: a fixed 20-byte
+//! A segment file is a length-prefixed frame sequence: a fixed 20-byte
 //! header, the sealed chunk frames back to back, and a footer holding
 //! the chunk directory (offset, length, row count, CRC-32C, and the
 //! per-chunk pruning metadata — min/max time plus the device bitmap),
@@ -28,16 +29,14 @@
 //!          footer crc32 u32
 //! ```
 //!
-//! [`StoreWriter`] streams chunks to disk as they seal (usable as a
-//! `generate_streamed` sink, so a paper-scale corpus is written in
-//! bounded memory); [`ColumnarStore`] reads the directory and tables
-//! eagerly but materializes chunk frames lazily — with
-//! [`select_chunks`](ColumnarStore::select_chunks) pruning straight
-//! off the directory, a time/device slice never touches the skipped
-//! frames at all. [`ColumnarStore::open`] reads frames on demand
-//! (`pread`, bounded memory); [`ColumnarStore::open_mmap`] maps the
-//! whole file (falling back to one buffered read when `mmap` is
-//! unavailable) for repeated random access.
+//! The crate-private `StoreWriter` streams chunks into one segment
+//! file as they seal, and `ColumnarStore` reads one back: the
+//! directory and tables eagerly, chunk frames lazily through
+//! positioned reads (`pread`), so peak memory stays near one decoded
+//! chunk per reading thread and a pruned time/device slice never
+//! touches the skipped frames at all. The public surface is the
+//! segmented store built on them, the typed [`StoreError`], and the
+//! [`crc32`] kernel.
 //!
 //! Corruption never panics: truncations, bit flips, and structurally
 //! impossible values all surface as typed [`StoreError`]s. Decoded
@@ -46,7 +45,7 @@
 //! CRC-correct but hostile file cannot push an out-of-bounds index
 //! into the row accessors.
 
-use crate::columnar::{ColumnarDataset, ObsChunk};
+use crate::columnar::ObsChunk;
 use crate::dataset::RevocationKind;
 use crate::intern::{DigestInterner, Interner, Symbol};
 use crate::RevRow;
@@ -271,8 +270,9 @@ fn crc32_sw(state: u32, bytes: &[u8]) -> u32 {
 
 // ── Errors ──────────────────────────────────────────────────────────
 
-/// Everything that can go wrong reading a store file. Corrupt input
-/// is an error value, never a panic.
+/// Everything that can go wrong reading a store — its manifest or
+/// one of its segment files. Corrupt input is an error value, never a
+/// panic.
 #[derive(Debug)]
 pub enum StoreError {
     /// Underlying I/O failure.
@@ -290,9 +290,9 @@ pub enum StoreError {
         /// gave out.
         offset: u64,
         /// The file the offset refers to. Empty until the opener
-        /// attributes it — single-file opens and the segmented store
-        /// both fill it, so multi-file corruption names the exact
-        /// segment.
+        /// attributes it — the segmented store fills it, so
+        /// multi-file corruption names the exact segment or the
+        /// manifest.
         path: String,
     },
     /// A CRC-32C check failed: `chunk` names the frame, `None` means
@@ -595,7 +595,7 @@ fn decode_le<T: Copy + Default>(
 
 /// One chunk's directory entry: where its frame lives, its CRC, and
 /// the pruning metadata preserved outside the frame so
-/// [`ColumnarStore::select_chunks`] never has to decode it.
+/// `ColumnarStore::select_chunks` never has to decode it.
 #[derive(Debug, Clone)]
 struct DirEntry {
     offset: u64,
@@ -607,25 +607,23 @@ struct DirEntry {
     device_bits: Vec<u64>,
 }
 
-/// What [`StoreWriter::finish`] reports about the sealed file: its
+/// What [`StoreWriter::finish`] reports about the sealed segment: its
 /// total length and its footer CRC-32C. Because every frame CRC is
 /// recorded inside the footer, the footer CRC is a cheap fingerprint
 /// of the file's entire content — the segmented store manifest
 /// records both to bind itself to each immutable segment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StoreSummary {
+pub(crate) struct StoreSummary {
     /// Final file length in bytes.
-    pub file_len: u64,
+    pub(crate) file_len: u64,
     /// CRC-32C of the footer body, as written to disk.
-    pub footer_crc: u32,
+    pub(crate) footer_crc: u32,
 }
 
-/// Streams sealed chunks into a store file; the footer (directory +
-/// intern tables + tails) is written by [`finish`](Self::finish).
-/// Usable directly as a `generate_streamed` sink, so a paper-scale
-/// corpus persists in bounded memory.
+/// Streams sealed chunks into one segment file; the footer (directory,
+/// intern tables and tails) is written by [`finish`](Self::finish).
 #[derive(Debug)]
-pub struct StoreWriter {
+pub(crate) struct StoreWriter {
     out: BufWriter<File>,
     offset: u64,
     dir: Vec<DirEntry>,
@@ -637,7 +635,7 @@ pub struct StoreWriter {
 impl StoreWriter {
     /// Creates (truncating) `path` and writes a placeholder header;
     /// the footer offset is patched in by [`finish`](Self::finish).
-    pub fn create(path: &Path) -> io::Result<StoreWriter> {
+    pub(crate) fn create(path: &Path) -> io::Result<StoreWriter> {
         let mut out = BufWriter::new(File::create(path)?);
         out.write_all(&MAGIC)?;
         out.write_all(&VERSION.to_le_bytes())?;
@@ -653,7 +651,7 @@ impl StoreWriter {
     }
 
     /// Appends one sealed chunk as a frame.
-    pub fn add_chunk(&mut self, chunk: &ObsChunk) -> io::Result<()> {
+    pub(crate) fn add_chunk(&mut self, chunk: &ObsChunk) -> io::Result<()> {
         encode_chunk(chunk, &mut self.buf);
         let crc = crc32(&self.buf);
         self.out.write_all(&self.buf)?;
@@ -675,7 +673,7 @@ impl StoreWriter {
     /// Writes the footer (directory, intern tables, flows, tails,
     /// CRC), patches the header's footer offset, and syncs lengths.
     /// Returns the sealed file's [`StoreSummary`].
-    pub fn finish(
+    pub(crate) fn finish(
         mut self,
         strings: &Interner,
         fps: &DigestInterner,
@@ -730,202 +728,7 @@ impl StoreWriter {
     }
 }
 
-impl ColumnarDataset {
-    /// Persists the dataset (all in-memory chunks, tables, and tails)
-    /// to a store file at `path`.
-    pub fn write_to(&self, path: &Path) -> io::Result<()> {
-        let mut w = StoreWriter::create(path)?;
-        for chunk in &self.chunks {
-            w.add_chunk(chunk)?;
-        }
-        w.finish(&self.strings, &self.fps, &self.revocation_flows, self.truncated)?;
-        Ok(())
-    }
-
-    /// Opens a store file and materializes every chunk — the
-    /// read-it-all inverse of [`write_to`](Self::write_to). Use
-    /// [`ColumnarStore::open`] to keep frames on disk instead.
-    pub fn open(path: &Path) -> Result<ColumnarDataset, StoreError> {
-        ColumnarStore::open(path)?.to_dataset()
-    }
-}
-
-// ── Backing storage ─────────────────────────────────────────────────
-
-#[cfg(unix)]
-mod map {
-    //! Minimal read-only `mmap` binding (no libc crate in the
-    //! workspace; the two syscalls are declared directly).
-    use std::fs::File;
-    use std::os::unix::io::AsRawFd;
-
-    const PROT_READ: i32 = 1;
-    const MAP_PRIVATE: i32 = 2;
-
-    extern "C" {
-        fn mmap(
-            addr: *mut core::ffi::c_void,
-            len: usize,
-            prot: i32,
-            flags: i32,
-            fd: i32,
-            offset: i64,
-        ) -> *mut core::ffi::c_void;
-        fn munmap(addr: *mut core::ffi::c_void, len: usize) -> i32;
-    }
-
-    /// A read-only private mapping of a whole file.
-    #[derive(Debug)]
-    pub struct Mmap {
-        ptr: *mut core::ffi::c_void,
-        len: usize,
-    }
-
-    // SAFETY: the mapping is PROT_READ/MAP_PRIVATE and never aliased
-    // mutably; sharing the raw pointer across threads is sound.
-    unsafe impl Send for Mmap {}
-    unsafe impl Sync for Mmap {}
-
-    impl Mmap {
-        /// Maps `len` bytes of `file` read-only, or `None` when the
-        /// kernel refuses (empty file, exotic filesystem, …) — the
-        /// caller falls back to a buffered read.
-        pub fn new(file: &File, len: usize) -> Option<Mmap> {
-            if len == 0 {
-                return None;
-            }
-            let ptr = unsafe {
-                mmap(
-                    std::ptr::null_mut(),
-                    len,
-                    PROT_READ,
-                    MAP_PRIVATE,
-                    file.as_raw_fd(),
-                    0,
-                )
-            };
-            if ptr as usize == usize::MAX {
-                None // MAP_FAILED
-            } else {
-                Some(Mmap { ptr, len })
-            }
-        }
-
-        /// The mapped bytes.
-        pub fn bytes(&self) -> &[u8] {
-            // SAFETY: ptr/len come from a successful mmap of a file
-            // we hold open; the mapping lives until Drop.
-            unsafe { std::slice::from_raw_parts(self.ptr as *const u8, self.len) }
-        }
-    }
-
-    impl Drop for Mmap {
-        fn drop(&mut self) {
-            // SAFETY: exact (ptr, len) pair returned by mmap.
-            unsafe {
-                munmap(self.ptr, self.len);
-            }
-        }
-    }
-}
-
-/// Where the frame bytes come from: positioned reads against the open
-/// file (default — bounded memory), a memory map, or a full in-memory
-/// copy (the mmap fallback).
-enum Backing {
-    /// Lazy positioned reads (`pread`); nothing resident but the
-    /// directory and tables.
-    Lazy(File),
-    /// The whole file in one buffer.
-    Buf(Vec<u8>),
-    /// The whole file mapped read-only.
-    #[cfg(unix)]
-    Map(map::Mmap),
-}
-
-impl std::fmt::Debug for Backing {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            Backing::Lazy(_) => f.write_str("Backing::Lazy"),
-            Backing::Buf(b) => write!(f, "Backing::Buf({} bytes)", b.len()),
-            #[cfg(unix)]
-            Backing::Map(m) => write!(f, "Backing::Map({} bytes)", m.bytes().len()),
-        }
-    }
-}
-
-impl Backing {
-    /// Returns `len` bytes at `off`, reading into `scratch` when the
-    /// backing is lazy.
-    fn bytes<'a>(
-        &'a self,
-        off: u64,
-        len: usize,
-        scratch: &'a mut Vec<u8>,
-    ) -> Result<&'a [u8], StoreError> {
-        match self {
-            Backing::Lazy(file) => {
-                // Grow-only: a reused scratch buffer is overwritten in
-                // place by the pread, so same-size frames (the common
-                // case — every sealed chunk holds CHUNK_ROWS rows)
-                // cost zero allocation and zero memset after the
-                // first.
-                if scratch.len() < len {
-                    scratch.resize(len, 0);
-                }
-                read_at_or_trunc(file, &mut scratch[..len], off, "frame")?;
-                Ok(&scratch[..len])
-            }
-            Backing::Buf(buf) => slice_at(buf, off, len),
-            #[cfg(unix)]
-            Backing::Map(m) => slice_at(m.bytes(), off, len),
-        }
-    }
-
-    /// Frame fetch fused with its checksum. On the `pread` backing
-    /// the frame is fetched in 256 KiB blocks and each block is
-    /// CRC'd while still cache-hot from the copy — one trip through
-    /// DRAM instead of two for a multi-megabyte frame. The in-memory
-    /// backings just checksum the borrowed slice.
-    fn frame_crc<'a>(
-        &'a self,
-        off: u64,
-        len: usize,
-        scratch: &'a mut Vec<u8>,
-    ) -> Result<(&'a [u8], u32), StoreError> {
-        match self {
-            Backing::Lazy(file) => {
-                const BLOCK: usize = 256 << 10;
-                if scratch.len() < len {
-                    scratch.resize(len, 0);
-                }
-                let mut state = !0u32;
-                let mut done = 0;
-                while done < len {
-                    let n = BLOCK.min(len - done);
-                    let block = &mut scratch[done..done + n];
-                    read_at_or_trunc(file, block, off + done as u64, "frame")?;
-                    state = crc32_raw(state, block);
-                    done += n;
-                }
-                Ok((&scratch[..len], !state))
-            }
-            _ => {
-                let payload = self.bytes(off, len, scratch)?;
-                Ok((payload, crc32(payload)))
-            }
-        }
-    }
-}
-
-fn slice_at(buf: &[u8], off: u64, len: usize) -> Result<&[u8], StoreError> {
-    let start = usize::try_from(off).map_err(|_| trunc("frame", off))?;
-    start
-        .checked_add(len)
-        .filter(|&end| end <= buf.len())
-        .map(|end| &buf[start..end])
-        .ok_or_else(|| trunc("frame", off))
-}
+// ── Positioned reads ────────────────────────────────────────────────
 
 #[cfg(unix)]
 fn read_exact_at(file: &File, buf: &mut [u8], off: u64) -> io::Result<()> {
@@ -942,18 +745,18 @@ fn read_exact_at(file: &File, buf: &mut [u8], off: u64) -> io::Result<()> {
     f.read_exact(buf)
 }
 
-// ── Store reader ────────────────────────────────────────────────────
+// ── Segment reader ──────────────────────────────────────────────────
 
-/// An opened store file: directory, intern tables, flows, and tails
-/// resident; chunk frames decoded on demand by
-/// [`read_chunk`](Self::read_chunk).
+/// An opened segment file: directory, intern tables, flows, and tails
+/// resident; chunk frames `pread`, checksummed, and decoded on demand
+/// by [`read_chunk_with`](Self::read_chunk_with).
 #[derive(Debug)]
-pub struct ColumnarStore {
-    backing: Backing,
+pub(crate) struct ColumnarStore {
+    file: File,
     path: std::path::PathBuf,
     dir: Vec<DirEntry>,
     footer_crc: u32,
-    /// Frame payload bytes fetched from the backing so far — the
+    /// Frame payload bytes fetched from disk so far — the
     /// read-counting witness that pruned chunks (and, through the
     /// segmented store, whole skipped segments) are never touched.
     frame_bytes: std::sync::atomic::AtomicU64,
@@ -967,10 +770,10 @@ pub struct ColumnarStore {
 
 impl ColumnarStore {
     /// Opens `path` with lazy positioned reads: only the footer
-    /// becomes resident, and [`read_chunk`](Self::read_chunk) `pread`s
-    /// one frame at a time — peak memory stays near one decoded chunk
-    /// per reading thread regardless of file size.
-    pub fn open(path: &Path) -> Result<ColumnarStore, StoreError> {
+    /// becomes resident, and [`read_chunk_with`](Self::read_chunk_with)
+    /// `pread`s one frame at a time — peak memory stays near one
+    /// decoded chunk per reading thread regardless of file size.
+    pub(crate) fn open(path: &Path) -> Result<ColumnarStore, StoreError> {
         Self::open_inner(path).map_err(|e| e.with_path(path))
     }
 
@@ -990,50 +793,12 @@ impl ColumnarStore {
             .map_err(|_| trunc("footer", footer_off))?;
         let mut footer = vec![0u8; footer_len];
         read_at_or_trunc(&file, &mut footer, footer_off, "footer")?;
-        Self::from_parts(Backing::Lazy(file), footer_off, &footer, path)
+        Self::from_parts(file, footer_off, &footer, path)
     }
 
-    /// Opens `path` mapping the whole file read-only (best for
-    /// repeated random access); when `mmap` is unavailable the entire
-    /// file is read into memory instead, so the API degrades
-    /// gracefully rather than failing.
-    pub fn open_mmap(path: &Path) -> Result<ColumnarStore, StoreError> {
-        Self::open_mmap_inner(path).map_err(|e| e.with_path(path))
-    }
-
-    fn open_mmap_inner(path: &Path) -> Result<ColumnarStore, StoreError> {
-        let file = File::open(path)?;
-        let file_len = file.metadata()?.len();
-        let len = usize::try_from(file_len).map_err(|_| trunc("file length", file_len))?;
-        #[cfg(unix)]
-        if let Some(m) = map::Mmap::new(&file, len) {
-            return Self::open_buflike(Backing::Map(m), len, path);
-        }
-        let mut buf = vec![0u8; len];
-        read_exact_at(&file, &mut buf, 0)?;
-        Self::open_buflike(Backing::Buf(buf), len, path)
-    }
-
-    fn open_buflike(backing: Backing, len: usize, path: &Path) -> Result<ColumnarStore, StoreError> {
-        let mut scratch = Vec::new();
-        if (len as u64) < HEADER_LEN {
-            return Err(trunc("header", len as u64));
-        }
-        let header = backing.bytes(0, HEADER_LEN as usize, &mut scratch)?;
-        let footer_off = check_header(header)?;
-        if footer_off < HEADER_LEN || footer_off > len as u64 {
-            return Err(trunc("footer offset", footer_off));
-        }
-        let footer_len = len - footer_off as usize;
-        let mut fscratch = Vec::new();
-        let footer = backing.bytes(footer_off, footer_len, &mut fscratch)?;
-        let footer = footer.to_vec();
-        Self::from_parts(backing, footer_off, &footer, path)
-    }
-
-    /// Parses and validates the footer, producing the opened store.
+    /// Parses and validates the footer, producing the opened segment.
     fn from_parts(
-        backing: Backing,
+        file: File,
         footer_off: u64,
         footer: &[u8],
         path: &Path,
@@ -1131,7 +896,7 @@ impl ColumnarStore {
         r.done()?;
 
         Ok(ColumnarStore {
-            backing,
+            file,
             path: path.to_path_buf(),
             dir,
             footer_crc: want,
@@ -1146,103 +911,87 @@ impl ColumnarStore {
     }
 
     /// Number of chunk frames.
-    pub fn chunk_count(&self) -> usize {
+    pub(crate) fn chunk_count(&self) -> usize {
         self.dir.len()
     }
 
     /// Rows in frame `i` (directory metadata; no frame read).
-    pub fn chunk_rows(&self, i: usize) -> usize {
+    pub(crate) fn chunk_rows(&self, i: usize) -> usize {
         self.dir[i].rows as usize
     }
 
-    /// The shared string table.
-    pub fn strings(&self) -> &Interner {
+    /// The string table as of the batch that sealed this segment.
+    pub(crate) fn strings(&self) -> &Interner {
         &self.strings
     }
 
-    /// The shared fingerprint table.
-    pub fn fps(&self) -> &DigestInterner {
+    /// The fingerprint table as of the batch that sealed this segment.
+    pub(crate) fn fps(&self) -> &DigestInterner {
         &self.fps
     }
 
-    /// Revocation endpoint flows.
-    pub fn revocation_flows(&self) -> &[RevRow] {
+    /// Revocation endpoint flows this segment carries.
+    pub(crate) fn revocation_flows(&self) -> &[RevRow] {
         &self.flows
     }
 
-    /// Truncated-capture tally.
-    pub fn truncated(&self) -> u64 {
+    /// Truncated-capture tally this segment carries.
+    pub(crate) fn truncated(&self) -> u64 {
         self.truncated
     }
 
     /// Total rows across all frames (footer tail; no frame reads).
-    pub fn total_rows(&self) -> u64 {
+    pub(crate) fn total_rows(&self) -> u64 {
         self.total_rows
     }
 
     /// Total weighted connections (footer tail; no frame reads).
-    pub fn total_connections(&self) -> u64 {
+    pub(crate) fn total_connections(&self) -> u64 {
         self.total_connections
-    }
-
-    /// The path this store was opened from.
-    pub fn path(&self) -> &Path {
-        &self.path
     }
 
     /// CRC-32C of the footer body as stored on disk. Every frame CRC
     /// lives inside the footer, so this one word fingerprints the
     /// file's entire content — the segmented store manifest records
     /// it to bind directory entries to their immutable segments.
-    pub fn footer_crc(&self) -> u32 {
+    pub(crate) fn footer_crc(&self) -> u32 {
         self.footer_crc
     }
 
-    /// Frame payload bytes fetched from the backing since open — the
+    /// Frame payload bytes fetched from disk since open — the
     /// read-counting proof that pruned chunks are never touched.
-    pub fn frame_bytes_read(&self) -> u64 {
+    pub(crate) fn frame_bytes_read(&self) -> u64 {
         self.frame_bytes.load(std::sync::atomic::Ordering::Relaxed)
     }
 
     /// Frame payload bytes the whole file holds (directory sum; no
     /// frame reads).
-    pub fn frame_bytes_total(&self) -> u64 {
+    pub(crate) fn frame_bytes_total(&self) -> u64 {
         self.dir.iter().map(|e| e.len).sum()
     }
 
-    /// Chunk indices whose time range overlaps `[from, to]` and —
-    /// when `device` is given — whose device bitmap contains it.
+    /// Chunk indices whose directory entry passes [`may_hold`].
     /// Pruning works entirely off the directory: skipped chunks are
     /// never read from disk, let alone decoded.
-    pub fn select_chunks(&self, from: i64, to: i64, device: Option<Symbol>) -> Vec<usize> {
+    pub(crate) fn select_chunks(&self, from: i64, to: i64, device: Option<Symbol>) -> Vec<usize> {
         self.dir
             .iter()
             .enumerate()
-            .filter(|(_, e)| {
-                let time_ok = e.min_time <= to && e.max_time >= from;
-                let device_ok = match device {
-                    None => true,
-                    Some(d) => {
-                        let (word, bit) = (d.index() / 64, d.index() % 64);
-                        e.device_bits.get(word).is_some_and(|&w| (w >> bit) & 1 == 1)
-                    }
-                };
-                time_ok && device_ok
-            })
+            .filter(|(_, e)| may_hold(e.min_time, e.max_time, &e.device_bits, from, to, device))
             .map(|(i, _)| i)
             .collect()
     }
 
-    /// Reads, CRC-checks, decodes, and validates frame `i`.
-    pub fn read_chunk(&self, i: usize) -> Result<ObsChunk, StoreError> {
-        self.read_chunk_with(i, &mut Vec::new())
-    }
-
-    /// [`read_chunk`](Self::read_chunk) with a caller-owned pread
-    /// buffer. A loop that walks many frames through one scratch
-    /// vector pays for the frame-sized allocation once instead of
-    /// per chunk — the buffer is grow-only and overwritten in place.
-    pub fn read_chunk_with(&self, i: usize, scratch: &mut Vec<u8>) -> Result<ObsChunk, StoreError> {
+    /// Reads, CRC-checks, decodes, and validates frame `i` through a
+    /// caller-owned `pread` buffer. A loop that walks many frames
+    /// through one scratch vector pays for the frame-sized allocation
+    /// once instead of per chunk — the buffer is grow-only and
+    /// overwritten in place.
+    pub(crate) fn read_chunk_with(
+        &self,
+        i: usize,
+        scratch: &mut Vec<u8>,
+    ) -> Result<ObsChunk, StoreError> {
         self.read_frame(i, scratch).map_err(|e| e.with_path(&self.path))
     }
 
@@ -1252,7 +1001,7 @@ impl ColumnarStore {
             .get(i)
             .ok_or(StoreError::Corrupt("chunk index out of range"))?;
         let len = usize::try_from(entry.len).map_err(|_| trunc("frame", entry.offset))?;
-        let (payload, crc) = self.backing.frame_crc(entry.offset, len, scratch)?;
+        let (payload, crc) = self.frame_crc(entry.offset, len, scratch)?;
         self.frame_bytes
             .fetch_add(entry.len, std::sync::atomic::Ordering::Relaxed);
         if crc != entry.crc {
@@ -1261,110 +1010,52 @@ impl ColumnarStore {
         decode_chunk(payload, entry, self.strings.len() as u32, self.fps.len() as u32)
     }
 
-    /// Materializes the whole store as an in-memory dataset.
-    pub fn to_dataset(&self) -> Result<ColumnarDataset, StoreError> {
-        let mut chunks = Vec::with_capacity(self.dir.len());
-        let mut scratch = Vec::new();
-        for i in 0..self.dir.len() {
-            chunks.push(self.read_chunk_with(i, &mut scratch)?);
+    /// Frame fetch fused with its checksum: the frame is `pread` in
+    /// 256 KiB blocks and each block is CRC'd while still cache-hot
+    /// from the copy — one trip through DRAM instead of two for a
+    /// multi-megabyte frame. `scratch` is grow-only, so same-size
+    /// frames (the common case — every sealed chunk holds
+    /// `CHUNK_ROWS` rows) cost zero allocation and zero memset after
+    /// the first.
+    fn frame_crc<'a>(
+        &self,
+        off: u64,
+        len: usize,
+        scratch: &'a mut Vec<u8>,
+    ) -> Result<(&'a [u8], u32), StoreError> {
+        const BLOCK: usize = 256 << 10;
+        if scratch.len() < len {
+            scratch.resize(len, 0);
         }
-        Ok(ColumnarDataset {
-            strings: self.strings.clone(),
-            fps: self.fps.clone(),
-            chunks,
-            revocation_flows: self.flows.clone(),
-            truncated: self.truncated,
-        })
+        let mut state = !0u32;
+        let mut done = 0;
+        while done < len {
+            let n = BLOCK.min(len - done);
+            let block = &mut scratch[done..done + n];
+            read_at_or_trunc(&self.file, block, off + done as u64, "frame")?;
+            state = crc32_raw(state, block);
+            done += n;
+        }
+        Ok((&scratch[..len], !state))
     }
 }
 
-// ── Chunk-store abstraction ─────────────────────────────────────────
-
-/// Uniform read interface over a chunk-granular persistent store —
-/// one self-contained file ([`ColumnarStore`]) or a directory of
-/// immutable segments
-/// ([`SegmentedStore`](crate::segstore::SegmentedStore)). Analysis
-/// code (`analyze_store` in the engine crate) is generic over this
-/// trait, so both layouts share one sharded, byte-identical fold.
-/// `Sync` is a supertrait because readers are shared across scoped
-/// worker threads.
-pub trait ChunkStore: Sync {
-    /// Number of chunk frames across the whole store.
-    fn chunk_count(&self) -> usize;
-    /// Rows in chunk `i` (directory metadata; no frame read).
-    fn chunk_rows(&self, i: usize) -> usize;
-    /// Number of underlying segment files (1 for a single-file store).
-    fn segment_count(&self) -> usize;
-    /// Index of the segment holding chunk `i`.
-    fn segment_of(&self, i: usize) -> usize;
-    /// Reads, CRC-checks, decodes, and validates chunk `i` through a
-    /// caller-owned scratch buffer.
-    fn read_chunk_with(&self, i: usize, scratch: &mut Vec<u8>) -> Result<ObsChunk, StoreError>;
-    /// Chunk indices whose time range overlaps `[from, to]` and —
-    /// when `device` is given — whose device bitmap contains it.
-    /// Directory-only: skipped chunks are never read from disk.
-    fn select_chunks(&self, from: i64, to: i64, device: Option<Symbol>) -> Vec<usize>;
-    /// The store-wide string table.
-    fn strings(&self) -> &Interner;
-    /// The store-wide fingerprint table.
-    fn fps(&self) -> &DigestInterner;
-    /// Revocation endpoint flows, in capture order.
-    fn revocation_flows(&self) -> &[RevRow];
-    /// Truncated-capture tally.
-    fn truncated(&self) -> u64;
-    /// Total rows across all chunks (no frame reads).
-    fn total_rows(&self) -> u64;
-    /// Total weighted connections (no frame reads).
-    fn total_connections(&self) -> u64;
-    /// Frame payload bytes fetched from disk so far.
-    fn frame_bytes_read(&self) -> u64;
-    /// Frame payload bytes across the whole store.
-    fn frame_bytes_total(&self) -> u64;
-}
-
-impl ChunkStore for ColumnarStore {
-    fn chunk_count(&self) -> usize {
-        ColumnarStore::chunk_count(self)
-    }
-    fn chunk_rows(&self, i: usize) -> usize {
-        ColumnarStore::chunk_rows(self, i)
-    }
-    fn segment_count(&self) -> usize {
-        1
-    }
-    fn segment_of(&self, _i: usize) -> usize {
-        0
-    }
-    fn read_chunk_with(&self, i: usize, scratch: &mut Vec<u8>) -> Result<ObsChunk, StoreError> {
-        ColumnarStore::read_chunk_with(self, i, scratch)
-    }
-    fn select_chunks(&self, from: i64, to: i64, device: Option<Symbol>) -> Vec<usize> {
-        ColumnarStore::select_chunks(self, from, to, device)
-    }
-    fn strings(&self) -> &Interner {
-        ColumnarStore::strings(self)
-    }
-    fn fps(&self) -> &DigestInterner {
-        ColumnarStore::fps(self)
-    }
-    fn revocation_flows(&self) -> &[RevRow] {
-        ColumnarStore::revocation_flows(self)
-    }
-    fn truncated(&self) -> u64 {
-        ColumnarStore::truncated(self)
-    }
-    fn total_rows(&self) -> u64 {
-        ColumnarStore::total_rows(self)
-    }
-    fn total_connections(&self) -> u64 {
-        ColumnarStore::total_connections(self)
-    }
-    fn frame_bytes_read(&self) -> u64 {
-        ColumnarStore::frame_bytes_read(self)
-    }
-    fn frame_bytes_total(&self) -> u64 {
-        ColumnarStore::frame_bytes_total(self)
-    }
+/// The pruning test a chunk's directory entry and a segment's
+/// manifest entry share: `[min_time, max_time]` overlaps `[from, to]`
+/// and, when `device` is given, its bit is set in `device_bits`.
+pub(crate) fn may_hold(
+    min_time: i64,
+    max_time: i64,
+    device_bits: &[u64],
+    from: i64,
+    to: i64,
+    device: Option<Symbol>,
+) -> bool {
+    let device_ok = device.is_none_or(|d| {
+        let (word, bit) = (d.index() / 64, d.index() % 64);
+        device_bits.get(word).is_some_and(|&w| (w >> bit) & 1 == 1)
+    });
+    min_time <= to && max_time >= from && device_ok
 }
 
 /// Validates the fixed header, returning the footer offset.

@@ -85,11 +85,9 @@ pub use gateway::{
 pub use lab::{ActiveLab, ConnectionOutcome, DeviceState, FaultStats, LabSeed};
 pub use party::{label_party, party_version_bias, PartyBiasRow, THIRD_PARTY_DOMAINS};
 pub use passive::{
-    analyze_columnar, analyze_store, analyze_store_slice, analyze_streamed, cipher_series,
-    passive_summary,
-    revocation_summary, shard_ranges, version_series, version_transitions, CipherMix,
-    PassiveAccumulator, PassiveAnalysis, PassiveSummary, RevocationSummary, Series, VersionMix,
-    VersionTransition,
+    analyze_columnar, analyze_store, analyze_store_slice, analyze_streamed, shard_ranges,
+    CipherMix, PassiveAccumulator, PassiveAnalysis, PassiveSummary, RevocationSummary, Series,
+    VersionMix, VersionTransition,
 };
 pub use rootprobe::{
     library_alert_matrix, run_root_probe, LibraryAlertRow, ProbeVerdict, RootProbeReport,

@@ -1,13 +1,19 @@
 //! Passive longitudinal analysis (§5.1, Figures 1–3, Table 8, and
 //! the prior-work comparison).
 //!
-//! Consumes the weighted observation dataset and produces per-device
-//! monthly series plus the summary statistics quoted in the text.
+//! Every passive artifact comes from one fold: [`PassiveAccumulator`]
+//! folds columnar observation chunks — in memory
+//! ([`analyze_columnar`]), streamed off the generator
+//! ([`analyze_streamed`]), or read back from a segmented store
+//! ([`analyze_store`], [`analyze_store_slice`]) — into per-device
+//! monthly series plus the summary statistics quoted in the text. The
+//! per-row scans over the materialized `PassiveDataset` that the fold
+//! replaced survive only as this module's test oracle.
 
 use crate::experiment::ExperimentCtx;
 use iotls_capture::{
-    flag, ChunkStore, ColumnarDataset, Columns, Interner, ObsChunk, PassiveDataset, RevRow,
-    RevocationKind, StoreError, Symbol,
+    flag, ColumnarDataset, Columns, Interner, ObsChunk, RevRow, RevocationKind, SegmentedStore,
+    StoreError, Symbol,
 };
 use iotls_devices::Testbed;
 use iotls_obs::Registry;
@@ -49,93 +55,6 @@ pub struct CipherMix {
 /// Per-device, per-month series.
 pub type Series<T> = BTreeMap<String, BTreeMap<Month, T>>;
 
-/// Builds the Figure 1 series.
-pub fn version_series(ds: &PassiveDataset) -> Series<VersionMix> {
-    let mut acc: Series<(u64, VersionMix)> = BTreeMap::new();
-    for w in &ds.observations {
-        let o = &w.observation;
-        let cell = acc
-            .entry(o.device.clone())
-            .or_default()
-            .entry(o.time.month())
-            .or_insert((0, VersionMix::default()));
-        cell.0 += w.count;
-        let c = w.count as f64;
-        match o.max_advertised {
-            ProtocolVersion::Tls13 => cell.1.adv_tls13 += c,
-            ProtocolVersion::Tls12 => cell.1.adv_tls12 += c,
-            _ => cell.1.adv_older += c,
-        }
-        match o.negotiated_version {
-            Some(ProtocolVersion::Tls13) => cell.1.est_tls13 += c,
-            Some(ProtocolVersion::Tls12) => cell.1.est_tls12 += c,
-            Some(_) => cell.1.est_older += c,
-            None => {}
-        }
-    }
-    normalize(acc, |mix, total| {
-        mix.adv_tls13 /= total;
-        mix.adv_tls12 /= total;
-        mix.adv_older /= total;
-        mix.est_tls13 /= total;
-        mix.est_tls12 /= total;
-        mix.est_older /= total;
-    })
-}
-
-/// Builds the Figures 2–3 series.
-pub fn cipher_series(ds: &PassiveDataset) -> Series<CipherMix> {
-    let mut acc: Series<(u64, CipherMix)> = BTreeMap::new();
-    for w in &ds.observations {
-        let o = &w.observation;
-        let cell = acc
-            .entry(o.device.clone())
-            .or_default()
-            .entry(o.time.month())
-            .or_insert((0, CipherMix::default()));
-        cell.0 += w.count;
-        let c = w.count as f64;
-        if o.advertises_insecure_suite() {
-            cell.1.adv_insecure += c;
-        }
-        if o.negotiated_insecure_suite() {
-            cell.1.est_insecure += c;
-        }
-        if o.advertises_forward_secrecy() {
-            cell.1.adv_strong += c;
-        }
-        if o.negotiated_forward_secrecy() {
-            cell.1.est_strong += c;
-        }
-    }
-    normalize(acc, |mix, total| {
-        mix.adv_insecure /= total;
-        mix.est_insecure /= total;
-        mix.adv_strong /= total;
-        mix.est_strong /= total;
-    })
-}
-
-fn normalize<T: Copy>(
-    acc: Series<(u64, T)>,
-    scale: impl Fn(&mut T, f64),
-) -> Series<T> {
-    acc.into_iter()
-        .map(|(dev, months)| {
-            let months = months
-                .into_iter()
-                .map(|(m, (total, mut mix))| {
-                    if total > 0 {
-                        scale(&mut mix, total as f64);
-                    }
-                    (m, mix)
-                })
-                .collect();
-            (dev, months)
-        })
-        .collect()
-}
-
 /// A detected permanent change in a device's advertised maximum
 /// version (the Fig. 1 upgrade annotations).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -148,49 +67,6 @@ pub struct VersionTransition {
     pub from: ProtocolVersion,
     /// Dominant max version after (used exclusively afterwards).
     pub to: ProtocolVersion,
-}
-
-/// Detects permanent upgrades of the dominant advertised version.
-pub fn version_transitions(ds: &PassiveDataset) -> Vec<VersionTransition> {
-    let mut out = Vec::new();
-    for device in ds.device_names() {
-        // Dominant advertised max per month.
-        let mut months: BTreeMap<Month, BTreeMap<ProtocolVersion, u64>> = BTreeMap::new();
-        for w in ds.device_observations(&device) {
-            *months
-                .entry(w.observation.time.month())
-                .or_default()
-                .entry(w.observation.max_advertised)
-                .or_insert(0) += w.count;
-        }
-        let dominant: Vec<(Month, ProtocolVersion)> = months
-            .iter()
-            .map(|(m, versions)| {
-                let v = versions
-                    .iter()
-                    .max_by_key(|(_, c)| **c)
-                    .map(|(v, _)| *v)
-                    .expect("non-empty month");
-                (*m, v)
-            })
-            .collect();
-        // A transition: dominant version changes upward and never
-        // reverts.
-        for i in 1..dominant.len() {
-            let (month, to) = dominant[i];
-            let (_, from) = dominant[i - 1];
-            if to > from && dominant[i..].iter().all(|(_, v)| *v == to) {
-                out.push(VersionTransition {
-                    device: device.clone(),
-                    month,
-                    from,
-                    to,
-                });
-                break;
-            }
-        }
-    }
-    out
 }
 
 /// The §5.1 headline statistics.
@@ -221,97 +97,6 @@ pub struct PassiveSummary {
     pub pct_connections_rc4: f64,
 }
 
-/// Computes the §5.1 summary.
-pub fn passive_summary(ds: &PassiveDataset) -> PassiveSummary {
-    let mut tls12_exclusive = Vec::new();
-    let mut fig1 = Vec::new();
-    let mut adv_insecure = Vec::new();
-    let mut est_insecure = Vec::new();
-    let mut adv_fs = Vec::new();
-    let mut mostly_without_fs = Vec::new();
-    let mut null_anon = false;
-    let mut total: u64 = 0;
-    let mut tls13: u64 = 0;
-    let mut rc4: u64 = 0;
-
-    for device in ds.device_names() {
-        let obs = ds.device_observations(&device);
-        let mut only_tls12 = true;
-        let mut dev_adv_insecure = false;
-        let mut dev_est_insecure = false;
-        let mut dev_adv_fs = false;
-        let mut fs_conns: u64 = 0;
-        let mut est_conns: u64 = 0;
-        for w in &obs {
-            let o = &w.observation;
-            total += w.count;
-            if o.advertised_versions.contains(&ProtocolVersion::Tls13) {
-                tls13 += w.count;
-            }
-            if o.offered_suites.iter().any(|s| {
-                iotls_tls::ciphersuite::by_id(*s).is_some_and(|i| {
-                    matches!(
-                        i.cipher,
-                        iotls_tls::BulkCipher::Rc4_40 | iotls_tls::BulkCipher::Rc4_128
-                    )
-                })
-            }) {
-                rc4 += w.count;
-            }
-            if o.max_advertised != ProtocolVersion::Tls12
-                || o.negotiated_version
-                    .is_some_and(|v| v != ProtocolVersion::Tls12)
-            {
-                only_tls12 = false;
-            }
-            if o.offered_suites
-                .iter()
-                .any(|s| iotls_tls::ciphersuite::id_is_null_or_anon(*s))
-            {
-                null_anon = true;
-            }
-            dev_adv_insecure |= o.advertises_insecure_suite();
-            dev_est_insecure |= o.negotiated_insecure_suite();
-            dev_adv_fs |= o.advertises_forward_secrecy();
-            if o.negotiated_suite.is_some() {
-                est_conns += w.count;
-                if o.negotiated_forward_secrecy() {
-                    fs_conns += w.count;
-                }
-            }
-        }
-        if only_tls12 {
-            tls12_exclusive.push(device.clone());
-        } else {
-            fig1.push(device.clone());
-        }
-        if dev_adv_insecure {
-            adv_insecure.push(device.clone());
-        }
-        if dev_est_insecure {
-            est_insecure.push(device.clone());
-        }
-        if dev_adv_fs {
-            adv_fs.push(device.clone());
-        }
-        if est_conns > 0 && fs_conns * 2 < est_conns {
-            mostly_without_fs.push(device.clone());
-        }
-    }
-
-    PassiveSummary {
-        tls12_exclusive_devices: tls12_exclusive,
-        fig1_devices: fig1,
-        null_anon_seen: null_anon,
-        devices_advertising_insecure: adv_insecure,
-        devices_establishing_insecure: est_insecure,
-        devices_advertising_fs: adv_fs,
-        devices_mostly_without_fs: mostly_without_fs,
-        pct_connections_tls13: 100.0 * tls13 as f64 / total.max(1) as f64,
-        pct_connections_rc4: 100.0 * rc4 as f64 / total.max(1) as f64,
-    }
-}
-
 /// Table 8: revocation-method support by device.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RevocationSummary {
@@ -340,42 +125,18 @@ impl RevocationSummary {
     }
 }
 
-/// Computes Table 8 from passive data: CRL/OCSP from revocation
-/// endpoint flows, stapling from `status_request` in ClientHellos.
-pub fn revocation_summary(ds: &PassiveDataset) -> RevocationSummary {
-    let mut crl = BTreeSet::new();
-    let mut ocsp = BTreeSet::new();
-    for f in &ds.revocation_flows {
-        match f.kind {
-            RevocationKind::CrlFetch => crl.insert(f.device.clone()),
-            RevocationKind::OcspQuery => ocsp.insert(f.device.clone()),
-        };
-    }
-    let mut stapling = BTreeSet::new();
-    for w in &ds.observations {
-        if w.observation.requested_ocsp {
-            stapling.insert(w.observation.device.clone());
-        }
-    }
-    RevocationSummary {
-        crl: crl.into_iter().collect(),
-        ocsp: ocsp.into_iter().collect(),
-        ocsp_stapling: stapling.into_iter().collect(),
-    }
-}
-
 // ── Single-pass streaming accumulator ───────────────────────────────
 //
-// The legacy functions above each re-scan the materialized row vector;
-// at paper scale (~17M rows) that is five full passes over gigabytes
-// of `String`-laden observations. The accumulator below folds every
-// table and figure input out of the columnar chunk stream in ONE pass,
-// using integer cells keyed by interned symbols. Partials merge
-// associatively (chunk order does not matter), and `finish` resolves
-// symbols to names once, reproducing the legacy outputs bit for bit:
-// all per-cell totals are integers below 2^53, so summing in `u64`
-// and converting at the end yields exactly the same `f64`s as the
-// legacy per-row `f64` accumulation.
+// The accumulator folds every table and figure input out of the
+// columnar chunk stream in ONE pass, using integer cells keyed by
+// interned symbols — at paper scale (~17M rows) the five per-row
+// scans it replaced meant five full passes over gigabytes of
+// `String`-laden observations. Partials merge associatively (chunk
+// order does not matter), and `finish` resolves symbols to names
+// once. The tests hold the result bit for bit to those scans: all
+// per-cell totals are integers below 2^53, so summing in `u64` and
+// converting at the end yields exactly the same `f64`s as per-row
+// `f64` accumulation.
 
 /// One (device, month) cell of integer counters — the union of the
 /// Figure 1 and Figures 2–3 cell inputs plus the dominant-version
@@ -460,15 +221,20 @@ impl DeviceAgg {
 /// take as parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PassiveAnalysis {
-    /// Figure 1 series (identical to [`version_series`]).
+    /// Figure 1 series: per device and month, the share of
+    /// connections in each advertised and established version class.
     pub version_series: Series<VersionMix>,
-    /// Figures 2–3 series (identical to [`cipher_series`]).
+    /// Figures 2–3 series: per device and month, the share of
+    /// connections advertising or establishing insecure and
+    /// forward-secret suites.
     pub cipher_series: Series<CipherMix>,
-    /// Permanent upgrades (identical to [`version_transitions`]).
+    /// Permanent upgrades of the dominant advertised version (the
+    /// Figure 1 annotations).
     pub transitions: Vec<VersionTransition>,
-    /// §5.1 summary (identical to [`passive_summary`]).
+    /// §5.1 summary.
     pub summary: PassiveSummary,
-    /// Table 8 (identical to [`revocation_summary`]).
+    /// Table 8: CRL and OCSP from revocation flows, stapling from
+    /// `status_request` in ClientHellos.
     pub revocation: RevocationSummary,
     /// Sorted distinct months with traffic (the heatmap x-axis).
     pub month_axis: Vec<Month>,
@@ -763,11 +529,12 @@ impl PassiveAccumulator {
     }
 
     /// Resolves symbols against `strings` and produces every passive
-    /// output, byte-identical to the legacy row-scanning functions.
+    /// output, byte-identical to the row-scan oracle in this module's
+    /// tests.
     pub fn finish(&self, strings: &Interner) -> PassiveAnalysis {
         let name = |sym: Symbol| strings.resolve(sym).to_string();
 
-        // Sorted roster: legacy code iterates `ds.device_names()`.
+        // Sorted roster, the order the row scans visited devices in.
         let mut device_names: Vec<String> =
             self.devices.keys().map(|s| name(*s)).collect();
         device_names.sort();
@@ -819,7 +586,7 @@ impl PassiveAccumulator {
                 );
         }
 
-        // Transitions, in sorted-device order like the legacy scan.
+        // Transitions, in sorted-device order like the row scan.
         let mut transitions = Vec::new();
         for (device, sym) in &by_name {
             let dominant: Vec<(Month, ProtocolVersion)> = self
@@ -1006,13 +773,11 @@ pub fn analyze_streamed(
 /// Corruption discovered mid-scan (a bit-flipped or truncated frame)
 /// surfaces as the typed [`StoreError`]; nothing panics.
 ///
-/// Generic over [`ChunkStore`], so a single-file
-/// [`iotls_capture::ColumnarStore`] and a multi-segment
-/// [`iotls_capture::SegmentedStore`] analyze through the same code
-/// path — segmented stores shard across their global (cross-segment)
-/// chunk index space.
-pub fn analyze_store<S: ChunkStore>(
-    store: &S,
+/// Shards run across the store's global (cross-segment) chunk index
+/// space, so how the chunks were cut into segments and batches never
+/// shows in the result.
+pub fn analyze_store(
+    store: &SegmentedStore,
     ctx: &ExperimentCtx,
 ) -> Result<PassiveAnalysis, StoreError> {
     let mut reg = Registry::new();
@@ -1048,7 +813,7 @@ pub fn analyze_store<S: ChunkStore>(
 /// inclusive) and — when `device` names a device — belonging to that
 /// device, without touching the rest of the corpus. Chunk selection
 /// goes through the store's pruning directory
-/// ([`ChunkStore::select_chunks`]): segments whose time range or
+/// ([`SegmentedStore::select_chunks`]): segments whose time range or
 /// device bitmap miss the predicate are skipped without a single
 /// frame read, surviving chunks are decoded and filtered exactly by
 /// [`PassiveAccumulator::add_chunk_window`]. Byte-identical to
@@ -1060,8 +825,8 @@ pub fn analyze_store<S: ChunkStore>(
 /// `segments_skipped`, `chunks.scanned` / `chunks.pruned`, and
 /// `bytes.read` / `bytes.total` (frame payload bytes actually fetched
 /// during this call vs held by the whole store).
-pub fn analyze_store_slice<S: ChunkStore>(
-    store: &S,
+pub fn analyze_store_slice(
+    store: &SegmentedStore,
     from: i64,
     to: i64,
     device: Option<&str>,
@@ -1134,7 +899,7 @@ pub fn analyze_store_slice<S: ChunkStore>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iotls_capture::global_dataset;
+    use iotls_capture::{global_columnar, global_dataset, PassiveDataset};
     use std::sync::OnceLock;
 
     // ── Fold oracle ─────────────────────────────────────────────────
@@ -1419,9 +1184,279 @@ mod tests {
         }
     }
 
+    // ── Row-scan oracle ─────────────────────────────────────────────
+    //
+    // The per-row scans over the materialized `PassiveDataset` that the
+    // accumulator replaced, kept verbatim as the reference the
+    // production fold is held to: each re-scans the row vector and
+    // accumulates per-row `f64`s.
+
+    /// Builds the Figure 1 series.
+    fn version_series(ds: &PassiveDataset) -> Series<VersionMix> {
+        let mut acc: Series<(u64, VersionMix)> = BTreeMap::new();
+        for w in &ds.observations {
+            let o = &w.observation;
+            let cell = acc
+                .entry(o.device.clone())
+                .or_default()
+                .entry(o.time.month())
+                .or_insert((0, VersionMix::default()));
+            cell.0 += w.count;
+            let c = w.count as f64;
+            match o.max_advertised {
+                ProtocolVersion::Tls13 => cell.1.adv_tls13 += c,
+                ProtocolVersion::Tls12 => cell.1.adv_tls12 += c,
+                _ => cell.1.adv_older += c,
+            }
+            match o.negotiated_version {
+                Some(ProtocolVersion::Tls13) => cell.1.est_tls13 += c,
+                Some(ProtocolVersion::Tls12) => cell.1.est_tls12 += c,
+                Some(_) => cell.1.est_older += c,
+                None => {}
+            }
+        }
+        normalize(acc, |mix, total| {
+            mix.adv_tls13 /= total;
+            mix.adv_tls12 /= total;
+            mix.adv_older /= total;
+            mix.est_tls13 /= total;
+            mix.est_tls12 /= total;
+            mix.est_older /= total;
+        })
+    }
+
+    /// Builds the Figures 2–3 series.
+    fn cipher_series(ds: &PassiveDataset) -> Series<CipherMix> {
+        let mut acc: Series<(u64, CipherMix)> = BTreeMap::new();
+        for w in &ds.observations {
+            let o = &w.observation;
+            let cell = acc
+                .entry(o.device.clone())
+                .or_default()
+                .entry(o.time.month())
+                .or_insert((0, CipherMix::default()));
+            cell.0 += w.count;
+            let c = w.count as f64;
+            if o.advertises_insecure_suite() {
+                cell.1.adv_insecure += c;
+            }
+            if o.negotiated_insecure_suite() {
+                cell.1.est_insecure += c;
+            }
+            if o.advertises_forward_secrecy() {
+                cell.1.adv_strong += c;
+            }
+            if o.negotiated_forward_secrecy() {
+                cell.1.est_strong += c;
+            }
+        }
+        normalize(acc, |mix, total| {
+            mix.adv_insecure /= total;
+            mix.est_insecure /= total;
+            mix.adv_strong /= total;
+            mix.est_strong /= total;
+        })
+    }
+
+    fn normalize<T: Copy>(
+        acc: Series<(u64, T)>,
+        scale: impl Fn(&mut T, f64),
+    ) -> Series<T> {
+        acc.into_iter()
+            .map(|(dev, months)| {
+                let months = months
+                    .into_iter()
+                    .map(|(m, (total, mut mix))| {
+                        if total > 0 {
+                            scale(&mut mix, total as f64);
+                        }
+                        (m, mix)
+                    })
+                    .collect();
+                (dev, months)
+            })
+            .collect()
+    }
+
+    /// Detects permanent upgrades of the dominant advertised version.
+    fn version_transitions(ds: &PassiveDataset) -> Vec<VersionTransition> {
+        let mut out = Vec::new();
+        for device in ds.device_names() {
+            // Dominant advertised max per month.
+            let mut months: BTreeMap<Month, BTreeMap<ProtocolVersion, u64>> = BTreeMap::new();
+            for w in ds.device_observations(&device) {
+                *months
+                    .entry(w.observation.time.month())
+                    .or_default()
+                    .entry(w.observation.max_advertised)
+                    .or_insert(0) += w.count;
+            }
+            let dominant: Vec<(Month, ProtocolVersion)> = months
+                .iter()
+                .map(|(m, versions)| {
+                    let v = versions
+                        .iter()
+                        .max_by_key(|(_, c)| **c)
+                        .map(|(v, _)| *v)
+                        .expect("non-empty month");
+                    (*m, v)
+                })
+                .collect();
+            // A transition: dominant version changes upward and never
+            // reverts.
+            for i in 1..dominant.len() {
+                let (month, to) = dominant[i];
+                let (_, from) = dominant[i - 1];
+                if to > from && dominant[i..].iter().all(|(_, v)| *v == to) {
+                    out.push(VersionTransition {
+                        device: device.clone(),
+                        month,
+                        from,
+                        to,
+                    });
+                    break;
+                }
+            }
+        }
+        out
+    }
+
+    /// Computes the §5.1 summary.
+    fn passive_summary(ds: &PassiveDataset) -> PassiveSummary {
+        let mut tls12_exclusive = Vec::new();
+        let mut fig1 = Vec::new();
+        let mut adv_insecure = Vec::new();
+        let mut est_insecure = Vec::new();
+        let mut adv_fs = Vec::new();
+        let mut mostly_without_fs = Vec::new();
+        let mut null_anon = false;
+        let mut total: u64 = 0;
+        let mut tls13: u64 = 0;
+        let mut rc4: u64 = 0;
+
+        for device in ds.device_names() {
+            let obs = ds.device_observations(&device);
+            let mut only_tls12 = true;
+            let mut dev_adv_insecure = false;
+            let mut dev_est_insecure = false;
+            let mut dev_adv_fs = false;
+            let mut fs_conns: u64 = 0;
+            let mut est_conns: u64 = 0;
+            for w in &obs {
+                let o = &w.observation;
+                total += w.count;
+                if o.advertised_versions.contains(&ProtocolVersion::Tls13) {
+                    tls13 += w.count;
+                }
+                if o.offered_suites.iter().any(|s| {
+                    iotls_tls::ciphersuite::by_id(*s).is_some_and(|i| {
+                        matches!(
+                            i.cipher,
+                            iotls_tls::BulkCipher::Rc4_40 | iotls_tls::BulkCipher::Rc4_128
+                        )
+                    })
+                }) {
+                    rc4 += w.count;
+                }
+                if o.max_advertised != ProtocolVersion::Tls12
+                    || o.negotiated_version
+                        .is_some_and(|v| v != ProtocolVersion::Tls12)
+                {
+                    only_tls12 = false;
+                }
+                if o.offered_suites
+                    .iter()
+                    .any(|s| iotls_tls::ciphersuite::id_is_null_or_anon(*s))
+                {
+                    null_anon = true;
+                }
+                dev_adv_insecure |= o.advertises_insecure_suite();
+                dev_est_insecure |= o.negotiated_insecure_suite();
+                dev_adv_fs |= o.advertises_forward_secrecy();
+                if o.negotiated_suite.is_some() {
+                    est_conns += w.count;
+                    if o.negotiated_forward_secrecy() {
+                        fs_conns += w.count;
+                    }
+                }
+            }
+            if only_tls12 {
+                tls12_exclusive.push(device.clone());
+            } else {
+                fig1.push(device.clone());
+            }
+            if dev_adv_insecure {
+                adv_insecure.push(device.clone());
+            }
+            if dev_est_insecure {
+                est_insecure.push(device.clone());
+            }
+            if dev_adv_fs {
+                adv_fs.push(device.clone());
+            }
+            if est_conns > 0 && fs_conns * 2 < est_conns {
+                mostly_without_fs.push(device.clone());
+            }
+        }
+
+        PassiveSummary {
+            tls12_exclusive_devices: tls12_exclusive,
+            fig1_devices: fig1,
+            null_anon_seen: null_anon,
+            devices_advertising_insecure: adv_insecure,
+            devices_establishing_insecure: est_insecure,
+            devices_advertising_fs: adv_fs,
+            devices_mostly_without_fs: mostly_without_fs,
+            pct_connections_tls13: 100.0 * tls13 as f64 / total.max(1) as f64,
+            pct_connections_rc4: 100.0 * rc4 as f64 / total.max(1) as f64,
+        }
+    }
+
+    /// Computes Table 8 from passive data: CRL/OCSP from revocation
+    /// endpoint flows, stapling from `status_request` in ClientHellos.
+    fn revocation_summary(ds: &PassiveDataset) -> RevocationSummary {
+        let mut crl = BTreeSet::new();
+        let mut ocsp = BTreeSet::new();
+        for f in &ds.revocation_flows {
+            match f.kind {
+                RevocationKind::CrlFetch => crl.insert(f.device.clone()),
+                RevocationKind::OcspQuery => ocsp.insert(f.device.clone()),
+            };
+        }
+        let mut stapling = BTreeSet::new();
+        for w in &ds.observations {
+            if w.observation.requested_ocsp {
+                stapling.insert(w.observation.device.clone());
+            }
+        }
+        RevocationSummary {
+            crl: crl.into_iter().collect(),
+            ocsp: ocsp.into_iter().collect(),
+            ocsp_stapling: stapling.into_iter().collect(),
+        }
+    }
+
+    /// The sorted, distinct months with traffic (the heatmap x-axis).
+    fn month_axis(ds: &PassiveDataset) -> Vec<Month> {
+        let mut months: Vec<Month> = ds
+            .observations
+            .iter()
+            .map(|o| o.observation.time.month())
+            .collect();
+        months.sort();
+        months.dedup();
+        months
+    }
+
+    /// The production fold over the seed-scale capture — the one
+    /// analysis the paper-finding tests below read.
+    fn analysis() -> &'static PassiveAnalysis {
+        static A: OnceLock<PassiveAnalysis> = OnceLock::new();
+        A.get_or_init(|| analyze_columnar(global_columnar(), &ExperimentCtx::new(0)))
+    }
+
     fn summary() -> &'static PassiveSummary {
-        static S: OnceLock<PassiveSummary> = OnceLock::new();
-        S.get_or_init(|| passive_summary(global_dataset()))
+        &analysis().summary
     }
 
     #[test]
@@ -1485,7 +1520,7 @@ mod tests {
 
     #[test]
     fn transitions_include_the_three_upgrades() {
-        let transitions = version_transitions(global_dataset());
+        let transitions = &analysis().transitions;
         let find = |d: &str| transitions.iter().find(|t| t.device == d);
         let ghm = find("Google Home Mini").expect("GHM transition");
         assert_eq!(ghm.month, Month::new(2019, 5));
@@ -1500,8 +1535,7 @@ mod tests {
 
     #[test]
     fn wemo_always_older_in_version_series() {
-        let series = version_series(global_dataset());
-        let wemo = &series["Wemo Plug"];
+        let wemo = &analysis().version_series["Wemo Plug"];
         for (month, mix) in wemo {
             assert!(
                 (mix.adv_older - 1.0).abs() < 1e-9,
@@ -1512,8 +1546,7 @@ mod tests {
 
     #[test]
     fn blink_hub_cipher_cleanup_visible_in_series() {
-        let series = cipher_series(global_dataset());
-        let blink = &series["Blink Hub"];
+        let blink = &analysis().cipher_series["Blink Hub"];
         assert!(blink[&Month::new(2019, 4)].adv_insecure > 0.9);
         assert!(blink[&Month::new(2019, 6)].adv_insecure < 0.1);
         // PFS adoption 10/2019.
@@ -1524,21 +1557,21 @@ mod tests {
     #[test]
     fn accumulator_matches_legacy_row_scan_exactly() {
         let ds = global_dataset();
-        let cds = iotls_capture::global_columnar();
-        let a = analyze_columnar(cds, &ExperimentCtx::new(0));
+        let a = analysis();
         assert_eq!(a.version_series, version_series(ds));
         assert_eq!(a.cipher_series, cipher_series(ds));
         assert_eq!(a.transitions, version_transitions(ds));
         assert_eq!(a.summary, passive_summary(ds));
         assert_eq!(a.revocation, revocation_summary(ds));
+        assert_eq!(a.month_axis, month_axis(ds));
         assert_eq!(a.device_names, ds.device_names());
-        assert_eq!(a.total_connections, cds.total_connections());
+        assert_eq!(a.total_connections, global_columnar().total_connections());
     }
 
     #[test]
     fn accumulator_partials_merge_associatively() {
-        let cds = iotls_capture::global_columnar();
-        let whole = analyze_columnar(cds, &ExperimentCtx::new(0));
+        let cds = global_columnar();
+        let whole = analysis();
 
         // Split the chunk stream across two partials, flows in the
         // second, then merge in the "wrong" order.
@@ -1553,15 +1586,14 @@ mod tests {
         }
         b.add_flows(&cds.revocation_flows);
         b.merge(&a);
-        assert_eq!(b.finish(&cds.strings), whole);
+        assert_eq!(b.finish(&cds.strings), *whole);
     }
 
     #[test]
     fn streamed_analysis_matches_in_memory() {
         use iotls_devices::Testbed;
-        let cds = iotls_capture::global_columnar();
         let ctx = ExperimentCtx::new(iotls_capture::DEFAULT_SEED);
-        let whole = analyze_columnar(cds, &ctx);
+        let whole = analyze_columnar(global_columnar(), &ctx);
         let streamed = analyze_streamed(Testbed::global(), &ctx, u64::MAX);
         assert_eq!(streamed, whole);
     }
@@ -1573,14 +1605,14 @@ mod tests {
         // any fraction, transition, or summary: the accumulator sums
         // the same integers.
         let ctx = ExperimentCtx::new(iotls_capture::DEFAULT_SEED);
-        let whole = analyze_columnar(iotls_capture::global_columnar(), &ctx);
+        let whole = analyze_columnar(global_columnar(), &ctx);
         let split = analyze_streamed(Testbed::global(), &ctx, 50_000);
         assert_eq!(split, whole);
     }
 
     #[test]
     fn revocation_summary_matches_table8() {
-        let r = revocation_summary(global_dataset());
+        let r = &analysis().revocation;
         assert_eq!(r.crl, vec!["Samsung TV".to_string()]);
         assert_eq!(r.ocsp.len(), 3);
         assert!(r.ocsp.contains(&"Apple TV".to_string()));
@@ -1588,7 +1620,6 @@ mod tests {
         assert!(r.ocsp.contains(&"Samsung TV".to_string()));
         assert_eq!(r.ocsp_stapling.len(), 12, "{:?}", r.ocsp_stapling);
         // 28 devices never exercise any mechanism.
-        let all = global_dataset().device_names();
-        assert_eq!(r.devices_without_any(&all).len(), 28);
+        assert_eq!(r.devices_without_any(&analysis().device_names).len(), 28);
     }
 }

@@ -293,35 +293,17 @@ impl Deframer {
             }
         }
     }
-
-    /// Pops the next complete record, or `None` if more bytes are
-    /// needed. Malformed headers are an error.
-    ///
-    /// Allocates an owned payload per record: this is the *oracle*
-    /// for the sans-IO path, kept for tests and one-shot callers.
-    /// Production consumers (state machines, taps, drivers) use
-    /// [`Deframer::pop_ref`], which borrows the payload instead.
-    pub fn pop(&mut self) -> Result<Option<Record>, CodecError> {
-        Ok(self.pop_ref()?.map(|r| Record {
-            content_type: r.content_type,
-            version: r.version,
-            payload: r.payload.to_vec(),
-        }))
-    }
-
-    /// Drains every complete record currently buffered.
-    pub fn pop_all(&mut self) -> Result<Vec<Record>, CodecError> {
-        let mut out = Vec::new();
-        while let Some(rec) = self.pop()? {
-            out.push(rec);
-        }
-        Ok(out)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Pops the next record as an owned [`Record`].
+    fn pop_owned(d: &mut Deframer) -> Result<Option<Record>, CodecError> {
+        Ok(d.pop_ref()?
+            .map(|r| Record::new(r.content_type, r.version, r.payload.to_vec())))
+    }
 
     #[test]
     fn record_roundtrip() {
@@ -332,8 +314,8 @@ mod tests {
         );
         let mut d = Deframer::new();
         d.push(&rec.encode());
-        assert_eq!(d.pop().unwrap().unwrap(), rec);
-        assert_eq!(d.pop().unwrap(), None);
+        assert_eq!(pop_owned(&mut d).unwrap().unwrap(), rec);
+        assert_eq!(pop_owned(&mut d).unwrap(), None);
     }
 
     #[test]
@@ -343,10 +325,10 @@ mod tests {
         let mut d = Deframer::new();
         for b in &bytes[..bytes.len() - 1] {
             d.push(std::slice::from_ref(b));
-            assert_eq!(d.pop().unwrap(), None);
+            assert_eq!(pop_owned(&mut d).unwrap(), None);
         }
         d.push(&bytes[bytes.len() - 1..]);
-        assert_eq!(d.pop().unwrap().unwrap(), rec);
+        assert_eq!(pop_owned(&mut d).unwrap().unwrap(), rec);
     }
 
     #[test]
@@ -357,7 +339,10 @@ mod tests {
         bytes.extend_from_slice(&b.encode());
         let mut d = Deframer::new();
         d.push(&bytes);
-        let records = d.pop_all().unwrap();
+        let mut records = Vec::new();
+        while let Some(rec) = pop_owned(&mut d).unwrap() {
+            records.push(rec);
+        }
         assert_eq!(records, vec![a, b]);
         assert_eq!(d.buffered(), 0);
     }
@@ -366,14 +351,14 @@ mod tests {
     fn bad_content_type_rejected() {
         let mut d = Deframer::new();
         d.push(&[99, 3, 3, 0, 0]);
-        assert!(d.pop().is_err());
+        assert!(d.pop_ref().is_err());
     }
 
     #[test]
     fn bad_version_rejected() {
         let mut d = Deframer::new();
         d.push(&[22, 9, 9, 0, 0]);
-        assert!(d.pop().is_err());
+        assert!(d.pop_ref().is_err());
     }
 
     #[test]

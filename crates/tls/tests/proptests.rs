@@ -198,7 +198,7 @@ fn garbage_bytes_never_panic_decoder() {
         let _ = HandshakeMessage::decode(&data);
         let mut d = Deframer::new();
         d.push(&data);
-        while let Ok(Some(_)) = d.pop() {}
+        while let Ok(Some(_)) = d.pop_ref() {}
     });
 }
 
@@ -224,8 +224,8 @@ fn records_roundtrip_under_any_chunking() {
         let mut out = Vec::new();
         for c in wire.chunks(chunk) {
             d.push(c);
-            while let Some(r) = d.pop().unwrap() {
-                out.push(r);
+            while let Some(r) = d.pop_ref().unwrap() {
+                out.push(Record::new(r.content_type, r.version, r.payload.to_vec()));
             }
         }
         assert_eq!(out, records);

@@ -13,17 +13,15 @@
 //! Set `IOTLS_METRICS=path.json` to also write the run's observability
 //! registry (passive.* counters plus wall-clock timings) as JSON.
 //! Flags: `--seed N --threads N --faults PM --metrics`, plus
-//! `--store PATH` to persist the columnar dataset as an on-disk store
-//! and `--from-store PATH` to analyze a previously persisted store
-//! instead of generating (see `iotls_repro::cli`). A `--store` path
-//! ending in `.iotls` writes the single-file format; any other path
-//! is a **segmented store directory**, and `--append` extends it
-//! with this run's dataset as a new batch (multi-day ingestion) —
-//! the analysis then covers the whole store, all batches included.
-//! `--from-store` auto-detects the layout (directory = segmented).
+//! `--store DIR` to persist the columnar dataset as a segmented store
+//! directory and `--from-store DIR` to analyze a previously persisted
+//! store instead of generating (see `iotls_repro::cli`). `--append`
+//! extends the `--store` directory with this run's dataset as a new
+//! batch (multi-day ingestion) — the analysis then covers the whole
+//! store, all batches included.
 
 use iotls_repro::analysis::{experiment_artifacts, figures, tables};
-use iotls_repro::capture::{global_columnar, ColumnarStore, SegmentedStore, SegmentedWriter};
+use iotls_repro::capture::{global_columnar, SegmentedStore, SegmentedWriter};
 use iotls_repro::cli::ExampleArgs;
 use iotls_repro::core::{analyze_columnar, analyze_store, Orchestrator, Report};
 use iotls_repro::devices::Testbed;
@@ -49,9 +47,8 @@ fn main() {
     let span = Span::start("passive.analyze");
     let (a, rows, chunks) = match args.from_store.as_deref() {
         // Analyze a persisted store: frames stream off disk in
-        // bounded memory; no generation happens at all. A directory
-        // is a segmented store, a file the single-file format.
-        Some(path) if Path::new(path).is_dir() => {
+        // bounded memory; no generation happens at all.
+        Some(path) => {
             let store = SegmentedStore::open(Path::new(path))
                 .unwrap_or_else(|e| fail(&format!("open store {path}: {e}")));
             eprintln!(
@@ -63,20 +60,13 @@ fn main() {
                 .unwrap_or_else(|e| fail(&format!("analyze store {path}: {e}")));
             (a, store.total_rows(), store.chunk_count())
         }
-        Some(path) => {
-            let store = ColumnarStore::open(Path::new(path))
-                .unwrap_or_else(|e| fail(&format!("open store {path}: {e}")));
-            let a = analyze_store(&store, &ctx)
-                .unwrap_or_else(|e| fail(&format!("analyze store {path}: {e}")));
-            (a, store.total_rows(), store.chunk_count())
-        }
         None => {
             let ds = global_columnar();
             match args.store.as_deref() {
-                // Segmented store directory: create or (--append)
-                // extend it with this dataset as one batch, then
-                // analyze the whole store — previous batches included.
-                Some(path) if args.append || !path.ends_with(".iotls") => {
+                // Create or (--append) extend the store directory with
+                // this dataset as one batch, then analyze the whole
+                // store — previous batches included.
+                Some(path) => {
                     let dir = Path::new(path);
                     let mut w = if args.append {
                         SegmentedWriter::append(dir)
@@ -99,12 +89,6 @@ fn main() {
                     let a = analyze_store(&store, &ctx)
                         .unwrap_or_else(|e| fail(&format!("analyze store {path}: {e}")));
                     (a, store.total_rows(), store.chunk_count())
-                }
-                Some(path) => {
-                    ds.write_to(Path::new(path))
-                        .unwrap_or_else(|e| fail(&format!("write store {path}: {e}")));
-                    eprintln!("columnar store written to {path}");
-                    (analyze_columnar(ds, &ctx), ds.total_rows() as u64, ds.chunks.len())
                 }
                 None => {
                     (analyze_columnar(ds, &ctx), ds.total_rows() as u64, ds.chunks.len())

@@ -23,19 +23,30 @@ cargo test -q --offline --test golden_artifacts
 # a gateway regression is called out explicitly.
 cargo test -q --offline --test gateway_service
 cargo test -q --offline --test chaos_experiments gateway_survives_fault_plan_extremes
-# On-disk columnar store suite: roundtrip byte-fidelity, directory
-# pruning, and the corruption sweeps (truncation at every offset and
-# every single-bit flip must surface as typed errors, never a panic).
-# Also in the workspace run; repeated by name so a persistence
-# regression is called out explicitly.
+# On-disk store suite: roundtrip byte-fidelity of a one-segment store,
+# directory pruning, the codec corruption sweeps over its segment file
+# (truncation at every offset and every single-bit flip must surface
+# as typed errors, never a panic), the manifest sweeps, torn-append
+# recovery, and a CRC-valid manifest that names one segment twice,
+# which must not open. Also in the workspace run; repeated by name so
+# a persistence regression is called out explicitly.
 cargo test -q --offline --test store_persistence
-# Segmented store suite: arbitrary segment splits vs the single-file
-# oracle, incremental append vs one-shot build, pruning soundness
-# against a brute-force row filter, and the read-counting proof that
-# skipped segments are never touched. Also in the workspace run;
-# repeated by name so a segmented-store regression is called out
-# explicitly.
+cargo test -q --offline --test store_persistence manifest_naming_a_segment_twice_is_corrupt
+# Segmented store suite: arbitrary segment splits vs the one-segment
+# oracle (every chunk in one segment file), incremental append vs
+# one-shot build, pruning soundness against a brute-force row filter,
+# and the read-counting proof that skipped segments are never
+# touched. Also in the workspace run; repeated by name so a
+# segmented-store regression is called out explicitly.
 cargo test -q --offline --test segmented_store
+# Design ablations as checked claims: the alert side channel (one
+# success/failure class, two first-alert classes over 20 spoofed-CA
+# probes), probe scheduling (21 connections from 3 instances in one
+# Fire TV boot; 1 handshake per reboot probe vs 9 per batched Echo Dot
+# boot), and fingerprint features (33 full JA3 vs 27 version+ciphers
+# fingerprints). Also in the workspace run; repeated by name so a
+# drift from the counts EXPERIMENTS.md states is called out.
+cargo test -q --offline --test ablations
 # Middleware-chain suite: chained-gateway byte-identity across worker
 # counts, the audit- and survey-as-middleware oracles (held to the
 # report digests of the byte-feed tap sweeps they once ran beside),
@@ -71,9 +82,10 @@ cargo test -q --offline -p iotls --lib lab::tests::each_engine_derives_one_attac
 cargo test -q --offline -p iotls-crypto --test proptests montgomery
 cargo test -q --offline -p iotls-crypto --lib -- mont::tests dh::tests \
     rsa::tests::keygen_is_pinned rsa::tests::crt_signature_is_pinned
-# Store codec and passive fold: SHA-256 pins of the bytes three
-# single-file and two segmented stores lay down (captured before the
-# bulk column encode and the three-chain CRC-32C landed); every CRC-32C
+# Store codec and passive fold: SHA-256 pins of the segment file three
+# one-segment stores lay down (the bytes the former single-file format
+# wrote, captured before the bulk column encode and the three-chain
+# CRC-32C landed) and of two multi-segment stores; every CRC-32C
 # kernel against the bytewise oracle at lengths around the three-chain
 # stride and at every start offset, and the shift tables against
 # shifting through zero bytes; the block run scan of add_chunk and
@@ -117,6 +129,26 @@ fi
 # into the engine crate.
 if grep -rnE 'fn [a-z_]+_(with|metered)\(' crates/core/src; then
     echo "tier1: FAILED (_with/_metered engine variant reintroduced in crates/core/src)" >&2
+    exit 1
+fi
+
+# API-surface gate: the dataset has one store layout (a segmented
+# directory whose segment files use the v1 codec, read by positioned
+# reads only) and one passive analysis path (the accumulator fold; the
+# row scans are a test oracle in core). Fail if the single-file store
+# API, the chunk-store trait, the mmap backing, a public row scan, or
+# the allocating owned-record deframer API comes back.
+if grep -rnE 'trait ChunkStore|fn open_mmap|fn write_to\(|extern "C"' crates/capture/src; then
+    echo "tier1: FAILED (second store layout or mmap backing reintroduced in crates/capture/src)" >&2
+    exit 1
+fi
+if grep -rnE 'pub fn (version_series|cipher_series|version_transitions|passive_summary|revocation_summary|month_axis)\(' \
+    crates/*/src; then
+    echo "tier1: FAILED (row scan back in a public API under crates/*/src)" >&2
+    exit 1
+fi
+if grep -nE 'pub fn pop(_all)?\(' crates/tls/src/record.rs; then
+    echo "tier1: FAILED (owned-record Deframer::pop/pop_all reintroduced)" >&2
     exit 1
 fi
 

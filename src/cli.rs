@@ -24,15 +24,14 @@
 //!
 //! Passive-pipeline examples additionally understand the store flags:
 //!
-//! * `--store PATH` — persist the generated columnar dataset to a
-//!   store file at `PATH` after the run;
-//! * `--from-store PATH` — skip generation and analyze the persisted
-//!   store at `PATH` instead (frames stream off disk in bounded
-//!   memory); a directory is opened as a segmented store, a file as
-//!   a single-file store;
-//! * `--append` — extend the segmented store at `--store PATH` with
-//!   this run's dataset as a new batch instead of recreating it
-//!   (requires `--store`).
+//! * `--store PATH` — persist the generated columnar dataset as a
+//!   segmented store directory at `PATH`;
+//! * `--from-store PATH` — skip generation and analyze the segmented
+//!   store directory at `PATH` instead (frames stream off disk in
+//!   bounded memory);
+//! * `--append` — extend the store at `--store PATH` with this run's
+//!   dataset as a new batch instead of recreating it (requires
+//!   `--store`).
 //!
 //! Environment knobs (`IOTLS_THREADS`, `IOTLS_METRICS`) still apply
 //! through [`ExperimentCtx`]'s builder; flags win where both are set.
@@ -59,11 +58,11 @@ pub struct ExampleArgs {
     pub drain_at: Option<u64>,
     /// `--middleware` was passed (register per-endpoint chains).
     pub middleware: bool,
-    /// `--store` output path for the columnar store, if given.
+    /// `--store` output directory for the segmented store, if given.
     pub store: Option<String>,
-    /// `--from-store` input path replacing generation, if given.
+    /// `--from-store` store directory replacing generation, if given.
     pub from_store: Option<String>,
-    /// `--append` was passed (extend the `--store` segmented store).
+    /// `--append` was passed (extend the `--store` store directory).
     pub append: bool,
 }
 
@@ -256,11 +255,11 @@ mod tests {
     #[test]
     fn parses_store_flags() {
         let args = ExampleArgs::parse_from(&argv(&[
-            "--store", "target/out.iotls", "--from-store", "target/in.iotls",
+            "--store", "target/out.store", "--from-store", "target/in.store",
         ]))
         .unwrap();
-        assert_eq!(args.store.as_deref(), Some("target/out.iotls"));
-        assert_eq!(args.from_store.as_deref(), Some("target/in.iotls"));
+        assert_eq!(args.store.as_deref(), Some("target/out.store"));
+        assert_eq!(args.from_store.as_deref(), Some("target/in.store"));
         assert!(ExampleArgs::parse_from(&argv(&["--store"])).is_err());
         assert!(ExampleArgs::parse_from(&argv(&["--from-store"])).is_err());
     }

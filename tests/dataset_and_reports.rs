@@ -2,11 +2,10 @@
 //! that every table/figure renderer produces the expected artifacts.
 
 use iotls_repro::analysis::{figures, tables, FingerprintDb, SharingGraph};
-use iotls_repro::capture::{from_json, global_dataset, to_json};
+use iotls_repro::capture::{from_json, global_columnar, global_dataset, to_json};
 use iotls_repro::core::{
-    cipher_series, library_alert_matrix, passive_summary, revocation_summary,
-    run_downgrade_probe, run_fingerprint_survey, run_interception_audit, run_old_version_scan,
-    run_root_probe, version_series,
+    analyze_columnar, library_alert_matrix, run_downgrade_probe, run_fingerprint_survey,
+    run_interception_audit, run_old_version_scan, run_root_probe, ExperimentCtx,
 };
 use iotls_repro::devices::Testbed;
 
@@ -59,8 +58,8 @@ fn every_table_renders_with_expected_rows() {
     assert!(t7.contains("Zmodo Doorbell"));
     assert!(t7.contains("1 / 21"));
 
-    let ds = global_dataset();
-    let t8 = tables::table8_revocation(&revocation_summary(ds), &ds.device_names());
+    let a = analyze_columnar(global_columnar(), &ExperimentCtx::new(0));
+    let t8 = tables::table8_revocation(&a.revocation, &a.device_names);
     assert!(t8.contains("OCSP Stapling"));
     assert!(t8.contains("Samsung TV"));
 
@@ -73,14 +72,12 @@ fn every_table_renders_with_expected_rows() {
 #[test]
 fn every_figure_renders() {
     let testbed = Testbed::global();
-    let ds = global_dataset();
-    let summary = passive_summary(ds);
-    let axis = figures::month_axis(ds);
-    let f1 = figures::fig1_versions(&axis, &version_series(ds), &summary.fig1_devices);
+    let a = analyze_columnar(global_columnar(), &ExperimentCtx::new(0));
+    let f1 = figures::fig1_versions(&a.month_axis, &a.version_series, &a.summary.fig1_devices);
     assert!(f1.contains("Wemo Plug"));
-    let f2 = figures::fig2_insecure(&axis, &cipher_series(ds));
+    let f2 = figures::fig2_insecure(&a.month_axis, &a.cipher_series);
     assert!(f2.contains("advertising insecure"));
-    let f3 = figures::fig3_strong(&axis, &cipher_series(ds));
+    let f3 = figures::fig3_strong(&a.month_axis, &a.cipher_series);
     assert!(f3.contains("forward-secret"));
     let probe = run_root_probe(testbed, 0x4E9D);
     let f4 = figures::fig4_staleness(testbed.pki, &probe);

@@ -2,10 +2,10 @@
 //! suite through the public API and asserts the paper's headline
 //! findings (the abstract's numbers).
 
-use iotls_repro::capture::global_dataset;
+use iotls_repro::capture::{global_columnar, global_dataset};
 use iotls_repro::core::{
-    library_alert_matrix, passive_summary, run_downgrade_probe, run_interception_audit,
-    run_old_version_scan, run_root_probe,
+    analyze_columnar, library_alert_matrix, run_downgrade_probe, run_interception_audit,
+    run_old_version_scan, run_root_probe, ExperimentCtx,
 };
 use iotls_repro::devices::Testbed;
 
@@ -60,7 +60,7 @@ fn abstract_headline_findings() {
 
 #[test]
 fn passive_headlines_match_paper() {
-    let summary = passive_summary(global_dataset());
+    let summary = analyze_columnar(global_columnar(), &ExperimentCtx::new(0)).summary;
 
     // "A large majority of the devices (28/40) use TLS 1.2
     // exclusively."

@@ -1,7 +1,9 @@
 //! Golden-snapshot suite: every exported paper artifact — Tables 1–9,
 //! Figures 1–5, and the §5.1 summary statistics — serialized to
 //! canonical JSON and pinned byte-for-byte against fixtures under
-//! `tests/golden/`.
+//! `tests/golden/`. The passive artifacts (Figures 1–3, Table 8, §5.1)
+//! come from the production fold, `analyze_columnar`, the same one the
+//! store-backed and streamed pipelines run at paper scale.
 //!
 //! A failure here means an artifact changed. If the change is
 //! intentional (a renderer edit, a deliberate model change),
@@ -19,14 +21,15 @@
 //! formatting changes.
 
 use iotls_repro::analysis::{experiment_artifacts, figures, tables};
+use iotls_repro::capture::global_columnar;
 use iotls_repro::capture::json::Json;
-use iotls_repro::capture::global_dataset;
 use iotls_repro::core::{
-    cipher_series, library_alert_matrix, passive_summary, revocation_summary, version_series,
-    ExperimentCtx, ExperimentKind, Orchestrator, Report,
+    analyze_columnar, library_alert_matrix, ExperimentCtx, ExperimentKind, Orchestrator,
+    PassiveAnalysis, Report,
 };
 use iotls_repro::devices::Testbed;
 use std::path::PathBuf;
+use std::sync::OnceLock;
 
 /// Seed for the labeled application fingerprint database Figure 5
 /// joins against (the experiment seeds themselves are canonical:
@@ -72,6 +75,13 @@ fn text_artifact(name: &str, text: String) -> Json {
 
 fn str_arr(items: &[String]) -> Json {
     Json::Arr(items.iter().map(|s| Json::Str(s.clone())).collect())
+}
+
+/// The one passive analysis every passive fixture renders from: the
+/// production fold over the seed-scale capture.
+fn passive() -> &'static PassiveAnalysis {
+    static A: OnceLock<PassiveAnalysis> = OnceLock::new();
+    A.get_or_init(|| analyze_columnar(global_columnar(), &ExperimentCtx::new(0)))
 }
 
 #[test]
@@ -127,41 +137,40 @@ fn golden_experiment_registry() {
 
 #[test]
 fn golden_table8_revocation() {
-    let ds = global_dataset();
+    let a = passive();
     check(
         "table8_revocation",
         text_artifact(
             "table8_revocation",
-            tables::table8_revocation(&revocation_summary(ds), &ds.device_names()),
+            tables::table8_revocation(&a.revocation, &a.device_names),
         ),
     );
 }
 
 #[test]
 fn golden_longitudinal_figures() {
-    let ds = global_dataset();
-    let summary = passive_summary(ds);
-    let axis = figures::month_axis(ds);
+    let a = passive();
+    let axis = &a.month_axis;
     check(
         "fig1_versions",
         text_artifact(
             "fig1_versions",
-            figures::fig1_versions(&axis, &version_series(ds), &summary.fig1_devices),
+            figures::fig1_versions(axis, &a.version_series, &a.summary.fig1_devices),
         ),
     );
     check(
         "fig2_insecure",
-        text_artifact("fig2_insecure", figures::fig2_insecure(&axis, &cipher_series(ds))),
+        text_artifact("fig2_insecure", figures::fig2_insecure(axis, &a.cipher_series)),
     );
     check(
         "fig3_strong",
-        text_artifact("fig3_strong", figures::fig3_strong(&axis, &cipher_series(ds))),
+        text_artifact("fig3_strong", figures::fig3_strong(axis, &a.cipher_series)),
     );
 }
 
 #[test]
 fn golden_section51_summary() {
-    let s = passive_summary(global_dataset());
+    let s = &passive().summary;
     check(
         "section51_summary",
         Json::Obj(vec![

@@ -9,13 +9,12 @@
 
 use iotls_repro::analysis::{figures, tables};
 use iotls_repro::capture::{
-    generate, generate_columnar, to_json, to_json_columnar, ColumnarStore, StoreWriter,
+    generate, generate_columnar, to_json, to_json_columnar, SegmentedStore, SegmentedWriter,
 };
 use iotls_repro::core::{
-    analyze_columnar, analyze_store, analyze_streamed, cipher_series, passive_summary,
-    revocation_summary, run_fingerprint_survey, version_series, DowngradeProbe, Experiment,
-    ExperimentCtx, ExperimentError, InterceptionAudit, OldVersionScan, PassiveAnalysis, RootProbe,
-    METRICS_ENV,
+    analyze_columnar, analyze_store, analyze_streamed, run_fingerprint_survey, DowngradeProbe,
+    Experiment, ExperimentCtx, ExperimentError, InterceptionAudit, OldVersionScan,
+    PassiveAnalysis, RootProbe, METRICS_ENV,
 };
 use iotls_repro::crypto::sha256::sha256;
 use iotls_repro::devices::Testbed;
@@ -109,27 +108,22 @@ struct PassiveFootprint {
 }
 
 /// Renders every passive table/figure plus the JSON export through the
-/// streaming accumulator, asserting along the way that the legacy
-/// row-scanning path produces the same bytes.
+/// streaming accumulator, asserting along the way that the in-memory
+/// chunk walk and the row-vector JSON encoder produce the same bytes.
+/// (The row-scan oracle in `iotls::passive`'s tests holds the fold to
+/// the per-row scans on this same seed.)
 fn run_passive(testbed: &'static Testbed) -> PassiveFootprint {
     let cds = generate_columnar(testbed, 0x10AD);
-    let rows = cds.to_rows();
 
     // Single-pass streamed analysis (chunks dropped as they are
-    // folded) vs the in-memory chunk walk vs the legacy row scans.
+    // folded) vs the in-memory chunk walk.
     let ctx = ExperimentCtx::new(0x10AD);
     let streamed = analyze_streamed(testbed, &ctx, u64::MAX);
     assert_eq!(streamed, analyze_columnar(&cds, &ctx));
-    assert_eq!(streamed.version_series, version_series(&rows));
-    assert_eq!(streamed.cipher_series, cipher_series(&rows));
-    assert_eq!(streamed.summary, passive_summary(&rows));
-    assert_eq!(streamed.revocation, revocation_summary(&rows));
-    assert_eq!(streamed.month_axis, figures::month_axis(&rows));
-    assert_eq!(streamed.device_names, rows.device_names());
 
     // Exported dataset: columnar encoder vs the row-vector encoder.
     let export = to_json_columnar(&cds);
-    assert_eq!(export, to_json(&rows));
+    assert_eq!(export, to_json(&cds.to_rows()));
 
     PassiveFootprint {
         fig1: figures::fig1_versions(
@@ -175,26 +169,26 @@ fn counter_sections(ctx: &ExperimentCtx) -> String {
 
 /// Runs the passive pipeline twice at the current `IOTLS_THREADS`:
 /// once fully streamed (generator → accumulator, nothing persisted),
-/// once through the on-disk store (generator → `StoreWriter` sink →
-/// reopen → `analyze_store`). Returns both analyses plus each run's
+/// once through the on-disk store (generator → `SegmentedWriter` sink
+/// → reopen → `analyze_store`). Returns both analyses plus each run's
 /// `passive.*`/`capture.*` counter section.
 fn run_store_passive(
     testbed: &'static Testbed,
-    path: &std::path::Path,
+    dir: &std::path::Path,
 ) -> (PassiveAnalysis, PassiveAnalysis, String, String) {
     let streamed_ctx = ExperimentCtx::builder().seed(0x10AD).metrics(true).build();
     let streamed = analyze_streamed(testbed, &streamed_ctx, u64::MAX);
 
     let disk_ctx = ExperimentCtx::builder().seed(0x10AD).metrics(true).build();
     let capture = disk_ctx.capture_ctx();
-    let mut writer = StoreWriter::create(path).expect("create store");
+    let mut writer = SegmentedWriter::create(dir).expect("create store");
     let tail = capture.generate_streamed(testbed, u64::MAX, &mut |c| {
         writer.add_chunk(&c).expect("persist chunk");
     });
     writer
         .finish(&tail.strings, &tail.fps, &tail.revocation_flows, tail.truncated)
         .expect("finish store");
-    let store = ColumnarStore::open(path).expect("open store");
+    let store = SegmentedStore::open(dir).expect("open store");
     let from_disk = analyze_store(&store, &disk_ctx).expect("analyze store");
 
     (
@@ -209,18 +203,17 @@ fn run_store_passive(
 fn store_backed_analysis_is_byte_identical_at_any_thread_count() {
     let _env = ENV_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let testbed = Testbed::global();
-    std::fs::create_dir_all("target/test_store").expect("create target/test_store");
-    let path = std::path::Path::new("target/test_store/determinism.iotls");
+    let dir = std::path::Path::new("target/test_store/determinism.store");
 
     std::env::set_var(THREADS_ENV, "1");
     let (streamed_1, disk_1, streamed_counters_1, disk_counters_1) =
-        run_store_passive(testbed, path);
+        run_store_passive(testbed, dir);
 
     std::env::set_var(THREADS_ENV, "8");
     let (streamed_8, disk_8, streamed_counters_8, disk_counters_8) =
-        run_store_passive(testbed, path);
+        run_store_passive(testbed, dir);
     std::env::remove_var(THREADS_ENV);
-    std::fs::remove_file(path).ok();
+    std::fs::remove_dir_all(dir).ok();
 
     // Streamed vs file-backed, at each worker count.
     assert_eq!(streamed_1, disk_1, "streamed vs store-backed at 1 worker");

@@ -1,5 +1,5 @@
 //! The segmented store end to end: arbitrary segment splits vs the
-//! single-file oracle, incremental append vs one-shot build, pruning
+//! one-segment oracle, incremental append vs one-shot build, pruning
 //! soundness against a brute-force row filter, and the read-counting
 //! proof that skipped segments are never touched.
 //!
@@ -7,7 +7,7 @@
 //! files and batches is invisible to analysis — `analyze_store` over
 //! any segmented layout is byte-identical (analysis, JSON export,
 //! and `passive.*`/`capture.*` counter sections) to the same chunks
-//! in one file, at any `IOTLS_THREADS`; and a `(window, device)`
+//! in one segment, at any `IOTLS_THREADS`; and a `(window, device)`
 //! slice through `analyze_store_slice` equals re-analyzing a
 //! brute-force row-filtered copy of the corpus while provably never
 //! reading a pruned segment.
@@ -15,8 +15,8 @@
 //! All scratch stores live under `target/test_segstore/`.
 
 use iotls_repro::capture::{
-    to_json_columnar, CaptureCtx, ColumnarDataset, ColumnarStore, DatasetBuilder, RevocationFlow,
-    RevocationKind, SegmentedStore, SegmentedWriter, DEFAULT_SEED,
+    to_json_columnar, CaptureCtx, ColumnarDataset, DatasetBuilder, RevocationFlow, RevocationKind,
+    SegmentedStore, SegmentedWriter, DEFAULT_SEED,
 };
 use iotls_repro::core::{
     analyze_columnar, analyze_store, analyze_store_slice, ExperimentCtx, PassiveAnalysis,
@@ -123,6 +123,23 @@ fn metered_ctx(threads: usize) -> ExperimentCtx {
     ExperimentCtx::builder().seed(0x10AD).metrics(true).threads(threads).build()
 }
 
+/// The oracle layout: every chunk of `ds` in one segment file (the
+/// chunk limit never rolls) published as one batch, tails included.
+fn one_segment_oracle(name: &str, ds: &ColumnarDataset) -> SegmentedStore {
+    let dir = scratch(name);
+    let mut w = SegmentedWriter::create(&dir)
+        .expect("create oracle")
+        .with_chunk_limit(usize::MAX);
+    for chunk in &ds.chunks {
+        w.add_chunk(chunk).expect("add chunk");
+    }
+    w.finish(&ds.strings, &ds.fps, &ds.revocation_flows, ds.truncated)
+        .expect("publish oracle");
+    let store = SegmentedStore::open(&dir).expect("open oracle");
+    assert_eq!(store.segment_count(), 1, "the oracle is one segment");
+    store
+}
+
 /// Analyzes a segmented store, returning the analysis, the counter
 /// section, and the JSON export of its materialized dataset.
 fn footprint(dir: &Path, threads: usize) -> (PassiveAnalysis, String, String) {
@@ -137,10 +154,8 @@ fn footprint(dir: &Path, threads: usize) -> (PassiveAnalysis, String, String) {
 fn arbitrary_segment_splits_match_the_single_file_oracle() {
     let ds = corpus(0x5E6, 12);
 
-    // Oracle: the same chunks in one self-contained file.
-    let oracle_path = scratch("oracle.iotls");
-    ds.write_to(&oracle_path).expect("write oracle");
-    let oracle_store = ColumnarStore::open(&oracle_path).expect("open oracle");
+    // Oracle: the same chunks in one segment file.
+    let oracle_store = one_segment_oracle("oracle.segdir", &ds);
     let oracle_ctx = metered_ctx(1);
     let oracle = analyze_store(&oracle_store, &oracle_ctx).expect("analyze oracle");
     let oracle_counters = counter_sections(&oracle_ctx);
@@ -187,7 +202,7 @@ fn arbitrary_segment_splits_match_the_single_file_oracle() {
     }
     assert!(multi_segment_trials >= 4, "splits must actually exercise multi-segment layouts");
     assert!(multi_batch_trials >= 2, "splits must actually exercise multi-batch appends");
-    std::fs::remove_file(&oracle_path).ok();
+    std::fs::remove_dir_all(oracle_store.dir()).ok();
 }
 
 #[test]
@@ -555,9 +570,7 @@ fn empty_segments_never_own_a_chunk() {
     };
     assert_eq!(to_json_columnar(&via_index), to_json_columnar(&ds));
 
-    let oracle_path = scratch("empty_segments_oracle.iotls");
-    ds.write_to(&oracle_path).expect("write oracle");
-    let oracle = ColumnarStore::open(&oracle_path).expect("open oracle");
+    let oracle = one_segment_oracle("empty_segments_oracle.segdir", &ds);
     let ctx = ExperimentCtx::new(0x10AD);
     assert_eq!(
         analyze_store(&store, &ctx).expect("analyze segmented"),
@@ -589,5 +602,5 @@ fn empty_segments_never_own_a_chunk() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
-    std::fs::remove_file(&oracle_path).ok();
+    std::fs::remove_dir_all(oracle.dir()).ok();
 }

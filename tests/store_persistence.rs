@@ -1,19 +1,25 @@
-//! The on-disk columnar store: roundtrip fidelity, directory-level
-//! pruning, and corruption behavior.
+//! The on-disk store: roundtrip fidelity, directory-level pruning,
+//! and corruption behavior.
 //!
-//! The contract under test: [`ColumnarDataset::write_to`] followed by
-//! any of the open paths (`ColumnarDataset::open`,
-//! `ColumnarStore::open`, `ColumnarStore::open_mmap`) reproduces the
-//! dataset byte-for-byte; chunk pruning works entirely off the footer
-//! directory; and *no* corrupt input — truncated at any offset,
-//! bit-flipped at any position — ever panics. Corruption is a typed
-//! [`StoreError`], nothing else.
+//! The contract under test: a store written by [`SegmentedWriter`]
+//! and reopened by [`SegmentedStore::open`] reproduces the dataset
+//! byte-for-byte, and the bytes of its segment files are pinned;
+//! chunk pruning works entirely off the manifest and the segment
+//! footers; and *no* corrupt input — a segment file or the manifest
+//! truncated at any offset or bit-flipped at any position — ever
+//! panics. Corruption is a typed [`StoreError`], nothing else.
+//!
+//! The codec sweeps run over a one-segment store (every chunk in one
+//! segment file), so every byte of that file is a byte of the segment
+//! codec; the segmented section below adds the manifest, torn
+//! appends, and multi-segment attribution.
 //!
 //! All scratch files live under `target/test_store/`.
 
+use iotls_repro::capture::store::crc32;
 use iotls_repro::capture::{
-    global_columnar, to_json_columnar, ColumnarDataset, ColumnarStore, DatasetBuilder,
-    RevocationFlow, RevocationKind, SegmentedStore, SegmentedWriter, StoreError,
+    global_columnar, to_json_columnar, ColumnarDataset, DatasetBuilder, RevocationFlow,
+    RevocationKind, SegmentedStore, SegmentedWriter, StoreError,
 };
 use iotls_repro::core::{analyze_columnar, analyze_store, ExperimentCtx};
 use iotls_repro::crypto::sha256;
@@ -22,7 +28,7 @@ use iotls_repro::tls::alert::AlertDescription;
 use iotls_repro::tls::fingerprint::FingerprintId;
 use iotls_repro::tls::version::ProtocolVersion;
 use iotls_repro::x509::Month;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 /// A scratch path under `target/test_store/`, unique per test.
 fn scratch(name: &str) -> PathBuf {
@@ -55,8 +61,8 @@ fn obs(device: &str, month: Month, dest: &str, fp: u8) -> TlsObservation {
 /// A deliberately small dataset with TWO sealed chunks (forced by
 /// flushing mid-stream), distinct devices per chunk (so the bitmap
 /// pruning has something to distinguish), flows, and a truncation
-/// tail — every footer section populated, total file ≈2 KB, small
-/// enough to sweep corruption over every byte.
+/// tail — every footer section populated, segment file ≈650 bytes,
+/// small enough to sweep corruption over every byte.
 fn small_dataset() -> ColumnarDataset {
     let mut b = DatasetBuilder::new();
     let mut chunks = Vec::new();
@@ -89,32 +95,55 @@ fn small_dataset() -> ColumnarDataset {
     ds
 }
 
+/// A scratch store directory under `target/test_store/`, wiped before
+/// use.
+fn scratch_dir(name: &str) -> PathBuf {
+    let dir = scratch(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+/// Writes `ds` as a one-segment store: every chunk in segment file
+/// `seg-000000.seg` (the chunk limit never rolls), the tables and
+/// tails in its footer, one entry in the manifest.
+fn one_segment_store(name: &str, ds: &ColumnarDataset) -> PathBuf {
+    let dir = scratch_dir(name);
+    let mut w = SegmentedWriter::create(&dir)
+        .expect("create store")
+        .with_chunk_limit(usize::MAX);
+    for chunk in &ds.chunks {
+        w.add_chunk(chunk).expect("add chunk");
+    }
+    w.finish(&ds.strings, &ds.fps, &ds.revocation_flows, ds.truncated)
+        .expect("publish store");
+    dir
+}
+
+/// The segment file of a one-segment store.
+fn segment_file(dir: &Path) -> PathBuf {
+    dir.join("seg-000000.seg")
+}
+
 /// Opens a store and materializes everything — the deepest read path,
 /// used by the corruption sweeps so a flip anywhere (header, any
 /// frame, footer) must surface.
-fn open_fully(path: &std::path::Path) -> Result<ColumnarDataset, StoreError> {
-    ColumnarStore::open(path)?.to_dataset()
+fn open_fully(dir: &Path) -> Result<ColumnarDataset, StoreError> {
+    SegmentedStore::open(dir)?.to_dataset()
 }
 
 #[test]
 fn roundtrip_reproduces_the_dataset_exactly() {
     let ds = small_dataset();
-    let path = scratch("roundtrip.iotls");
-    ds.write_to(&path).expect("write store");
+    let dir = one_segment_store("roundtrip", &ds);
+    let store = SegmentedStore::open(&dir).expect("open");
+    assert_eq!(store.segment_count(), 1);
 
-    // All three open paths, byte-compared through the JSON export
-    // (which resolves every symbol, span, flag, and tail).
+    // Byte-compared through the JSON export (which resolves every
+    // symbol, span, flag, and tail).
     let want = to_json_columnar(&ds);
-    let via_dataset = ColumnarDataset::open(&path).expect("dataset open");
-    assert_eq!(to_json_columnar(&via_dataset), want);
-    let via_pread = ColumnarStore::open(&path)
-        .expect("pread open")
-        .to_dataset()
-        .expect("pread materialize");
-    assert_eq!(to_json_columnar(&via_pread), want);
+    assert_eq!(to_json_columnar(&store.to_dataset().expect("materialize")), want);
 
     // Chunk-level metadata survives the trip too.
-    let store = ColumnarStore::open(&path).expect("reopen");
     assert_eq!(store.chunk_count(), ds.chunks.len());
     assert_eq!(store.total_rows(), ds.total_rows() as u64);
     assert_eq!(store.total_connections(), ds.total_connections());
@@ -129,46 +158,36 @@ fn roundtrip_reproduces_the_dataset_exactly() {
         assert_eq!(got.min_time(), chunk.min_time());
         assert_eq!(got.max_time(), chunk.max_time());
     }
-    std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn mmap_and_pread_backings_agree() {
-    let ds = small_dataset();
-    let path = scratch("backing.iotls");
-    ds.write_to(&path).expect("write store");
-    let pread = ColumnarStore::open(&path).expect("pread open");
-    let mapped = ColumnarStore::open_mmap(&path).expect("mmap open");
-    assert_eq!(
-        to_json_columnar(&pread.to_dataset().expect("pread")),
-        to_json_columnar(&mapped.to_dataset().expect("mmap")),
-    );
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn seed_scale_store_analysis_matches_in_memory() {
     let ds = global_columnar();
-    let path = scratch("seed_scale.iotls");
-    ds.write_to(&path).expect("write store");
-    let store = ColumnarStore::open(&path).expect("open");
+    let dir = one_segment_store("seed_scale", ds);
+    let store = SegmentedStore::open(&dir).expect("open");
 
     let ctx = ExperimentCtx::new(0x10AD);
     let from_disk = analyze_store(&store, &ctx).expect("analyze store");
     assert_eq!(from_disk, analyze_columnar(ds, &ctx));
     assert!(from_disk.total_connections > 0);
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Hex SHA-256 of a file's bytes.
-fn file_digest(path: &std::path::Path) -> String {
+fn file_digest(path: &Path) -> String {
     let bytes = std::fs::read(path).expect("read store file");
     sha256::hex(&sha256::sha256(&bytes))
 }
 
-/// The exact bytes `write_to` lays down, pinned as SHA-256 digests: a
-/// codec change that moves one byte of a frame, the directory, or the
-/// footer fails here, even when every decoded value still roundtrips.
+/// The exact bytes of a one-segment store's segment file, pinned as
+/// SHA-256 digests (taken when each dataset was one self-contained
+/// store file, the format a segment file still is): a codec change
+/// that moves one byte of a frame, the directory, or the footer fails
+/// here, even when every decoded value still roundtrips. Both ways of
+/// filling a batch — chunks with explicit tables and tails, and a
+/// whole dataset remapped onto the writer's own tables — must lay
+/// down these bytes.
 #[test]
 fn single_file_store_bytes_are_pinned() {
     let cases: [(&str, &ColumnarDataset, &str); 3] = [
@@ -190,13 +209,20 @@ fn single_file_store_bytes_are_pinned() {
     ];
     let mut moved = Vec::new();
     for (name, ds, want) in cases {
-        let path = scratch(&format!("pinned_{name}.iotls"));
-        ds.write_to(&path).expect("write store");
-        let got = file_digest(&path);
-        if got != want {
-            moved.push(format!("{name}: {got}"));
+        let chunked = one_segment_store(&format!("pinned_{name}"), ds);
+        let remapped = scratch_dir(&format!("pinned_{name}_remapped"));
+        let mut w = SegmentedWriter::create(&remapped)
+            .expect("create store")
+            .with_chunk_limit(usize::MAX);
+        w.append_columnar(ds, 0).expect("ingest dataset");
+        w.finish_batch().expect("publish store");
+        for (how, dir) in [("chunks", &chunked), ("append_columnar", &remapped)] {
+            let got = file_digest(&segment_file(dir));
+            if got != want {
+                moved.push(format!("{name} via {how}: {got}"));
+            }
+            std::fs::remove_dir_all(dir).ok();
         }
-        std::fs::remove_file(&path).ok();
     }
     assert!(moved.is_empty(), "store bytes moved:\n{}", moved.join("\n"));
 }
@@ -227,9 +253,8 @@ fn monthly_corpus() -> ColumnarDataset {
 fn directory_pruning_matches_the_in_memory_chunk_walk() {
     let ds = monthly_corpus();
     assert_eq!(ds.chunks.len(), 12);
-    let path = scratch("pruning.iotls");
-    ds.write_to(&path).expect("write store");
-    let store = ColumnarStore::open(&path).expect("open");
+    let dir = one_segment_store("pruning", &ds);
+    let store = SegmentedStore::open(&dir).expect("open");
 
     // A mid-study window plus one device, the way a longitudinal
     // slice queries: directory-only selection must agree with the
@@ -265,84 +290,76 @@ fn directory_pruning_matches_the_in_memory_chunk_walk() {
 
     // An empty window and an impossible device prune everything.
     assert!(store.select_chunks(i64::MAX - 1, i64::MAX, None).is_empty());
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn truncation_at_every_offset_is_a_typed_error() {
-    let ds = small_dataset();
-    let path = scratch("trunc_full.iotls");
-    ds.write_to(&path).expect("write store");
-    let bytes = std::fs::read(&path).expect("read back");
-    std::fs::remove_file(&path).ok();
+    let dir = one_segment_store("trunc_full", &small_dataset());
+    let seg = segment_file(&dir);
+    let bytes = std::fs::read(&seg).expect("read back");
     assert!(bytes.len() < 16 * 1024, "fixture meant to be small");
 
-    let cut_path = scratch("trunc_cut.iotls");
     for cut in 0..bytes.len() {
-        std::fs::write(&cut_path, &bytes[..cut]).expect("write truncated");
+        std::fs::write(&seg, &bytes[..cut]).expect("write truncated");
         assert!(
-            open_fully(&cut_path).is_err(),
+            open_fully(&dir).is_err(),
             "truncation at byte {cut}/{} must error",
             bytes.len()
         );
     }
     // Sanity: the untruncated bytes still open.
-    std::fs::write(&cut_path, &bytes).expect("write full");
-    open_fully(&cut_path).expect("full file opens");
-    std::fs::remove_file(&cut_path).ok();
+    std::fs::write(&seg, &bytes).expect("write full");
+    open_fully(&dir).expect("full file opens");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn every_single_bit_flip_is_caught() {
-    let ds = small_dataset();
-    let path = scratch("flip_full.iotls");
-    ds.write_to(&path).expect("write store");
-    let bytes = std::fs::read(&path).expect("read back");
-    std::fs::remove_file(&path).ok();
+    let dir = one_segment_store("flip_full", &small_dataset());
+    let seg = segment_file(&dir);
+    let bytes = std::fs::read(&seg).expect("read back");
 
     // One flip per byte position (rotating which bit) covers the
     // header, every frame, and the whole footer; the format has no
     // padding, so every position is load-bearing.
-    let flip_path = scratch("flip_cut.iotls");
     for i in 0..bytes.len() {
         let mut corrupt = bytes.clone();
         corrupt[i] ^= 1u8 << (i % 8);
-        std::fs::write(&flip_path, &corrupt).expect("write flipped");
+        std::fs::write(&seg, &corrupt).expect("write flipped");
         assert!(
-            open_fully(&flip_path).is_err(),
+            open_fully(&dir).is_err(),
             "bit flip at byte {i} must error"
         );
     }
-    std::fs::remove_file(&flip_path).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
 fn corruption_errors_are_specific() {
-    let ds = small_dataset();
-    let path = scratch("typed.iotls");
-    ds.write_to(&path).expect("write store");
-    let bytes = std::fs::read(&path).expect("read back");
-    let case = scratch("typed_case.iotls");
+    let dir = one_segment_store("typed", &small_dataset());
+    let seg = segment_file(&dir);
+    let bytes = std::fs::read(&seg).expect("read back");
 
     // Wrong magic.
     let mut b = bytes.clone();
     b[0] = b'X';
-    std::fs::write(&case, &b).unwrap();
-    assert!(matches!(open_fully(&case), Err(StoreError::BadMagic)));
+    std::fs::write(&seg, &b).unwrap();
+    assert!(matches!(open_fully(&dir), Err(StoreError::BadMagic)));
 
     // Future version.
     let mut b = bytes.clone();
     b[8..12].copy_from_slice(&99u32.to_le_bytes());
-    std::fs::write(&case, &b).unwrap();
+    std::fs::write(&seg, &b).unwrap();
     assert!(matches!(
-        open_fully(&case),
+        open_fully(&dir),
         Err(StoreError::UnsupportedVersion(99))
     ));
 
-    // Empty file.
-    std::fs::write(&case, []).unwrap();
+    // Empty segment file.
+    std::fs::write(&seg, []).unwrap();
     assert!(matches!(
-        open_fully(&case),
+        open_fully(&dir),
         Err(StoreError::Truncated { .. })
     ));
 
@@ -350,8 +367,8 @@ fn corruption_errors_are_specific() {
     // store opens, and the damage surfaces as that chunk's checksum.
     let mut b = bytes.clone();
     b[24] ^= 0x10; // past the 20-byte header, inside chunk 0
-    std::fs::write(&case, &b).unwrap();
-    let store = ColumnarStore::open(&case).expect("directory still intact");
+    std::fs::write(&seg, &b).unwrap();
+    let store = SegmentedStore::open(&dir).expect("directory still intact");
     assert!(matches!(
         store.read_chunk(0),
         Err(StoreError::ChecksumMismatch { chunk: Some(0), .. })
@@ -361,38 +378,30 @@ fn corruption_errors_are_specific() {
     let mut b = bytes.clone();
     let last = b.len() - 1;
     b[last] ^= 0x01;
-    std::fs::write(&case, &b).unwrap();
+    std::fs::write(&seg, &b).unwrap();
     assert!(matches!(
-        open_fully(&case),
+        open_fully(&dir),
         Err(StoreError::ChecksumMismatch { chunk: None, .. })
     ));
 
     // Errors render and chain like real errors.
-    let err = open_fully(&case).unwrap_err();
+    let err = open_fully(&dir).unwrap_err();
     assert!(!err.to_string().is_empty());
     let io: StoreError = std::io::Error::other("disk fell off").into();
     assert!(std::error::Error::source(&io).is_some());
 
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(&case).ok();
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ── Segmented store: torn writes, stale directories, attribution ────
 //
-// The segmented layout adds two new places a crash can land: inside
-// the MANIFEST (published by rename, so only full rewrites should
-// ever be visible) and inside a segment file written by a batch that
-// never published. The sweeps below hold the same line as the
-// single-file ones: every corruption is a typed `StoreError` or a
-// clean recovery to the last sealed state — never a panic, never
-// silently wrong data.
-
-/// A scratch segmented-store directory, wiped before use.
-fn scratch_dir(name: &str) -> PathBuf {
-    let dir = scratch(name);
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
+// Beyond the segment codec, the store has two more places a crash
+// can land: inside the MANIFEST (published by rename, so only full
+// rewrites should ever be visible) and inside a segment file written
+// by a batch that never published. The sweeps below hold the same
+// line as the codec sweeps above: every corruption is a typed
+// `StoreError` or a clean recovery to the last sealed state — never
+// a panic, never silently wrong data.
 
 /// The monthly corpus as a segmented store: 12 chunks at 3 per
 /// segment = 4 segment files plus the manifest.
@@ -524,12 +533,12 @@ fn truncation_messages_name_the_file_and_offset() {
     );
     std::fs::remove_dir_all(&dir).ok();
 
-    // Single-file stores carry their path too.
-    let path = scratch("msg_shape.iotls");
-    small_dataset().write_to(&path).expect("write store");
+    // A one-segment store names its segment file too.
+    let one = one_segment_store("msg_shape_one", &small_dataset());
+    let path = segment_file(&one);
     let bytes = std::fs::read(&path).expect("read back");
     std::fs::write(&path, &bytes[..10]).expect("truncate");
-    let err = ColumnarStore::open(&path).expect_err("must error");
+    let err = open_fully(&one).expect_err("must error");
     assert!(matches!(err, StoreError::Truncated { .. }));
     let msg = err.to_string();
     assert!(msg.starts_with("store truncated reading "), "{msg}");
@@ -544,5 +553,39 @@ fn truncation_messages_name_the_file_and_offset() {
     assert!(msg.contains("manifest"), "{msg}");
     assert!(msg.ends_with(&format!(" of {}", manifest.display())), "{msg}");
     std::fs::remove_dir_all(&dir).ok();
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&one).ok();
+}
+
+/// A manifest that lists the same segment file twice is CRC-valid but
+/// would count that segment's chunks, rows, flows, and truncations
+/// twice; opening (and therefore appending to) such a store is a typed
+/// corruption error.
+#[test]
+fn manifest_naming_a_segment_twice_is_corrupt() {
+    let dir = one_segment_store("seg_manifest_dup", &monthly_corpus());
+    let manifest = dir.join("MANIFEST");
+    let bytes = std::fs::read(&manifest).expect("read manifest");
+    // magic (8) · version (4) · count (4) · one entry ·
+    // strings_len (4) · fps_len (4) · crc (4)
+    let entry = &bytes[16..bytes.len() - 12];
+    let mut forged = bytes[..12].to_vec();
+    forged.extend_from_slice(&2u32.to_le_bytes());
+    forged.extend_from_slice(entry);
+    forged.extend_from_slice(entry);
+    forged.extend_from_slice(&bytes[bytes.len() - 12..bytes.len() - 4]);
+    let crc = crc32(&forged);
+    forged.extend_from_slice(&crc.to_le_bytes());
+    std::fs::write(&manifest, &forged).expect("write forged manifest");
+
+    assert!(
+        matches!(SegmentedStore::open(&dir), Err(StoreError::Corrupt(_))),
+        "a segment named twice must not open"
+    );
+    assert!(
+        matches!(SegmentedWriter::append(&dir), Err(StoreError::Corrupt(_))),
+        "nor be appended to"
+    );
+    std::fs::write(&manifest, &bytes).expect("restore manifest");
+    assert_eq!(SegmentedStore::open(&dir).expect("restored").total_rows(), 24);
+    std::fs::remove_dir_all(&dir).ok();
 }
