@@ -7,68 +7,53 @@
 //! stops it when the handshake material no longer matches what the
 //! endpoint served at enrollment time. [`DriftDetector`] implements
 //! that as a [`Middleware`]: per endpoint, the gateway skims its
-//! recorded clean tapes into [`FlowBaseline`]s (one 64-bit FNV-1a
-//! hash of the first ClientHello body and one of the first
-//! Certificate body per tape), and the detector intercepts any
-//! session whose observed hashes fall outside the allowed sets — a
-//! forged chain from a MITM hashes differently from the enrolled
-//! server's, while every legitimate replay of a roster tape hashes
-//! identically.
+//! recorded clean tapes into [`FlowBaseline`]s (a copy of the first
+//! ClientHello body and of the first Certificate body per tape), and
+//! the detector intercepts any session whose observed bodies are not
+//! byte for byte one of the enrolled ones — a forged chain from a MITM
+//! differs from the enrolled server's, while every legitimate replay
+//! of a roster tape carries identical bytes. Comparing the bodies
+//! themselves, not a digest of them, leaves no collision through which
+//! a forged body could pass, and a mismatch usually ends at the length
+//! check or within the first few bytes.
 //!
-//! The hot path is allocation-free: hashing borrows the hook's body
-//! slice, and membership is a linear scan over a per-endpoint vector
-//! sized by the roster (a handful of entries). Verdicts depend only
-//! on the session bytes and the fixed baseline, honouring the
+//! The hot path is allocation-free: each hook compares the borrowed
+//! body slice against a per-endpoint vector of enrolled bodies sized
+//! by the roster (a handful of entries). Verdicts depend only on the
+//! session bytes and the fixed baseline, honouring the
 //! [`ChainFactory`] determinism contract.
 //!
 //! [`ChainFactory`]: crate::gateway::ChainFactory
 
 use iotls_simnet::mux::SessionFlow;
 use iotls_tls::middleware::{Chain, Flow, Middleware, Verdict};
+use std::sync::Arc;
 
-/// 64-bit FNV-1a over a borrowed slice — no allocation, stable across
-/// platforms, and plenty for equality-vs-baseline checks (this is a
-/// drift detector, not a cryptographic commitment).
-fn fnv1a(data: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &byte in data {
-        hash ^= byte as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Enrollment-time hashes of one clean tape's handshake material.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// Enrollment-time copies of one clean tape's handshake material,
+/// shared (not copied again) by every detector enrolled with them.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FlowBaseline {
-    /// FNV-1a of the first ClientHello body on the tape, when one
-    /// deframed cleanly.
-    pub ch_hash: Option<u64>,
-    /// FNV-1a of the first Certificate body on the tape, when one
-    /// deframed cleanly.
-    pub cert_hash: Option<u64>,
+    /// The first ClientHello body on the tape, when one deframed
+    /// cleanly.
+    pub client_hello: Option<Arc<[u8]>>,
+    /// The first Certificate body on the tape, when one deframed
+    /// cleanly.
+    pub certificate: Option<Arc<[u8]>>,
 }
 
-/// Observe-only skimmer that captures the first ClientHello and
-/// Certificate body hashes of a session.
+/// Observe-only skimmer that copies the first ClientHello and
+/// Certificate bodies of a session.
 #[derive(Debug, Default)]
-struct BaselineSkim {
-    ch_hash: Option<u64>,
-    cert_hash: Option<u64>,
-}
+struct BaselineSkim(FlowBaseline);
 
 impl Middleware for BaselineSkim {
     fn on_client_hello(&mut self, _flow: Flow, body: &mut [u8]) -> Verdict {
-        if self.ch_hash.is_none() {
-            self.ch_hash = Some(fnv1a(body));
-        }
+        self.0.client_hello.get_or_insert_with(|| Arc::from(&*body));
         Verdict::Continue
     }
 
     fn on_certificate(&mut self, _flow: Flow, body: &mut [u8]) -> Verdict {
-        if self.cert_hash.is_none() {
-            self.cert_hash = Some(fnv1a(body));
-        }
+        self.0.certificate.get_or_insert_with(|| Arc::from(&*body));
         Verdict::Continue
     }
 
@@ -79,8 +64,8 @@ impl Middleware for BaselineSkim {
 
 impl FlowBaseline {
     /// Skims a recorded tape through the chain's own byte-feed avenue
-    /// — the exact dispatch path live sessions take — so baseline and
-    /// observation hashes can never diverge on framing.
+    /// — the exact dispatch path live sessions take — so enrolled and
+    /// observed bodies can never diverge on framing.
     pub fn of(flow: &SessionFlow) -> FlowBaseline {
         let mut chain = Chain::new().with(Box::new(BaselineSkim::default()));
         chain.begin_session();
@@ -92,46 +77,44 @@ impl FlowBaseline {
         let skim = chain
             .middleware_mut::<BaselineSkim>(0)
             .expect("skimmer at slot 0");
-        FlowBaseline {
-            ch_hash: skim.ch_hash,
-            cert_hash: skim.cert_hash,
-        }
+        std::mem::take(&mut skim.0)
     }
 }
 
 /// Middleware that intercepts sessions whose ClientHello or
-/// Certificate hash is absent from the endpoint's enrolled baseline
-/// set. Counters accumulate across sessions (they are observability,
-/// not verdict state); the per-record verdict is a pure function of
-/// the record bytes and the fixed baselines.
+/// Certificate body is not one of the endpoint's enrolled bodies.
+/// Counters accumulate across sessions (they are observability, not
+/// verdict state); the per-record verdict is a pure function of the
+/// record bytes and the fixed baselines.
 #[derive(Debug, Default)]
 pub struct DriftDetector {
-    ch_allowed: Vec<u64>,
-    cert_allowed: Vec<u64>,
+    ch_allowed: Vec<Arc<[u8]>>,
+    cert_allowed: Vec<Arc<[u8]>>,
     /// Sessions-records flagged for an unenrolled ClientHello.
     pub ch_drift: u64,
     /// Sessions-records flagged for an unenrolled Certificate.
     pub cert_drift: u64,
 }
 
+/// Adds `body` to `allowed` unless an equal body is already there.
+fn enroll(allowed: &mut Vec<Arc<[u8]>>, body: &Option<Arc<[u8]>>) {
+    if let Some(body) = body {
+        if !allowed.iter().any(|b| **b == **body) {
+            allowed.push(Arc::clone(body));
+        }
+    }
+}
+
 impl DriftDetector {
     /// A detector enrolled with the endpoint's roster baselines. A
-    /// hash class with no enrolled value (e.g. tapes that never
+    /// body class with nothing enrolled (e.g. tapes that never
     /// reached Certificate) is not checked — absence of enrollment
     /// is not evidence of drift.
     pub fn new(baselines: &[FlowBaseline]) -> DriftDetector {
         let mut det = DriftDetector::default();
         for b in baselines {
-            if let Some(h) = b.ch_hash {
-                if !det.ch_allowed.contains(&h) {
-                    det.ch_allowed.push(h);
-                }
-            }
-            if let Some(h) = b.cert_hash {
-                if !det.cert_allowed.contains(&h) {
-                    det.cert_allowed.push(h);
-                }
-            }
+            enroll(&mut det.ch_allowed, &b.client_hello);
+            enroll(&mut det.cert_allowed, &b.certificate);
         }
         det
     }
@@ -143,10 +126,10 @@ impl DriftDetector {
 }
 
 impl Middleware for DriftDetector {
-    // ALLOC-FREE: begin (drift hot path — hashes borrow the hook's
-    // body slice; membership is a scan over the enrolled vectors).
+    // ALLOC-FREE: begin (drift hot path — each hook compares the
+    // borrowed body slice with the enrolled bodies in place).
     fn on_client_hello(&mut self, _flow: Flow, body: &mut [u8]) -> Verdict {
-        if self.ch_allowed.is_empty() || self.ch_allowed.contains(&fnv1a(body)) {
+        if self.ch_allowed.is_empty() || self.ch_allowed.iter().any(|b| **b == *body) {
             return Verdict::Continue;
         }
         self.ch_drift += 1;
@@ -154,7 +137,7 @@ impl Middleware for DriftDetector {
     }
 
     fn on_certificate(&mut self, _flow: Flow, body: &mut [u8]) -> Verdict {
-        if self.cert_allowed.is_empty() || self.cert_allowed.contains(&fnv1a(body)) {
+        if self.cert_allowed.is_empty() || self.cert_allowed.iter().any(|b| **b == *body) {
             return Verdict::Continue;
         }
         self.cert_drift += 1;
@@ -174,7 +157,7 @@ mod tests {
     use iotls_crypto::drbg::Drbg;
     use iotls_devices::{client_config, Testbed};
     use iotls_tls::client::ClientConnection;
-    use iotls_tls::middleware::Signal;
+    use iotls_tls::middleware::{Signal, Stage};
     use iotls_tls::server::ServerConnection;
 
     /// Records one clean tape for `device`'s first destination —
@@ -213,14 +196,88 @@ mod tests {
     }
 
     #[test]
-    fn baseline_skims_both_hashes_from_a_clean_tape() {
+    fn baseline_skims_both_bodies_from_a_clean_tape() {
         let tb = Testbed::global();
         let flow = record_flow(tb, "Zmodo Doorbell", None);
         let baseline = FlowBaseline::of(&flow);
-        assert!(baseline.ch_hash.is_some(), "tape carries a ClientHello");
-        assert!(baseline.cert_hash.is_some(), "tape carries a Certificate");
+        assert!(baseline.client_hello.is_some(), "tape carries a ClientHello");
+        assert!(baseline.certificate.is_some(), "tape carries a Certificate");
         // Skimming is a pure function of the tape bytes.
         assert_eq!(baseline, FlowBaseline::of(&flow));
+    }
+
+    #[test]
+    fn any_edit_to_the_enrolled_certificate_body_intercepts() {
+        let tb = Testbed::global();
+        let flow = record_flow(tb, "Zmodo Doorbell", None);
+        let baseline = FlowBaseline::of(&flow);
+        let cert = baseline.certificate.clone().expect("tape carries a Certificate");
+        let mut det = DriftDetector::new(&[baseline]);
+        let mut hook = |body: &[u8]| det.on_certificate(Flow::ServerToClient, &mut body.to_vec());
+
+        assert_eq!(hook(&cert), Verdict::Continue, "the enrolled body itself");
+        let mut edited = cert.to_vec();
+        for i in 0..edited.len() {
+            edited[i] ^= 0x01;
+            assert_eq!(hook(&edited), Verdict::Intercept, "byte {i} flipped");
+            edited[i] ^= 0x01;
+        }
+        edited.push(0);
+        assert_eq!(hook(&edited), Verdict::Intercept, "one byte appended");
+        assert_eq!(hook(&cert[..cert.len() - 1]), Verdict::Intercept, "last byte dropped");
+        assert_eq!(det.cert_drift, cert.len() as u64 + 2);
+        assert_eq!(det.ch_drift, 0);
+    }
+
+    #[test]
+    fn a_flipped_certificate_byte_on_the_wire_intercepts() {
+        let tb = Testbed::global();
+        let flow = record_flow(tb, "Zmodo Doorbell", None);
+        let baseline = FlowBaseline::of(&flow);
+        let cert = baseline.certificate.clone().expect("tape carries a Certificate");
+        let mut chain = Chain::new().with(Box::new(DriftDetector::new(&[baseline])));
+
+        let mut forged = flow.clone();
+        let (round, at) = forged
+            .rounds
+            .iter()
+            .enumerate()
+            .find_map(|(r, round)| {
+                let at = round.s2c.windows(cert.len()).position(|w| *w == *cert)?;
+                Some((r, at))
+            })
+            .expect("the Certificate body sits whole in one server flight");
+        forged.rounds[round].s2c[at + cert.len() / 2] ^= 0x80;
+
+        assert_eq!(feed_tape(&mut chain, &flow), None, "the enrolled tape");
+        assert_eq!(feed_tape(&mut chain, &forged), Some(Signal::Intercept));
+        let det = chain.middleware_mut::<DriftDetector>(0).unwrap();
+        assert_eq!((det.ch_drift, det.cert_drift), (0, 1));
+    }
+
+    #[test]
+    fn the_enrolled_tape_fed_one_byte_at_a_time_never_flags() {
+        let tb = Testbed::global();
+        let flow = record_flow(tb, "Zmodo Doorbell", None);
+        let mut chain =
+            Chain::new().with(Box::new(DriftDetector::new(&[FlowBaseline::of(&flow)])));
+        chain.begin_session();
+        for round in &flow.rounds {
+            for byte in round.c2s.chunks(1) {
+                chain.feed(Flow::ClientToServer, byte);
+            }
+            for byte in round.s2c.chunks(1) {
+                chain.feed(Flow::ServerToClient, byte);
+            }
+        }
+        chain.close();
+        assert_eq!(chain.terminal(), None);
+        let stats = chain.take_stats();
+        for stage in [Stage::ClientHello, Stage::Certificate] {
+            assert_eq!(stats.invocations[stage.index()], 1, "{} hook", stage.label());
+        }
+        let det = chain.middleware_mut::<DriftDetector>(0).unwrap();
+        assert_eq!(det.flags(), 0);
     }
 
     #[test]

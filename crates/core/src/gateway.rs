@@ -21,11 +21,13 @@
 //!    [`Rejected::Overloaded`], an empty class bucket
 //!    [`Rejected::Throttled`], an open breaker
 //!    [`Rejected::CircuitOpen`];
-//! 3. **dispatch** up to a pool-sized batch from the queue across
-//!    [`ExperimentCtx::threads`] workers ([`ordered_map_with_state`],
-//!    so results merge in dispatch order) — each session replays its
-//!    tape under its own fault draw with a hard round *deadline*,
-//!    wrapped in `catch_unwind` so a poisoned session increments
+//! 3. **dispatch** up to a pool-sized batch from the queue to the
+//!    run's [`ExperimentCtx::threads`] workers — one [`with_pool`]
+//!    spawned per run, whose workers keep their replay scratch and
+//!    middleware chains from tick to tick and hand results back in
+//!    dispatch order — each session replays its tape under its own
+//!    fault draw with a hard round *deadline*, wrapped in
+//!    `catch_unwind` so a poisoned session increments
 //!    `gateway.sessions.panicked` instead of killing the pool;
 //! 4. **settle** the batch sequentially: verdict counters, fault
 //!    stats, breaker transitions.
@@ -42,7 +44,7 @@
 //! byte-identical at any worker count.
 //!
 //! [`LinkConditioner`]: iotls_simnet::LinkConditioner
-//! [`ordered_map_with_state`]: iotls_simnet::ordered_map_with_state
+//! [`with_pool`]: iotls_simnet::with_pool
 
 use crate::detect::FlowBaseline;
 use crate::experiment::{fault_stats_json, ExperimentCtx, GatewayService};
@@ -56,11 +58,12 @@ use iotls_obs::Registry;
 use iotls_simnet::mux::{
     replay_flow_chained, replay_flow_with, AcceptLoop, ReplayOutcome, ReplayScratch, SessionFlow,
 };
-use iotls_simnet::{FailureCause, FaultSampler, InjectedFault, SessionFaults};
+use iotls_simnet::{FailureCause, FaultSampler, InjectedFault, Pool, SessionFaults};
 use iotls_tls::client::ClientConnection;
 use iotls_tls::middleware::{Chain, ChainStats, Signal, Stage};
 use iotls_tls::server::ServerConnection;
 use std::collections::{BTreeMap, VecDeque};
+use std::fmt::Write as _;
 
 /// Bucket bounds for the per-session replay-round histogram
 /// (`gateway.session.rounds`). A clean replay takes exactly 3 rounds
@@ -391,6 +394,15 @@ struct Ticket {
     flow_idx: usize,
 }
 
+/// One worker's state for a whole run: replay scratch, one chain slot
+/// per roster endpoint, and the buffer the fault-draw key is written
+/// into.
+struct WorkerState {
+    scratch: ReplayScratch,
+    chains: Vec<Option<Chain>>,
+    key: String,
+}
+
 /// What one worker hands back for one ticket.
 struct SessionOutcome {
     verdict: SessionVerdict,
@@ -404,10 +416,11 @@ struct SessionOutcome {
 
 /// Builds the middleware [`Chain`] for one endpoint (by hostname), or
 /// `None` to leave that endpoint un-hooked. Called once per endpoint
-/// per worker, so per-chain state is worker-local; deterministic
-/// reports require chains whose *verdicts* depend only on the session
-/// bytes (per-session state is fine, cross-session accumulation that
-/// changes verdicts is not).
+/// per worker per run, so per-chain state is worker-local and lives
+/// across every session that worker replays for the endpoint;
+/// deterministic reports require chains whose *verdicts* depend only
+/// on the session bytes (per-session state is fine, cross-session
+/// accumulation that changes verdicts is not).
 pub type ChainFactory = Box<dyn Fn(&str) -> Option<Chain> + Send + Sync>;
 
 /// The resident gateway runtime. Construct with [`Gateway::new`]
@@ -530,8 +543,8 @@ impl<'a> Gateway<'a> {
         self.chain_factory = Some(factory);
     }
 
-    /// One chain slot per roster endpoint, built fresh for each
-    /// worker (empty when no factory is registered — the hot path
+    /// One chain slot per roster endpoint, built once for each worker
+    /// of a run (empty when no factory is registered — the hot path
     /// stays branch-cheap).
     fn worker_chains(&self) -> Vec<Option<Chain>> {
         match &self.chain_factory {
@@ -544,9 +557,31 @@ impl<'a> Gateway<'a> {
     /// and emits the final report. Byte-identical at any
     /// [`ExperimentCtx::threads`].
     pub fn run(&self) -> GatewayReport {
+        let sampler = self.ctx.plan().sampler();
+        iotls_simnet::with_pool(
+            self.ctx.threads(),
+            || WorkerState {
+                scratch: ReplayScratch::default(),
+                chains: self.worker_chains(),
+                key: String::new(),
+            },
+            |worker, ticket| (ticket, self.drive(&sampler, worker, ticket)),
+            |pool| self.soak(pool),
+        )
+    }
+
+    /// The tick loop of [`Gateway::run`]: every batch goes to `pool`,
+    /// and its outcomes are settled in dispatch order.
+    fn soak<I, F>(
+        &self,
+        pool: &mut Pool<'_, Ticket, (Ticket, SessionOutcome), WorkerState, I, F>,
+    ) -> GatewayReport
+    where
+        I: Fn() -> WorkerState,
+        F: Fn(&mut WorkerState, Ticket) -> (Ticket, SessionOutcome),
+    {
         let cfg = &self.config;
         let accept = AcceptLoop::new(self.ctx.seed(), cfg.load, cfg.load_spread);
-        let sampler = self.ctx.plan().sampler();
         let mut reg = Registry::new();
         let mut queue: VecDeque<Ticket> = VecDeque::new();
         let mut buckets: Vec<TokenBucket> = Category::ALL
@@ -630,13 +665,7 @@ impl<'a> Gateway<'a> {
             if batch.is_empty() {
                 continue;
             }
-            let outcomes = iotls_simnet::ordered_map_with_state(
-                self.ctx.threads(),
-                batch.clone(),
-                || (ReplayScratch::default(), self.worker_chains()),
-                |(scratch, chains), t| self.drive(&sampler, scratch, chains, t),
-            );
-            for (ticket, outcome) in batch.iter().zip(outcomes) {
+            for (ticket, outcome) in pool.map(batch) {
                 let entry = &self.flows[ticket.flow_idx];
                 completed += 1;
                 stats.merge(&outcome.stats);
@@ -758,12 +787,11 @@ impl<'a> Gateway<'a> {
     fn drive(
         &self,
         sampler: &FaultSampler,
-        scratch: &mut ReplayScratch,
-        chains: &mut [Option<Chain>],
+        worker: &mut WorkerState,
         ticket: Ticket,
     ) -> SessionOutcome {
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.drive_inner(sampler, scratch, chains, ticket)
+            self.drive_inner(sampler, worker, ticket)
         })) {
             Ok(outcome) => outcome,
             Err(_) => SessionOutcome {
@@ -783,8 +811,7 @@ impl<'a> Gateway<'a> {
     fn drive_inner(
         &self,
         sampler: &FaultSampler,
-        scratch: &mut ReplayScratch,
-        chains: &mut [Option<Chain>],
+        worker: &mut WorkerState,
         ticket: Ticket,
     ) -> SessionOutcome {
         let cfg = &self.config;
@@ -799,6 +826,7 @@ impl<'a> Gateway<'a> {
             }
         }
 
+        let WorkerState { scratch, chains, key } = worker;
         let mut chain = chains.get_mut(entry.endpoint_idx).and_then(Option::as_mut);
         let mut stats = FaultStats::default();
         let mut mw = ChainStats::default();
@@ -826,11 +854,14 @@ impl<'a> Gateway<'a> {
         let mut rounds = 0u64;
         let mut verdict = SessionVerdict::Failed(FailureCause::DnsFailure);
         for try_idx in 0..INLINE_RETRY_BUDGET {
-            let key = format!(
+            key.clear();
+            write!(
+                key,
                 "gw/{}/{}/{}/try{}",
                 entry.device, entry.endpoint, ticket.seq, try_idx
-            );
-            let faults = sampler.session_faults(&key);
+            )
+            .expect("formatting into a String cannot fail");
+            let faults = sampler.session_faults(key);
 
             if faults.dns.is_some() {
                 stats.dns_failures += 1;

@@ -11,10 +11,12 @@
 //! * **timings** — wall-clock [`Span`] totals ([`Registry::record`]).
 //!
 //! Counters, gauges, and histograms are *deterministic*: experiment
-//! engines record into one thread-local shard per `ordered_map` worker
-//! item and the shards are merged in roster order, so the merged values
-//! are byte-identical at any `IOTLS_THREADS`. Timings are wall-clock
-//! and therefore **excluded** from the deterministic snapshot:
+//! engines record into one thread-local shard per item of a
+//! `simnet::par` fan-out (`ordered_map_with`, or a run-scoped
+//! `with_pool`) and the shards are merged in roster order, so the
+//! merged values are byte-identical at any `IOTLS_THREADS`. Timings
+//! are wall-clock and therefore **excluded** from the deterministic
+//! snapshot:
 //! [`Registry::counters_json`] serializes only the deterministic
 //! sections (the payload determinism tests pin), while
 //! [`Registry::to_json`] appends the `timings` section for humans and

@@ -26,7 +26,8 @@
 //!   multiplexed session under its own fault draw and deadline;
 //! * [`par`] — deterministic fan-out (`IOTLS_THREADS` workers, ordered
 //!   merge) for the embarrassingly parallel per-device experiment
-//!   loops.
+//!   loops, and the run-scoped worker pool the gateway lends each
+//!   tick's batch to.
 
 pub mod dns;
 pub mod driver;
@@ -50,6 +51,6 @@ pub use mux::{
     replay_flow_chained, replay_flow_with, AcceptLoop, FlowRound, ReplayOutcome, ReplayScratch,
     SessionFlow,
 };
-pub use par::{ordered_map, ordered_map_with, ordered_map_with_state, worker_count};
+pub use par::{ordered_map_with, ordered_map_with_state, with_pool, worker_count, Pool};
 pub use pipe::{DuplexLink, Pipe};
 pub use tap::{GatewayTap, TlsObservation};

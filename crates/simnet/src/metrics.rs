@@ -4,8 +4,9 @@
 //! [`SessionResult`] into an [`iotls_obs::Registry`] under the `sim.*`
 //! namespace. Every driver of sessions (the experiment labs, the
 //! capture generator) calls it on its own per-worker registry shard;
-//! the shards are merged in roster order by `par::ordered_map`
-//! callers, so the counters are byte-identical at any worker count.
+//! the shards are merged in roster order by the callers of the
+//! `par` fan-out (`ordered_map_with`, `with_pool`), so the counters
+//! are byte-identical at any worker count.
 
 use crate::driver::SessionResult;
 use iotls_obs::Registry;

@@ -7,6 +7,10 @@
 //! replays through [`replay_flow_with`] with a warm [`ReplayScratch`]
 //! perform **zero** heap allocations in total.
 //!
+//! The worker pool the gateway hands its batches to is held to the
+//! same discipline per batch: once warm, a batch of 4,096 items costs
+//! no more allocations than one of 64.
+//!
 //! It also pins the encode path's byte identity: the sans-IO
 //! [`write_record`] writer must produce exactly the bytes of the
 //! legacy `Record::fragment` + `Record::encode` oracle under
@@ -16,7 +20,7 @@
 use iotls_crypto::drbg::Drbg;
 use iotls_crypto::rsa::RsaPrivateKey;
 use iotls_simnet::mux::{replay_flow_chained, replay_flow_with, ReplayScratch, SessionFlow};
-use iotls_simnet::SessionFaults;
+use iotls_simnet::{with_pool, SessionFaults};
 use iotls_tls::client::{ClientConfig, ClientConnection};
 use iotls_tls::middleware::{Chain, RecordCounter};
 use iotls_tls::record::MAX_FRAGMENT;
@@ -25,19 +29,38 @@ use iotls_tls::version::ProtocolVersion;
 use iotls_tls::{write_record, ContentType, Record, SessionBuf};
 use iotls_x509::{CertifiedKey, DistinguishedName, IssueParams, RootStore, Timestamp};
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
 /// System allocator with an allocation counter. Deallocations and
 /// shrinking reallocs are free; anything that can touch fresh memory
-/// counts.
+/// counts, on the threads a test measures.
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Whether this thread's allocations count. The harness spawns
+    /// and reports tests on threads of its own while another test
+    /// measures, so only the threads a test marks count: its own
+    /// (through [`measured`]) and the pool workers it measures.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count_allocation() {
+    if COUNTED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+fn count_this_thread() {
+    COUNTED.with(|c| c.set(true));
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -46,7 +69,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -59,6 +82,14 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// lock (and so does every other test in this binary, to keep its
 /// allocations out of a concurrent measurement window).
 static MEASURE: Mutex<()> = Mutex::new(());
+
+/// Takes the measurement lock and counts this thread's allocations
+/// from here on.
+fn measured() -> MutexGuard<'static, ()> {
+    let guard = MEASURE.lock().unwrap();
+    count_this_thread();
+    guard
+}
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed)
@@ -93,7 +124,7 @@ fn endpoints() -> (ClientConnection, ServerConnection) {
 
 #[test]
 fn steady_state_replay_allocates_nothing_per_session() {
-    let _guard = MEASURE.lock().unwrap();
+    let _guard = measured();
 
     // Record one clean tape (allocates freely; this is per-flow setup,
     // amortized over every multiplexed session that replays it).
@@ -127,7 +158,7 @@ fn steady_state_replay_allocates_nothing_per_session() {
 
 #[test]
 fn steady_state_chained_replay_allocates_nothing_per_session() {
-    let _guard = MEASURE.lock().unwrap();
+    let _guard = measured();
 
     let (client, server) = endpoints();
     let flow = SessionFlow::record(client, server, Some(b"ping"), Some(b"ok"));
@@ -166,8 +197,46 @@ fn steady_state_chained_replay_allocates_nothing_per_session() {
 }
 
 #[test]
+fn a_warm_pool_allocates_no_more_for_a_long_batch_than_a_short_one() {
+    let _guard = measured();
+    with_pool(2, count_this_thread, |(), _: u32| std::thread::current().id(), |pool| {
+        // Warm-up: each worker allocates its block buffers when it
+        // starts, and the pool's output slots grow to the longest
+        // batch. Run long batches until both workers have taken items.
+        let mut workers = Vec::new();
+        for _ in 0..1_000 {
+            for id in pool.map(vec![0; 4_096]) {
+                if !workers.contains(&id) {
+                    workers.push(id);
+                }
+            }
+            if workers.len() == 2 {
+                break;
+            }
+        }
+        assert_eq!(workers.len(), 2, "both workers must have run items");
+
+        let mut batch_allocations = |len: usize| {
+            let items = vec![0; len];
+            let before = allocations();
+            let out = pool.map(items);
+            let allocs = allocations() - before;
+            assert_eq!(out.len(), len);
+            allocs
+        };
+        let short = batch_allocations(64);
+        let long = batch_allocations(4_096);
+        assert!(
+            long <= short,
+            "a 4,096-item batch made {long} allocations, a 64-item batch {short}"
+        );
+        assert!(short <= 1, "a batch allocates only its output vector, made {short}");
+    });
+}
+
+#[test]
 fn encode_into_matches_legacy_encode_under_sweep_inputs() {
-    let _guard = MEASURE.lock().unwrap();
+    let _guard = measured();
 
     // Corruption-sweep-style inputs: the adversarial suites mutate
     // payload lengths around every boundary the record layer cares

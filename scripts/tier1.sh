@@ -99,6 +99,19 @@ cargo test -q --offline --test segmented_store -- segmented_store_bytes_are_pinn
 cargo test -q --offline -p iotls-capture --lib -- store::tests::crc store::tests::shift \
     store::tests::streaming
 cargo test -q --offline -p iotls --lib -- passive::tests::block_scan
+# Pooled, chained gateway: the chained gateway's report and JSON
+# digests at 0, 20 and 100 per mille faults and at 1, 2 and 8 workers,
+# held to values recorded before the drift detector compared enrolled
+# bodies and the gateway kept one worker pool per run; the pool's
+# input order over successive batches, per-worker state, inline path
+# and panic propagation, and its per-batch allocation bound; the drift
+# detector against edited certificate bodies and a tape fed one byte
+# at a time. Also in the workspace run; repeated by name so a drift in
+# what the pool or the detector decides is called out explicitly.
+cargo test -q --offline --test middleware_chain chained_gateway_report_is_pinned_at_every_worker_count
+cargo test -q --offline -p iotls-simnet --lib -- par::tests
+cargo test -q --offline -p iotls-simnet --test alloc_discipline a_warm_pool_allocates
+cargo test -q --offline -p iotls --lib -- detect::tests
 
 # Docs gate: rustdoc warnings (broken intra-doc links, bad code
 # fences) fail tier-1, same as clippy warnings do.
@@ -160,6 +173,19 @@ fi
 if grep -rnE 'fn (drive_session_[a-z_]+|replay_flow|process_with|read_tls|take_output|observe_(c2s|s2c))\(' \
     crates/*/src; then
     echo "tier1: FAILED (second session path reintroduced in crates/*/src)" >&2
+    exit 1
+fi
+
+# API-surface gate: the drift detector compares enrolled bodies, not
+# digests of them, and the worker fan-out takes an explicit worker
+# count from its caller's context. Fail if the FNV-1a hash or the
+# environment-resolving `ordered_map` comes back.
+if grep -rnE 'fn fnv1a' crates/core/src; then
+    echo "tier1: FAILED (FNV-1a body hash reintroduced in crates/core/src)" >&2
+    exit 1
+fi
+if grep -rnE 'pub fn ordered_map\(' crates/simnet/src; then
+    echo "tier1: FAILED (environment-resolving ordered_map reintroduced in crates/simnet/src)" >&2
     exit 1
 fi
 

@@ -75,6 +75,57 @@ fn chained_gateway_report_is_byte_identical_across_worker_counts() {
     }
 }
 
+/// Digests (first 8 bytes of SHA-256, hex) of `render()` and of the
+/// JSON encoding of the chained gateway report at seed 0x31D1, 24
+/// ticks, audit + detection chains on every endpoint, one row per
+/// uniform fault rate in per mille. Recorded before the drift detector
+/// compared enrolled bodies instead of FNV-1a hashes and before the
+/// gateway kept one worker pool for the whole run.
+const CHAINED_GATEWAY_PINS: [(u16, &str, &str); 3] = [
+    (0, "73b94dd7754c65f9", "8530641c27ade888"),
+    (20, "a0323ea4f1fc3666", "71fef14f9958c87e"),
+    (100, "b96e03381b9cb16a", "439a39d30b5e358e"),
+];
+
+#[test]
+fn chained_gateway_report_is_pinned_at_every_worker_count() {
+    let tb = Testbed::global();
+    let mut moved = Vec::new();
+    for (pm, want_text, want_json) in CHAINED_GATEWAY_PINS {
+        for threads in [1, 2, 8] {
+            let ctx = ExperimentCtx::builder()
+                .seed(0x31D1)
+                .plan(FaultPlan::uniform(0x31D1, pm))
+                .threads(threads)
+                .metrics(true)
+                .build();
+            let cfg = GatewayConfig {
+                ticks: 24,
+                ..GatewayConfig::default()
+            };
+            let mut gw = Gateway::new(tb, &ctx, cfg);
+            register_audit_detection_chains(&mut gw);
+            let report = gw.run();
+            let text = digest(&report.render());
+            let json = digest(&report.to_json().encode());
+            if text != want_text || json != want_json {
+                moved.push(format!(
+                    "pm {pm} threads {threads}: {text} / {json} \
+                     (admitted {} established {} intercepted {})",
+                    report.admitted,
+                    report.established,
+                    report
+                        .counters
+                        .iter()
+                        .find(|(k, _)| k == "gateway.middleware.sessions.intercepted")
+                        .map_or(0, |(_, v)| *v),
+                ));
+            }
+        }
+    }
+    assert!(moved.is_empty(), "chained gateway moved:\n{}", moved.join("\n"));
+}
+
 #[test]
 fn benign_roster_replays_never_trip_the_detector() {
     // Ground truth on the gateway path: every session replays an
