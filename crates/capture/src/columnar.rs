@@ -34,8 +34,8 @@ pub const CHUNK_ROWS: usize = 65_536;
 const NO_SYM: u32 = u32::MAX;
 
 /// Counters for the columnar pipeline: rows written, chunks sealed,
-/// pool-dedup effectiveness, and bitmap-pruning effectiveness. Plain
-/// data so per-lane partials merge in roster order;
+/// and pool-dedup effectiveness. Plain data so per-lane partials merge
+/// in roster order;
 /// [`export`](Self::export) folds them into a metrics registry under
 /// `capture.*`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -52,10 +52,6 @@ pub struct ColumnarStats {
     pub pool_u8_hits: u64,
     /// Variable-length u8 spans newly appended to the pool.
     pub pool_u8_appends: u64,
-    /// Chunks whose rows a pruned scan actually visited.
-    pub chunks_scanned: u64,
-    /// Chunks a pruned scan skipped via bitmap/time metadata.
-    pub chunks_pruned: u64,
 }
 
 impl ColumnarStats {
@@ -67,8 +63,6 @@ impl ColumnarStats {
         self.pool_u16_appends += other.pool_u16_appends;
         self.pool_u8_hits += other.pool_u8_hits;
         self.pool_u8_appends += other.pool_u8_appends;
-        self.chunks_scanned += other.chunks_scanned;
-        self.chunks_pruned += other.chunks_pruned;
     }
 
     /// Folds the counters into a metrics registry under `<prefix>.*`
@@ -81,8 +75,6 @@ impl ColumnarStats {
         reg.add(&format!("{prefix}.pool.u16.appends"), self.pool_u16_appends);
         reg.add(&format!("{prefix}.pool.u8.dedup_hits"), self.pool_u8_hits);
         reg.add(&format!("{prefix}.pool.u8.appends"), self.pool_u8_appends);
-        reg.add(&format!("{prefix}.chunks.scanned"), self.chunks_scanned);
-        reg.add(&format!("{prefix}.chunks.pruned"), self.chunks_pruned);
     }
 }
 
@@ -742,24 +734,6 @@ impl ColumnarDataset {
             })
     }
 
-    /// [`ColumnarDataset::device_rows`] that additionally tallies how
-    /// many chunks the device-bitmap metadata pruned versus scanned.
-    pub fn device_rows_metered<'a>(
-        &'a self,
-        device: &str,
-        stats: &mut ColumnarStats,
-    ) -> impl Iterator<Item = ObsRef<'a>> {
-        let sym = self.strings.lookup(device);
-        for c in &self.chunks {
-            if sym.is_some_and(|s| c.has_device(s)) {
-                stats.chunks_scanned += 1;
-            } else {
-                stats.chunks_pruned += 1;
-            }
-        }
-        self.device_rows(device)
-    }
-
     /// Materializes the legacy row-oriented dataset (byte-identical
     /// through the JSON exporter).
     pub fn to_rows(&self) -> PassiveDataset {
@@ -820,15 +794,6 @@ impl DatasetBuilder {
     /// A fresh builder.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Appends one pre-interned row; seals through `sink` when the
-    /// open chunk fills.
-    pub fn push_row(&mut self, row: &RowView<'_>, sink: &mut dyn FnMut(ObsChunk)) {
-        self.writer.push(row);
-        if self.writer.is_full() {
-            sink(self.writer.take());
-        }
     }
 
     /// Interns an owned observation's strings and appends it.

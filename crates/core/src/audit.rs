@@ -67,7 +67,7 @@ pub struct InterceptionReport {
     pub fault_stats: FaultStats,
     /// Verification-cache hit/miss counters aggregated across the same
     /// labs.
-    pub verify_cache_stats: iotls_x509::cache::CacheStats,
+    pub verify_cache_stats: CacheStats,
 }
 
 impl InterceptionReport {
@@ -203,13 +203,12 @@ impl Experiment for InterceptionAudit {
     /// connection is not evidence that a device declined an attack.
     /// Each per-device lab's `sim.*`/`core.*`/`x509.*` counters plus
     /// the `audit.*` verdict counters merge in roster order so the
-    /// totals are identical at any thread count.
+    /// totals are identical at any thread count; the report's fault
+    /// and cache totals are read back from that merged registry.
     fn run(&self, testbed: &Testbed, ctx: &ExperimentCtx) -> InterceptionReport {
         let seed = ctx.seed();
         let mut rows = Vec::new();
         let mut passthrough_gains = Vec::new();
-        let mut fault_stats = FaultStats::default();
-        let mut verify_cache_stats = CacheStats::default();
         let mut reg = Registry::new();
 
         // Each device gets fresh labs seeded independently of roster
@@ -229,8 +228,6 @@ impl Experiment for InterceptionAudit {
         let per_device = iotls_simnet::ordered_map_with(ctx.threads(), devices, |device| {
             // Fresh lab per device per attack so the Yi quirk and boot
             // counters don't bleed between experiments.
-            let mut device_stats = FaultStats::default();
-            let mut device_cache = CacheStats::default();
             let mut device_reg = Registry::new();
             let mut device_gain = None;
             let mut vulnerable = BTreeSet::new();
@@ -288,8 +285,6 @@ impl Experiment for InterceptionAudit {
                 if i == 0 && before > 0 && after > before {
                     device_gain = Some((after - before) as f64 / before as f64 * 100.0);
                 }
-                device_stats.merge(&lab.fault_stats());
-                device_cache.merge(&lab.verify_cache_stats());
                 device_reg.merge(&lab.metrics());
                 device_reg.inc("audit.attacks.run");
             }
@@ -316,16 +311,14 @@ impl Experiment for InterceptionAudit {
                 total_destinations: observed,
                 sensitive_leaks: leaks,
             };
-            (row, device_gain, device_stats, device_cache, device_reg)
+            (row, device_gain, device_reg)
         });
 
-        for (row, gain, stats, cache, device_reg) in per_device {
+        for (row, gain, device_reg) in per_device {
             rows.push(row);
             if let Some(g) = gain {
                 passthrough_gains.push(g);
             }
-            fault_stats.merge(&stats);
-            verify_cache_stats.merge(&cache);
             reg.merge(&device_reg);
         }
         ctx.merge_metrics(&reg);
@@ -339,8 +332,8 @@ impl Experiment for InterceptionAudit {
         InterceptionReport {
             rows,
             passthrough_extra_hostnames_pct,
-            fault_stats,
-            verify_cache_stats,
+            fault_stats: FaultStats::from_counters(&reg),
+            verify_cache_stats: CacheStats::from_counters(&reg),
         }
     }
 }

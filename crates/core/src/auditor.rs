@@ -199,11 +199,11 @@ impl Experiment for AuditService {
 
     /// Runs the auditing service under the context: per-lab
     /// `sim.*`/`core.*` counters merge in roster order plus
-    /// `auditor.*` grade tallies.
+    /// `auditor.*` grade tallies; the report's fault totals are read
+    /// back from them.
     fn run(&self, testbed: &Testbed, ctx: &ExperimentCtx) -> AuditorReport {
         let seed = ctx.seed();
         let mut reg = Registry::new();
-        let mut fault_stats = FaultStats::default();
         // Each device gets its own lab and RNG stream; the ordered
         // fan-out keeps the report in roster order at any thread
         // count.
@@ -231,11 +231,11 @@ impl Experiment for AuditService {
                 device: device.spec.name.clone(),
                 instances,
             };
-            (audit, lab.fault_stats(), lab.metrics())
+            (audit, lab.metrics())
         });
         let audits = per_device
             .into_iter()
-            .map(|(audit, stats, device_reg)| {
+            .map(|(audit, device_reg)| {
                 reg.merge(&device_reg);
                 reg.inc("auditor.devices.audited");
                 reg.add("auditor.instances.graded", audit.instances.len() as u64);
@@ -247,14 +247,13 @@ impl Experiment for AuditService {
                     });
                     reg.add("auditor.issues.flagged", inst.issues.len() as u64);
                 }
-                fault_stats.merge(&stats);
                 audit
             })
             .collect();
         ctx.merge_metrics(&reg);
         AuditorReport {
             audits,
-            fault_stats,
+            fault_stats: FaultStats::from_counters(&reg),
         }
     }
 }

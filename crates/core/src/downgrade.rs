@@ -138,11 +138,10 @@ impl Experiment for DowngradeProbe {
     /// not a device fallback decision. Per-lab `sim.*`/`core.*`
     /// counters merge in roster order, plus `downgrade.*`
     /// step/trigger counters tallied from the rows in the sequential
-    /// merge.
+    /// merge; the report's fault totals are read back from it.
     fn run(&self, testbed: &Testbed, ctx: &ExperimentCtx) -> DowngradeReport {
         let seed = ctx.seed();
         let mut rows = Vec::new();
-        let mut fault_stats = FaultStats::default();
         let mut reg = Registry::new();
         // One lab seed (and its attacker) per attack mode, shared by
         // every device's lab for that mode.
@@ -152,7 +151,6 @@ impl Experiment for DowngradeProbe {
             .collect();
         let devices: Vec<_> = testbed.devices.iter().filter(|d| d.spec.in_active).collect();
         let per_device = iotls_simnet::ordered_map_with(ctx.threads(), devices, |device| {
-            let mut device_stats = FaultStats::default();
             let mut device_reg = Registry::new();
             let mut on_failed = false;
             let mut on_incomplete = false;
@@ -191,7 +189,6 @@ impl Experiment for DowngradeProbe {
                         kind.get_or_insert(k);
                     }
                 }
-                device_stats.merge(&lab.fault_stats());
                 device_reg.merge(&lab.metrics());
             }
 
@@ -203,9 +200,9 @@ impl Experiment for DowngradeProbe {
                 downgraded_destinations: downgraded,
                 total_destinations: total,
             });
-            (row, device_stats, device_reg)
+            (row, device_reg)
         });
-        for (row, stats, device_reg) in per_device {
+        for (row, device_reg) in per_device {
             reg.merge(&device_reg);
             reg.inc("downgrade.devices.probed");
             if let Some(row) = &row {
@@ -226,10 +223,12 @@ impl Experiment for DowngradeProbe {
                 );
             }
             rows.extend(row);
-            fault_stats.merge(&stats);
         }
         ctx.merge_metrics(&reg);
-        DowngradeReport { rows, fault_stats }
+        DowngradeReport {
+            rows,
+            fault_stats: FaultStats::from_counters(&reg),
+        }
     }
 }
 
@@ -379,11 +378,11 @@ impl Experiment for OldVersionScan {
 
     /// Runs the Table 6 scan under the context's fault schedule:
     /// per-lab counters merge in roster order plus `oldversion.*`
-    /// acceptance counters.
+    /// acceptance counters; the report's fault totals are read back
+    /// from them.
     fn run(&self, testbed: &Testbed, ctx: &ExperimentCtx) -> OldVersionReport {
         let seed = ctx.seed();
         let mut rows = Vec::new();
-        let mut fault_stats = FaultStats::default();
         let mut reg = Registry::new();
         // One lab seed (and its attacker) per scanned version.
         let (seed10, seed11) = (
@@ -392,24 +391,20 @@ impl Experiment for OldVersionScan {
         );
         let devices: Vec<_> = testbed.devices.iter().filter(|d| d.spec.in_active).collect();
         let per_device = iotls_simnet::ordered_map_with(ctx.threads(), devices, |device| {
-            let mut device_stats = FaultStats::default();
-            let mut device_reg = Registry::new();
             let mut lab10 = ActiveLab::with_ctx(testbed, ctx, &seed10);
             let tls10 = accepts_version(&mut lab10, &device.spec.name, ProtocolVersion::Tls10);
-            device_stats.merge(&lab10.fault_stats());
-            device_reg.merge(&lab10.metrics());
+            let mut device_reg = lab10.metrics();
             let mut lab11 = ActiveLab::with_ctx(testbed, ctx, &seed11);
             let tls11 = accepts_version(&mut lab11, &device.spec.name, ProtocolVersion::Tls11);
-            device_stats.merge(&lab11.fault_stats());
             device_reg.merge(&lab11.metrics());
             let row = (tls10 || tls11).then(|| OldVersionRow {
                 device: device.spec.name.clone(),
                 tls10,
                 tls11,
             });
-            (row, device_stats, device_reg)
+            (row, device_reg)
         });
-        for (row, stats, device_reg) in per_device {
+        for (row, device_reg) in per_device {
             reg.merge(&device_reg);
             reg.inc("oldversion.devices.scanned");
             if let Some(row) = &row {
@@ -421,10 +416,12 @@ impl Experiment for OldVersionScan {
                 }
             }
             rows.extend(row);
-            fault_stats.merge(&stats);
         }
         ctx.merge_metrics(&reg);
-        OldVersionReport { rows, fault_stats }
+        OldVersionReport {
+            rows,
+            fault_stats: FaultStats::from_counters(&reg),
+        }
     }
 }
 

@@ -1,19 +1,14 @@
 //! The experiment runtime: one composable context, one trait, one
 //! orchestrator.
 //!
-//! PRs 1–4 threaded fault plans, worker pools, verification caches,
-//! and metrics registries through the six experiment engines by
-//! growing suffix variants (`run_*`, `run_*_with`, `run_*_metered`).
-//! This module collapses that matrix into three pieces:
-//!
 //! * [`ExperimentCtx`] — a builder-constructed context owning the
 //!   seed, the [`FaultPlan`], the metrics handle (a no-op shard by
-//!   default), the worker-count policy, and the x509 verification
-//!   cache scope. The environment (`IOTLS_THREADS`, `IOTLS_METRICS`)
-//!   is resolved **once** at construction — bad values fall back to
-//!   the defaults and are recorded as [`ExperimentCtx::warnings`]
-//!   plus `ctx.env.*.invalid` counters — instead of being re-read
-//!   deep inside every engine fan-out.
+//!   default) and the worker-count policy. The environment
+//!   (`IOTLS_THREADS`, `IOTLS_METRICS`) is resolved **once** at
+//!   construction — bad values fall back to the defaults and are
+//!   recorded as [`ExperimentCtx::warnings`] plus `ctx.env.*.invalid`
+//!   counters — instead of being re-read deep inside every engine
+//!   fan-out.
 //! * [`Experiment`] — the trait every engine implements
 //!   (`name()`, `run(&Testbed, &ExperimentCtx) -> Report`), with
 //!   [`Report`] unifying JSON serialization, fault/cache accessors,
@@ -23,8 +18,8 @@
 //!   `Result<ExperimentReport, ExperimentError>` so one panicking
 //!   engine cannot take down a sweep.
 //!
-//! Determinism is unchanged by construction: engines still fan out
-//! per-device labs seeded by pure functions of the ctx seed and merge
+//! Determinism holds by construction: engines fan out per-device labs
+//! seeded by pure functions of the ctx seed and merge their registry
 //! shards in roster order, so every table, counter, and fixture is
 //! byte-identical at any worker count.
 
@@ -38,7 +33,7 @@ use iotls_capture::CaptureCtx;
 use iotls_devices::Testbed;
 use iotls_obs::{Registry, SharedRegistry};
 use iotls_simnet::FaultPlan;
-use iotls_x509::cache::{CacheScope, CacheStats, VerificationCache};
+use iotls_x509::cache::CacheStats;
 use std::fmt;
 
 /// Environment variable overriding the metrics sink: set to a path to
@@ -98,14 +93,13 @@ pub struct ExperimentCtx {
     threads: usize,
     metrics: SharedRegistry,
     metrics_sink: Option<String>,
-    cache: CacheScope,
     warnings: Vec<ExperimentError>,
 }
 
 impl ExperimentCtx {
     /// A context with env-resolved defaults: no faults, worker count
     /// from `IOTLS_THREADS`, metrics live only when `IOTLS_METRICS`
-    /// is set, per-lab verification caching.
+    /// is set.
     pub fn new(seed: u64) -> ExperimentCtx {
         ExperimentCtx::builder().seed(seed).build()
     }
@@ -125,7 +119,6 @@ impl ExperimentCtx {
             threads: 1,
             metrics: SharedRegistry::noop(),
             metrics_sink: None,
-            cache: CacheScope::PerLab,
             warnings: Vec::new(),
         }
     }
@@ -149,16 +142,6 @@ impl ExperimentCtx {
     /// into (a no-op shard unless metrics were enabled).
     pub fn metrics(&self) -> &SharedRegistry {
         &self.metrics
-    }
-
-    /// The verification-cache scope for labs this ctx spawns.
-    pub fn cache_scope(&self) -> &CacheScope {
-        &self.cache
-    }
-
-    /// The cache handle a newly constructed lab should install.
-    pub fn lab_cache(&self) -> Option<std::sync::Arc<VerificationCache>> {
-        self.cache.lab_cache()
     }
 
     /// Environment values that were rejected at construction
@@ -227,7 +210,6 @@ pub struct ExperimentCtxBuilder {
     plan: FaultPlan,
     threads: Option<usize>,
     metrics: Option<bool>,
-    cache: Option<CacheScope>,
 }
 
 impl Default for ExperimentCtxBuilder {
@@ -237,7 +219,6 @@ impl Default for ExperimentCtxBuilder {
             plan: FaultPlan::none(),
             threads: None,
             metrics: None,
-            cache: None,
         }
     }
 }
@@ -265,13 +246,6 @@ impl ExperimentCtxBuilder {
     /// instead of inferring liveness from `IOTLS_METRICS`.
     pub fn metrics(mut self, on: bool) -> Self {
         self.metrics = Some(on);
-        self
-    }
-
-    /// Sets the verification-cache scope (default:
-    /// [`CacheScope::PerLab`]).
-    pub fn cache(mut self, cache: CacheScope) -> Self {
-        self.cache = Some(cache);
         self
     }
 
@@ -332,7 +306,6 @@ impl ExperimentCtxBuilder {
             threads,
             metrics,
             metrics_sink,
-            cache: self.cache.unwrap_or_default(),
             warnings,
         }
     }
@@ -733,12 +706,10 @@ mod tests {
             .plan(FaultPlan::uniform(1, 10))
             .threads(0) // clamped to 1
             .metrics(true)
-            .cache(CacheScope::Disabled)
             .build();
         assert_eq!(ctx.seed(), 7);
         assert_eq!(ctx.threads(), 1);
         assert!(ctx.metrics().is_live());
-        assert!(ctx.lab_cache().is_none());
         assert_eq!(ctx.plan().session_faults("k"), FaultPlan::uniform(1, 10).session_faults("k"));
         let derived = ctx.with_seed(9);
         assert_eq!(derived.seed(), 9);
@@ -753,7 +724,6 @@ mod tests {
         assert!(!ctx.metrics().is_live());
         assert!(ctx.warnings().is_empty());
         assert!(ctx.metrics_sink().is_none());
-        assert!(ctx.lab_cache().is_some(), "per-lab cache by default");
     }
 
     #[test]
@@ -765,7 +735,6 @@ mod tests {
             threads: 3,
             metrics: metrics.clone(),
             metrics_sink: None,
-            cache: CacheScope::PerLab,
             warnings: Vec::new(),
         };
         let cap = ctx.capture_ctx();

@@ -76,7 +76,8 @@ impl Experiment for FingerprintSurveyor {
 
     /// Runs the survey under the context: per-lab `sim.*`/`core.*`
     /// counters merge in roster order plus `fingerprints.*`
-    /// distinct/observation tallies.
+    /// distinct/observation tallies; the survey's fault totals are
+    /// read back from them.
     fn run(&self, testbed: &Testbed, ctx: &ExperimentCtx) -> FingerprintSurvey {
         let seed = ctx.seed();
         let mut survey = FingerprintSurvey::default();
@@ -100,16 +101,10 @@ impl Experiment for FingerprintSurveyor {
                 }
             }
             let dominant = counts.iter().max_by_key(|(_, c)| **c).map(|(fp, _)| *fp);
-            (
-                device.spec.name.clone(),
-                seen,
-                dominant,
-                lab.fault_stats(),
-                lab.metrics(),
-            )
+            (device.spec.name.clone(), seen, dominant, lab.metrics())
         });
 
-        for (name, seen, dominant, stats, device_reg) in per_device {
+        for (name, seen, dominant, device_reg) in per_device {
             reg.merge(&device_reg);
             reg.inc("fingerprints.devices.surveyed");
             reg.add("fingerprints.distinct_per_device", seen.len() as u64);
@@ -126,13 +121,13 @@ impl Experiment for FingerprintSurveyor {
             if let Some(fp) = dominant {
                 survey.dominant.insert(name, fp);
             }
-            survey.fault_stats.merge(&stats);
         }
         reg.set_gauge(
             "fingerprints.distinct",
             survey.by_fingerprint.len() as i64,
         );
         ctx.merge_metrics(&reg);
+        survey.fault_stats = FaultStats::from_counters(&reg);
         survey
     }
 }

@@ -888,7 +888,7 @@ impl<'a> Gateway<'a> {
                 &mut mw,
             );
             verdict = try_verdict;
-            count_injected(&mut stats, &out.injected);
+            stats.count_injected(&out.injected);
             bytes = out.bytes_delivered;
             rounds = out.rounds_used as u64;
             let power_cycled = out
@@ -1000,19 +1000,6 @@ fn replay(
             let out = replay_flow_with(flow, faults, deadline, scratch);
             let verdict = chained_verdict(&out, None);
             (out, verdict)
-        }
-    }
-}
-
-/// Tallies replay-fired faults into a [`FaultStats`].
-fn count_injected(stats: &mut FaultStats, faults: &[InjectedFault]) {
-    for f in faults {
-        match f {
-            InjectedFault::Reset { .. } => stats.resets += 1,
-            InjectedFault::Garble { .. } => stats.garbles += 1,
-            InjectedFault::Stall { .. } => stats.stalls += 1,
-            InjectedFault::PowerCycle { .. } => stats.power_cycles += 1,
-            InjectedFault::Dns { .. } => stats.dns_failures += 1,
         }
     }
 }

@@ -21,6 +21,7 @@ use iotls_simnet::{
 use iotls_tls::client::{ClientConnection, HandshakeFailure};
 use iotls_tls::middleware::Chain;
 use iotls_tls::fingerprint::Fingerprint;
+use iotls_x509::cache::{CacheStats, VerificationCache};
 use iotls_x509::{Timestamp, ValidationPolicy};
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -64,13 +65,32 @@ pub struct FaultStats {
     pub backoff_virtual_secs: u64,
 }
 
+/// Accessor for one [`FaultStats`] field.
+type Field = fn(&mut FaultStats) -> &mut u64;
+
+/// Each [`FaultStats`] field and the `core.*` counter it is exported
+/// under: the one table [`FaultStats::export`] and
+/// [`FaultStats::from_counters`] walk.
+const COUNTERS: [(&str, Field); 10] = [
+    ("core.faults.resets", |s| &mut s.resets),
+    ("core.faults.garbles", |s| &mut s.garbles),
+    ("core.faults.stalls", |s| &mut s.stalls),
+    ("core.faults.power_cycles", |s| &mut s.power_cycles),
+    ("core.faults.dns_failures", |s| &mut s.dns_failures),
+    ("core.retries.inline", |s| &mut s.inline_retries),
+    ("core.reconnects", |s| &mut s.reconnects),
+    ("core.recovered", |s| &mut s.recovered),
+    ("core.unrecovered", |s| &mut s.unrecovered),
+    ("core.backoff.virtual_secs", |s| &mut s.backoff_virtual_secs),
+];
+
 impl FaultStats {
     /// Total faults that actually fired, across every class.
     pub fn injected_total(&self) -> u64 {
         self.resets + self.garbles + self.stalls + self.power_cycles + self.dns_failures
     }
 
-    /// Field-wise accumulation (for aggregating across labs).
+    /// Field-wise accumulation (for aggregating per-session stats).
     pub fn merge(&mut self, other: &FaultStats) {
         self.resets += other.resets;
         self.garbles += other.garbles;
@@ -82,6 +102,39 @@ impl FaultStats {
         self.recovered += other.recovered;
         self.unrecovered += other.unrecovered;
         self.backoff_virtual_secs += other.backoff_virtual_secs;
+    }
+
+    /// Tallies conditioner- or replay-fired faults, one per event.
+    pub fn count_injected(&mut self, faults: &[InjectedFault]) {
+        for f in faults {
+            match f {
+                InjectedFault::Reset { .. } => self.resets += 1,
+                InjectedFault::Garble { .. } => self.garbles += 1,
+                InjectedFault::Stall { .. } => self.stalls += 1,
+                InjectedFault::PowerCycle { .. } => self.power_cycles += 1,
+                InjectedFault::Dns { .. } => self.dns_failures += 1,
+            }
+        }
+    }
+
+    /// Adds every field to its `core.*` counter in `reg`. Zero fields
+    /// create no counter, so a clean run's counter section has no
+    /// `core.*` keys.
+    pub fn export(&self, reg: &mut Registry) {
+        let mut s = *self;
+        for (name, field) in COUNTERS {
+            reg.add(name, *field(&mut s));
+        }
+    }
+
+    /// Reads the stats back from the `core.*` counters of `reg` (the
+    /// field-wise sum of every [`Self::export`] merged into it).
+    pub fn from_counters(reg: &Registry) -> FaultStats {
+        let mut s = FaultStats::default();
+        for (name, field) in COUNTERS {
+            *field(&mut s) = reg.counter(name);
+        }
+        s
     }
 }
 
@@ -163,17 +216,16 @@ impl LabSeed {
 
 /// The laboratory: the testbed, an attacker and device states. Engines
 /// build one per device per attack; its device states, DRBG, session
-/// scratch and (under the default cache scope) verification cache are
-/// its own, and only the attacker is shared, read-only, with the other
-/// labs of its [`LabSeed`].
+/// scratch and verification cache are its own, and only the attacker
+/// is shared, read-only, with the other labs of its [`LabSeed`].
 pub struct ActiveLab<'a> {
     /// The testbed under test.
     pub testbed: &'a Testbed,
     /// The on-path attacker, shared read-only with every other lab
     /// built from the same [`LabSeed`].
     attacker: Arc<Attacker>,
-    /// The fault plan and cache policy come from here; the lab holds
-    /// no parallel copies of the ctx's fields.
+    /// The fault plan comes from here; the lab holds no parallel
+    /// copies of the ctx's fields.
     ctx: LabCtx<'a>,
     states: HashMap<String, DeviceState>,
     rng: Drbg,
@@ -184,11 +236,9 @@ pub struct ActiveLab<'a> {
     /// every re-dial draws a fresh fault decision.
     attempt_seq: u64,
     /// Validation-verdict memoization shared by every handshake the
-    /// lab drives, resolved from the ctx's [`iotls_x509::CacheScope`]
-    /// at construction (`None` disables memoization). Per-lab under
-    /// the default scope, so the hit/miss counters are part of the
+    /// lab drives. Per-lab, so the hit/miss counters are part of the
     /// run's deterministic output.
-    verify_cache: Option<std::sync::Arc<iotls_x509::cache::VerificationCache>>,
+    verify_cache: Arc<VerificationCache>,
     /// Live `sim.*` session counters for every session this lab
     /// drives. Per-lab, like the cache: engines merge per-device lab
     /// registries in roster order, keeping the merged snapshot
@@ -239,7 +289,6 @@ impl<'a> ActiveLab<'a> {
                 dns.register(&dest.hostname);
             }
         }
-        let verify_cache = ctx.get().lab_cache();
         ActiveLab {
             testbed,
             attacker: Arc::clone(&lab_seed.attacker),
@@ -250,7 +299,7 @@ impl<'a> ActiveLab<'a> {
             dns,
             stats: FaultStats::default(),
             attempt_seq: 0,
-            verify_cache,
+            verify_cache: Arc::default(),
             obs: Registry::new(),
             drive_scratch: DriveScratch::new(),
             chain: Chain::new().with(Box::new(GatewayTap::new())),
@@ -280,10 +329,9 @@ impl<'a> ActiveLab<'a> {
     }
 
     /// Verification-cache hit/miss counters accumulated so far
-    /// (reported next to [`FaultStats`]; all zeros when the ctx
-    /// disabled caching).
-    pub fn verify_cache_stats(&self) -> iotls_x509::cache::CacheStats {
-        self.verify_cache.as_deref().map(|c| c.stats()).unwrap_or_default()
+    /// (reported next to [`FaultStats`]).
+    pub fn verify_cache_stats(&self) -> CacheStats {
+        self.verify_cache.stats()
     }
 
     /// The lab's DNS view (registry plus per-device query log).
@@ -292,27 +340,15 @@ impl<'a> ActiveLab<'a> {
     }
 
     /// Snapshot of every metric this lab produced: the live `sim.*`
-    /// session counters, plus the [`FaultStats`] recovery counters
-    /// mirrored under `core.*` and the verification-cache counters
-    /// mirrored under `x509.cache.*`. The mirrors are taken at
-    /// snapshot time so the registry and the legacy stats structs can
-    /// never disagree.
+    /// session counters, the [`FaultStats`] tally under `core.*` and
+    /// the verification-cache counters under `x509.cache.*`. Engines
+    /// merge these per-lab registries and read their reports'
+    /// [`FaultStats`] and [`CacheStats`] back from the merged one
+    /// ([`FaultStats::from_counters`], [`CacheStats::from_counters`]).
     pub fn metrics(&self) -> Registry {
         let mut reg = self.obs.clone();
-        let s = self.stats;
-        reg.add("core.faults.resets", s.resets);
-        reg.add("core.faults.garbles", s.garbles);
-        reg.add("core.faults.stalls", s.stalls);
-        reg.add("core.faults.power_cycles", s.power_cycles);
-        reg.add("core.faults.dns_failures", s.dns_failures);
-        reg.add("core.retries.inline", s.inline_retries);
-        reg.add("core.reconnects", s.reconnects);
-        reg.add("core.recovered", s.recovered);
-        reg.add("core.unrecovered", s.unrecovered);
-        reg.add("core.backoff.virtual_secs", s.backoff_virtual_secs);
-        if let Some(cache) = &self.verify_cache {
-            cache.export_metrics(&mut reg);
-        }
+        self.stats.export(&mut reg);
+        self.verify_cache.stats().export(&mut reg);
         reg
     }
 
@@ -440,7 +476,7 @@ impl<'a> ActiveLab<'a> {
             let faults = self.ctx.get().plan().session_faults(&format!("{conn_key}/try{seq}"));
 
             let mut cfg = client_config(&spec, device.truth.store.clone());
-            cfg.verify_cache = self.verify_cache.clone();
+            cfg.verify_cache = Some(Arc::clone(&self.verify_cache));
             if validation_disabled {
                 cfg.validation_policy = ValidationPolicy::no_validation();
             }
@@ -521,7 +557,7 @@ impl<'a> ActiveLab<'a> {
             result.records_deframed = tap.records_deframed();
             result.observation = tap.take_observation(now, &device.spec.name, &dest.hostname);
             record_session_metrics(&mut self.obs, &result);
-            self.count_injected(&result.faults);
+            self.stats.count_injected(&result.faults);
             let tainted = result.tainted();
             let power_cycled = result
                 .faults
@@ -542,19 +578,6 @@ impl<'a> ActiveLab<'a> {
             self.stats.backoff_virtual_secs += 1 << try_idx;
         }
         last.expect("at least one try ran")
-    }
-
-    /// Tallies conditioner-fired faults into the lab counters.
-    fn count_injected(&mut self, faults: &[InjectedFault]) {
-        for f in faults {
-            match f {
-                InjectedFault::Reset { .. } => self.stats.resets += 1,
-                InjectedFault::Garble { .. } => self.stats.garbles += 1,
-                InjectedFault::Stall { .. } => self.stats.stalls += 1,
-                InjectedFault::PowerCycle { .. } => self.stats.power_cycles += 1,
-                InjectedFault::Dns { .. } => self.stats.dns_failures += 1,
-            }
-        }
     }
 
     /// Updates the consecutive-failure counter and the Yi quirk.
@@ -821,6 +844,56 @@ mod tests {
         assert!(stats_a.hits > stats_a.misses, "{stats_a:?}");
         assert_eq!(stats_a, stats_b);
         assert_eq!(outcomes_a, outcomes_b);
+    }
+
+    /// A tally with ten distinct nonzero fields.
+    fn distinct_stats() -> FaultStats {
+        FaultStats {
+            resets: 1,
+            garbles: 2,
+            stalls: 3,
+            power_cycles: 4,
+            dns_failures: 5,
+            inline_retries: 6,
+            reconnects: 7,
+            recovered: 8,
+            unrecovered: 9,
+            backoff_virtual_secs: 10,
+        }
+    }
+
+    #[test]
+    fn fault_stats_survive_export_and_read_back() {
+        let stats = distinct_stats();
+        let mut reg = Registry::new();
+        stats.export(&mut reg);
+        assert_eq!(reg.counters().count(), 10);
+        assert_eq!(FaultStats::from_counters(&reg), stats);
+    }
+
+    #[test]
+    fn two_fault_exports_read_back_as_their_sum() {
+        let a = distinct_stats();
+        let b = FaultStats {
+            resets: 100,
+            recovered: 1,
+            ..FaultStats::default()
+        };
+        let mut reg = Registry::new();
+        a.export(&mut reg);
+        b.export(&mut reg);
+        let mut sum = a;
+        sum.merge(&b);
+        assert_eq!(FaultStats::from_counters(&reg), sum);
+        assert_eq!((sum.resets, sum.recovered, sum.stalls), (101, 9, 3));
+    }
+
+    #[test]
+    fn zero_fault_stats_export_no_key() {
+        let mut reg = Registry::new();
+        FaultStats::default().export(&mut reg);
+        assert!(reg.is_empty());
+        assert_eq!(FaultStats::from_counters(&reg), FaultStats::default());
     }
 
     #[test]

@@ -92,7 +92,7 @@ pub struct RootProbeReport {
     pub fault_stats: FaultStats,
     /// Verification-cache hit/miss counters aggregated across the same
     /// labs.
-    pub verify_cache_stats: iotls_x509::cache::CacheStats,
+    pub verify_cache_stats: CacheStats,
     /// Verdicts initially lost to injected faults and recovered by
     /// re-probing across extra reboots.
     pub reprobed_verdicts: usize,
@@ -196,7 +196,9 @@ impl Experiment for RootProbe {
     /// verdict is exactly what a fault-free run measures. Per-lab
     /// `sim.*`/`core.*`/`x509.*` counters merge in roster order, plus
     /// `rootprobe.*` fate and verdict counters tallied in the
-    /// sequential merge — identical at any thread count.
+    /// sequential merge — identical at any thread count. The report's
+    /// fault, cache and re-probe totals are read back from that merged
+    /// registry.
     fn run(&self, testbed: &Testbed, ctx: &ExperimentCtx) -> RootProbeReport {
         probe_all(testbed, ctx)
     }
@@ -264,21 +266,21 @@ impl Report for RootProbeReport {
     }
 }
 
+/// Counts verdicts recovered by re-probing; the report's
+/// `reprobed_verdicts` is read back from it.
+const REPROBED: &str = "rootprobe.verdicts.reprobed";
+
 /// The probe body shared by the [`Experiment`] impl: fans devices out
 /// under the context's thread policy and merges per-device shards in
 /// roster order.
 fn probe_all(testbed: &Testbed, ctx: &ExperimentCtx) -> RootProbeReport {
     let seed = ctx.seed();
-    let mut reg_local = Registry::new();
-    let reg = &mut reg_local;
+    let mut reg = Registry::new();
     let order = canonical_probe_order(testbed.pki);
     let common_len = testbed.pki.common.len();
     let mut excluded_reboot_unsafe = Vec::new();
     let mut excluded_no_validation = Vec::new();
     let mut rows = Vec::new();
-    let mut fault_stats = FaultStats::default();
-    let mut verify_cache_stats = iotls_x509::cache::CacheStats::default();
-    let mut reprobed_verdicts = 0;
 
     // One device's fate after probing: excluded for one of the two §5.2
     // reasons, or a (possibly non-amenable) verdict row.
@@ -296,17 +298,11 @@ fn probe_all(testbed: &Testbed, ctx: &ExperimentCtx) -> RootProbeReport {
     let probing = LabSeed::new(testbed.pki, seed ^ 0x9420BE);
     let devices: Vec<_> = testbed.devices.iter().filter(|d| d.spec.in_active).collect();
     let per_device = iotls_simnet::ordered_map_with(ctx.threads(), devices, |device| {
-        let mut device_stats = FaultStats::default();
-        let mut device_cache = CacheStats::default();
         let mut device_reg = Registry::new();
-        let mut device_reprobed = 0usize;
         if !device.spec.reboot_safe {
             return (
                 DeviceFate::RebootUnsafe(device.spec.name.clone()),
-                device_stats,
-                device_cache,
                 device_reg,
-                device_reprobed,
             );
         }
 
@@ -340,16 +336,11 @@ fn probe_all(testbed: &Testbed, ctx: &ExperimentCtx) -> RootProbeReport {
                     break;
                 }
             }
-            device_stats.merge(&lab.fault_stats());
-            device_cache.merge(&lab.verify_cache_stats());
             device_reg.merge(&lab.metrics());
             if never_validates {
                 return (
                     DeviceFate::NoValidation(device.spec.name.clone()),
-                    device_stats,
-                    device_cache,
                     device_reg,
-                    device_reprobed,
                 );
             }
         }
@@ -371,8 +362,6 @@ fn probe_all(testbed: &Testbed, ctx: &ExperimentCtx) -> RootProbeReport {
                 8,
             )
             .flatten();
-            device_stats.merge(&lab.fault_stats());
-            device_cache.merge(&lab.verify_cache_stats());
             device_reg.merge(&lab.metrics());
         }
         let amenable = match (baseline, known) {
@@ -434,7 +423,7 @@ fn probe_all(testbed: &Testbed, ctx: &ExperimentCtx) -> RootProbeReport {
                 if let Some(alert) = recovered {
                     let verdict = verdict_for(alert);
                     if verdict != ProbeVerdict::Inconclusive {
-                        device_reprobed += 1;
+                        device_reg.inc(REPROBED);
                         if idx < common_len {
                             row.common.insert(ca_id, verdict);
                         } else {
@@ -443,21 +432,13 @@ fn probe_all(testbed: &Testbed, ctx: &ExperimentCtx) -> RootProbeReport {
                     }
                 }
             }
-            device_stats.merge(&lab.fault_stats());
-            device_cache.merge(&lab.verify_cache_stats());
             device_reg.merge(&lab.metrics());
         }
 
-        (
-            DeviceFate::Probed(Box::new(row)),
-            device_stats,
-            device_cache,
-            device_reg,
-            device_reprobed,
-        )
+        (DeviceFate::Probed(Box::new(row)), device_reg)
     });
 
-    for (fate, stats, cache, device_reg, reprobed) in per_device {
+    for (fate, device_reg) in per_device {
         reg.merge(&device_reg);
         match fate {
             DeviceFate::RebootUnsafe(name) => {
@@ -483,20 +464,16 @@ fn probe_all(testbed: &Testbed, ctx: &ExperimentCtx) -> RootProbeReport {
                 rows.push(*row);
             }
         }
-        fault_stats.merge(&stats);
-        verify_cache_stats.merge(&cache);
-        reg.add("rootprobe.verdicts.reprobed", reprobed as u64);
-        reprobed_verdicts += reprobed;
     }
-    ctx.merge_metrics(reg);
+    ctx.merge_metrics(&reg);
 
     RootProbeReport {
         excluded_reboot_unsafe,
         excluded_no_validation,
         rows,
-        fault_stats,
-        verify_cache_stats,
-        reprobed_verdicts,
+        fault_stats: FaultStats::from_counters(&reg),
+        verify_cache_stats: CacheStats::from_counters(&reg),
+        reprobed_verdicts: reg.counter(REPROBED) as usize,
     }
 }
 

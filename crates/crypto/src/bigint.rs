@@ -107,11 +107,6 @@ impl Uint {
         self.limbs.get(limb).is_some_and(|l| (l >> off) & 1 == 1)
     }
 
-    /// Returns the low 64 bits of the value.
-    pub fn low_u64(&self) -> u64 {
-        self.limbs.first().copied().unwrap_or(0)
-    }
-
     pub(crate) fn normalize(&mut self) {
         while self.limbs.last() == Some(&0) {
             self.limbs.pop();

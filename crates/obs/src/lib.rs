@@ -154,7 +154,8 @@ impl Registry {
         Registry::default()
     }
 
-    /// Adds `n` to the counter `name` (created at zero on first use).
+    /// Adds `n` to the counter `name`. Adding zero creates nothing, so
+    /// a counter exists only once some call added to it.
     pub fn add(&mut self, name: &str, n: u64) {
         if n > 0 {
             *self.counter_slot(name) += n;

@@ -60,16 +60,6 @@ pub struct TlsObservation {
 }
 
 impl TlsObservation {
-    /// True when any advertised version is deprecated (< TLS 1.2).
-    pub fn advertises_deprecated_version(&self) -> bool {
-        self.advertised_versions.iter().any(|v| v.is_deprecated())
-    }
-
-    /// True when the negotiated version is deprecated.
-    pub fn negotiated_deprecated_version(&self) -> bool {
-        self.negotiated_version.is_some_and(|v| v.is_deprecated())
-    }
-
     /// True when any offered suite is in the insecure class.
     pub fn advertises_insecure_suite(&self) -> bool {
         self.offered_suites

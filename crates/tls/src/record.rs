@@ -144,12 +144,6 @@ impl SessionBuf {
     pub fn take_vec(&mut self) -> Vec<u8> {
         std::mem::take(&mut self.buf)
     }
-
-    /// Mutable access for in-place record protection: the cipher is
-    /// applied to payload bytes after they are framed in place.
-    pub fn as_mut_slice(&mut self) -> &mut [u8] {
-        &mut self.buf
-    }
 }
 
 // ALLOC-FREE: begin (record write path — tier1.sh greps this region

@@ -151,7 +151,6 @@ pub struct ServerConnection {
     state: State,
     scratch: SessionScratch,
     transcript: Transcript,
-    client_hello: Option<ClientHello>,
     client_random: [u8; 32],
     server_random: [u8; 32],
     version: Option<ProtocolVersion>,
@@ -185,7 +184,6 @@ impl ServerConnection {
             state: State::AwaitClientHello,
             scratch,
             transcript: Transcript::new(),
-            client_hello: None,
             client_random: [0u8; 32],
             server_random,
             version: None,
@@ -228,12 +226,6 @@ impl ServerConnection {
             State::Failed(f) => Some(f),
             _ => None,
         }
-    }
-
-    /// The ClientHello observed, once received — the MITM engine's
-    /// fingerprinting input.
-    pub fn observed_client_hello(&self) -> Option<&ClientHello> {
-        self.client_hello.as_ref()
     }
 
     /// Alerts received from the client — the root-store probe's
@@ -405,7 +397,6 @@ impl ServerConnection {
             (State::AwaitClientHello, HandshakeMessage::ClientHello(ch)) => {
                 self.transcript.absorb(msg_bytes);
                 self.client_random = ch.random;
-                self.client_hello = Some(ch.clone());
                 if self.config.mute {
                     // Swallow everything; the client sees silence.
                     return;

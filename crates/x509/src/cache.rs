@@ -1,4 +1,4 @@
-//! Per-run memoization of chain-validation verdicts.
+//! Per-lab memoization of chain-validation verdicts.
 //!
 //! A sweep re-presents the same few certificate chains to the same
 //! client configurations thousands of times; the verdict only depends
@@ -9,22 +9,28 @@
 //! alert side channel (§4.2) depends on *which* error comes back, so
 //! the cache must preserve it bit-for-bit.
 //!
-//! The cache is scoped per lab run, never globally: hit/miss counters
-//! are part of the experiment's reported output and must be identical
-//! at any worker count, which holds exactly because each per-device
-//! lab owns its own cache.
+//! Each lab owns one cache; there is no shared or global one. Hit/miss
+//! counters are part of the experiment's reported output and must be
+//! identical at any worker count, which holds exactly because each
+//! per-device lab counts only its own lookups.
 
 use crate::cert::Certificate;
 use crate::store::RootStore;
 use crate::time::Timestamp;
 use crate::verify::{validate_chain, ValidationError, ValidationPolicy};
 use iotls_crypto::sha256::sha256;
+use iotls_obs::Registry;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// (chain digest, store id, day bucket, hostname, policy bits).
 type Key = ([u8; 32], [u8; 32], i64, String, u8);
+
+/// Counter names [`CacheStats::export`] writes and
+/// [`CacheStats::from_counters`] reads.
+const HITS: &str = "x509.cache.hits";
+const MISSES: &str = "x509.cache.misses";
 
 /// Hit/miss counters, reported next to `FaultStats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -36,17 +42,20 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Field-wise accumulation (for aggregating across labs).
-    pub fn merge(&mut self, other: &CacheStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
+    /// Folds the counters into a metrics registry as its two
+    /// `x509.cache.*` counters. Zero counters create no key.
+    pub fn export(&self, reg: &mut Registry) {
+        reg.add(HITS, self.hits);
+        reg.add(MISSES, self.misses);
     }
 
-    /// Folds the counters into a metrics registry under
-    /// `x509.cache.hits` / `x509.cache.misses`.
-    pub fn export(&self, reg: &mut iotls_obs::Registry) {
-        reg.add("x509.cache.hits", self.hits);
-        reg.add("x509.cache.misses", self.misses);
+    /// Reads the counters back from `reg` (the sum of every
+    /// [`Self::export`] merged into it).
+    pub fn from_counters(reg: &Registry) -> CacheStats {
+        CacheStats {
+            hits: reg.counter(HITS),
+            misses: reg.counter(MISSES),
+        }
     }
 }
 
@@ -97,45 +106,6 @@ impl VerificationCache {
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Snapshots the counters straight into a metrics registry (see
-    /// [`CacheStats::export`]).
-    pub fn export_metrics(&self, reg: &mut iotls_obs::Registry) {
-        self.stats().export(reg);
-    }
-}
-
-/// How an experiment context scopes verification caching for the labs
-/// it spawns.
-///
-/// The default, [`CacheScope::PerLab`], hands every lab a fresh
-/// cache: hit/miss counters stay a pure function of that lab's seed,
-/// so parallel sweeps report identical numbers at any worker count.
-/// [`CacheScope::Shared`] trades that determinism of the *counters*
-/// (never of the verdicts — the cache memoizes a pure function) for
-/// cross-lab reuse, and [`CacheScope::Disabled`] turns memoization
-/// off entirely, which is the honest baseline for cache benchmarks.
-#[derive(Debug, Clone, Default)]
-pub enum CacheScope {
-    /// A fresh cache per lab (deterministic counters; the default).
-    #[default]
-    PerLab,
-    /// One cache shared by every lab the context spawns.
-    Shared(std::sync::Arc<VerificationCache>),
-    /// No memoization: every validation runs in full.
-    Disabled,
-}
-
-impl CacheScope {
-    /// The cache handle a newly constructed lab should install, or
-    /// `None` when caching is disabled.
-    pub fn lab_cache(&self) -> Option<std::sync::Arc<VerificationCache>> {
-        match self {
-            CacheScope::PerLab => Some(std::sync::Arc::default()),
-            CacheScope::Shared(cache) => Some(cache.clone()),
-            CacheScope::Disabled => None,
         }
     }
 }
@@ -236,6 +206,40 @@ mod tests {
         cache.validate(&chain, &store, "host.example", next_day, &strict).unwrap();
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 3));
+    }
+
+    #[test]
+    fn cache_stats_survive_export_and_read_back() {
+        let stats = CacheStats { hits: 7, misses: 3 };
+        let mut reg = Registry::new();
+        stats.export(&mut reg);
+        assert_eq!(CacheStats::from_counters(&reg), stats);
+    }
+
+    #[test]
+    fn two_cache_exports_read_back_as_their_sum() {
+        let mut reg = Registry::new();
+        CacheStats { hits: 7, misses: 3 }.export(&mut reg);
+        CacheStats {
+            hits: 1,
+            misses: 20,
+        }
+        .export(&mut reg);
+        assert_eq!(
+            CacheStats::from_counters(&reg),
+            CacheStats {
+                hits: 8,
+                misses: 23
+            }
+        );
+    }
+
+    #[test]
+    fn zero_cache_stats_export_no_key() {
+        let mut reg = Registry::new();
+        CacheStats::default().export(&mut reg);
+        assert!(reg.is_empty());
+        assert_eq!(CacheStats::from_counters(&reg), CacheStats::default());
     }
 
     #[test]

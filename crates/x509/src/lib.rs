@@ -16,7 +16,7 @@
 //!   single-label wildcards);
 //! * [`store`] — root stores with subject-name lookup (the property
 //!   the TLS-alert side channel exploits);
-//! * [`cache`] — per-run memoization of validation verdicts keyed by
+//! * [`cache`] — per-lab memoization of validation verdicts keyed by
 //!   (chain digest, store id, day bucket, hostname, policy), with
 //!   hit/miss counters for the measurement reports;
 //! * [`revocation`] — signed CRL and OCSP models for the Table 8
@@ -35,7 +35,7 @@ pub mod time;
 pub mod tlv;
 pub mod verify;
 
-pub use cache::{CacheScope, CacheStats, VerificationCache};
+pub use cache::{CacheStats, VerificationCache};
 pub use cert::{
     BasicConstraints, Certificate, CertifiedKey, DistinguishedName, Extensions, IssueParams,
     KeyUsage, SignatureAlgorithm, TbsCertificate,

@@ -154,7 +154,7 @@ fn main() {
 
     // The full active registry, one orchestrator pass: every
     // experiment at its canonical paper seed, sharing this run's
-    // fault plan, thread policy, cache scope, and metrics shard.
+    // fault plan, thread policy and metrics shard.
     let testbed = Testbed::global();
     println!("== Active experiment registry (one orchestrator pass) ==\n");
     for run in Orchestrator::new(testbed, &ctx).canonical_seeds().run_all() {

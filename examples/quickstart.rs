@@ -30,8 +30,8 @@ fn main() {
 
     // A benign connection: the D-Link camera phones home while the
     // gateway passively observes. The lab borrows the ctx, so the
-    // fault plan and verification cache follow the flags, and takes its
-    // attacker from the lab seed.
+    // fault plan follows the flags, and takes its attacker from the
+    // lab seed.
     let lab_seed = LabSeed::new(testbed.pki, ctx.seed());
     let mut lab = ActiveLab::with_ctx(testbed, &ctx, &lab_seed);
     let camera = testbed.device("D-Link Camera");

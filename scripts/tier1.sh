@@ -112,6 +112,19 @@ cargo test -q --offline --test middleware_chain chained_gateway_report_is_pinned
 cargo test -q --offline -p iotls-simnet --lib -- par::tests
 cargo test -q --offline -p iotls-simnet --test alloc_discipline a_warm_pool_allocates
 cargo test -q --offline -p iotls --lib -- detect::tests
+# One tally: every lab engine reads its report's FaultStats (and the
+# audit and root probe their CacheStats) back from the registry it
+# merged, so the independent check is the link conditioner's
+# `sim.faults.injected.*` count, held to each of the six engines'
+# fault reports under the chaos plan; plus the export/read-back round
+# trips of both stats structs (distinct fields, summed exports, and no
+# key for a zero tally). Also in the workspace run; repeated by name so
+# a double count or a swallowed fault is called out explicitly.
+cargo test -q --offline --test chaos_experiments fault_counters_exactly_match_the_injected_schedule
+cargo test -q --offline -p iotls --lib -- lab::tests::fault_stats_survive_export_and_read_back \
+    lab::tests::two_fault_exports_read_back_as_their_sum lab::tests::zero_fault_stats_export_no_key
+cargo test -q --offline -p iotls-x509 --lib -- cache::tests::cache_stats_survive_export_and_read_back \
+    cache::tests::two_cache_exports_read_back_as_their_sum cache::tests::zero_cache_stats_export_no_key
 
 # Docs gate: rustdoc warnings (broken intra-doc links, bad code
 # fences) fail tier-1, same as clippy warnings do.
@@ -186,6 +199,21 @@ if grep -rnE 'fn fnv1a' crates/core/src; then
 fi
 if grep -rnE 'pub fn ordered_map\(' crates/simnet/src; then
     echo "tier1: FAILED (environment-resolving ordered_map reintroduced in crates/simnet/src)" >&2
+    exit 1
+fi
+
+# API-surface gate: lab engines count faults and cache hits once, in
+# the registry they merge, with one cache per lab. Fail if the cache
+# scope knob, the metered device scan, the server's ClientHello copy,
+# or a second fault-tally routine comes back.
+if grep -rnE 'enum CacheScope|fn lab_cache|fn cache_scope|fn device_rows_metered|fn observed_client_hello' \
+    crates/*/src; then
+    echo "tier1: FAILED (removed counting or cache-scope API reintroduced in crates/*/src)" >&2
+    exit 1
+fi
+if [ "$(grep -rnE 'fn count_injected\(' crates/*/src | wc -l)" -gt 1 ]; then
+    grep -rnE 'fn count_injected\(' crates/*/src
+    echo "tier1: FAILED (fn count_injected defined more than once in crates/*/src)" >&2
     exit 1
 fi
 

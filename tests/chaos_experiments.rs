@@ -10,8 +10,8 @@
 
 use iotls_repro::core::{
     run_downgrade_probe, run_interception_audit, run_old_version_scan, run_root_probe, ActiveLab,
-    DowngradeProbe, Experiment, ExperimentCtx, FaultStats, InterceptPolicy, InterceptionAudit,
-    OldVersionScan, RootProbe,
+    DowngradeProbe, Experiment, ExperimentCtx, ExperimentKind, FaultStats, InterceptPolicy,
+    InterceptionAudit, OldVersionScan, Report, RootProbe,
 };
 use iotls_repro::devices::{client_config, Testbed};
 use iotls_repro::simnet::{
@@ -222,34 +222,34 @@ fn stalled_peer_is_reported_wedged_not_rejected() {
 
 #[test]
 fn fault_counters_exactly_match_the_injected_schedule() {
-    // The observability layer counts faults twice, independently: the
-    // link conditioner's injections land in `sim.faults.injected.*`
-    // (per session result, at the tap) and the lab's recovery
-    // machinery tallies the same events into `FaultStats` (exported as
-    // `core.faults.*`). Both views must agree *exactly* with the
-    // engine's own fault report — a higher metric would mean a fault
-    // double-counted, a lower one a fault silently swallowed.
+    // Every lab engine reads its report's FaultStats back from the
+    // `core.*` counters of the registry it merged, so those agree by
+    // construction. The independent tally is the link conditioner's:
+    // each fired fault lands in `sim.faults.injected.*` (per session
+    // result, at the tap), counted by separate code. Both views must
+    // agree *exactly* with the engine's fault report, in all six lab
+    // engines — a higher metric would mean a fault double-counted, a
+    // lower one a fault silently swallowed.
     let tb = Testbed::global();
-    for (name, reg, stats) in [
-        {
-            let ctx = ExperimentCtx::builder()
-                .seed(0x7AB1E7)
-                .plan(chaos_plan())
-                .metrics(true)
-                .build();
-            let report = InterceptionAudit.run(tb, &ctx);
-            ("audit", ctx.metrics_snapshot(), report.fault_stats)
-        },
-        {
-            let ctx = ExperimentCtx::builder()
-                .seed(0x6007)
-                .plan(chaos_plan())
-                .metrics(true)
-                .build();
-            let report = RootProbe.run(tb, &ctx);
-            ("rootprobe", ctx.metrics_snapshot(), report.fault_stats)
-        },
+    for kind in [
+        ExperimentKind::InterceptionAudit,
+        ExperimentKind::RootProbe,
+        ExperimentKind::DowngradeProbe,
+        ExperimentKind::OldVersionScan,
+        ExperimentKind::FingerprintSurvey,
+        ExperimentKind::AuditService,
     ] {
+        let ctx = ExperimentCtx::builder()
+            .seed(kind.canonical_seed())
+            .plan(chaos_plan())
+            .metrics(true)
+            .build();
+        let report = kind.run(tb, &ctx);
+        let reg = ctx.metrics_snapshot();
+        let stats = *report
+            .fault_stats()
+            .expect("lab engines report fault stats");
+        let name = kind.name();
         assert!(stats.injected_total() > 0, "{name}: plan never fired");
         for (counter, want) in [
             ("sim.faults.injected.reset", stats.resets),
