@@ -90,14 +90,12 @@ impl InterceptionReport {
     }
 }
 
-/// Runs one attack against every boot connection of one device,
+/// Runs one attack against every boot connection of the lab's device,
 /// returning the compromised destinations and leaked payloads.
 fn attack_device(
     lab: &mut ActiveLab<'_>,
-    device_name: &str,
     policy: &InterceptPolicy,
 ) -> (BTreeSet<String>, Vec<String>, BTreeSet<String>) {
-    let device = lab.testbed.device(device_name);
     let mut compromised = BTreeSet::new();
     let mut leaks = Vec::new();
     let mut observed = BTreeSet::new();
@@ -105,7 +103,7 @@ fn attack_device(
     // repeated failures are exactly what flips the Yi Camera's
     // give-up quirk (§5.2).
     for _ in 0..5 {
-        let outcomes = lab.boot_and_connect(device, Some(policy));
+        let outcomes = lab.boot_and_connect(Some(policy));
         for o in &outcomes {
             observed.insert(o.destination.clone());
             if o.result.tainted() {
@@ -235,9 +233,8 @@ impl Experiment for InterceptionAudit {
             let mut observed: BTreeSet<String> = BTreeSet::new();
             let mut flags = [false; 3];
             for (i, (policy, lab_seed)) in policies.iter().zip(&lab_seeds).enumerate() {
-                let mut lab = ActiveLab::with_ctx(testbed, ctx, lab_seed);
-                let (compromised, attack_leaks, seen) =
-                    attack_device(&mut lab, &device.spec.name, policy);
+                let mut lab = ActiveLab::new(testbed, ctx, lab_seed, device);
+                let (compromised, attack_leaks, seen) = attack_device(&mut lab, policy);
                 flags[i] = !compromised.is_empty();
                 vulnerable.extend(compromised);
                 for l in attack_leaks {
@@ -258,15 +255,10 @@ impl Experiment for InterceptionAudit {
                     .filter(|h| !vulnerable.contains(h))
                     .collect();
                 let before = observed.len();
-                {
-                    let state = lab.state(&device.spec.name);
-                    for h in failed {
-                        state.passthrough.insert(h);
-                    }
-                }
+                lab.state().passthrough.extend(failed);
                 // Retry across flaky boots until the device talks.
                 for _ in 0..6 {
-                    let outcomes = lab.boot_and_connect(device, Some(policy));
+                    let outcomes = lab.boot_and_connect(Some(policy));
                     for o in &outcomes {
                         observed.insert(o.destination.clone());
                         if o.result.tainted() {

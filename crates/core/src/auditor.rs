@@ -210,10 +210,10 @@ impl Experiment for AuditService {
         let lab_seed = LabSeed::new(testbed.pki, seed ^ 0xA0D17);
         let devices: Vec<_> = testbed.devices.iter().filter(|d| d.spec.in_active).collect();
         let per_device = iotls_simnet::ordered_map_with(ctx.threads(), devices, |device| {
-            let mut lab = ActiveLab::with_ctx(testbed, ctx, &lab_seed);
+            let mut lab = ActiveLab::new(testbed, ctx, &lab_seed, device);
             let mut per_fp: BTreeMap<FingerprintId, Vec<AuditIssue>> = BTreeMap::new();
             for _ in 0..4 {
-                for o in lab.boot_and_connect(device, None) {
+                for o in lab.boot_and_connect(None) {
                     per_fp
                         .entry(Fingerprint::from_client_hello(&o.first_hello).id())
                         .or_insert_with(|| grade_client_hello(&o.first_hello));

@@ -159,15 +159,14 @@ impl Experiment for DowngradeProbe {
             let mut total = 0;
 
             for (mode_idx, (policy, lab_seed)) in policies.iter().zip(&lab_seeds).enumerate() {
-                let mut lab = ActiveLab::with_ctx(testbed, ctx, lab_seed);
-                let dev = lab.testbed.device(&device.spec.name);
+                let mut lab = ActiveLab::new(testbed, ctx, lab_seed, device);
                 if mode_idx == 0 {
-                    total = dev.spec.boot_destinations().len();
+                    total = device.spec.boot_destinations().len();
                 }
                 // Boot until the device talks (flaky boots).
                 let mut outcomes = Vec::new();
                 for _ in 0..6 {
-                    outcomes = lab.boot_and_connect(dev, Some(policy));
+                    outcomes = lab.boot_and_connect(Some(policy));
                     if !outcomes.is_empty() {
                         break;
                     }
@@ -319,15 +318,14 @@ pub struct OldVersionRow {
     pub tls11: bool,
 }
 
-/// Observes whether a device accepts a forced old version: if it
-/// aborts with `protocol_version` before the certificate stage, the
+/// Observes whether the lab's device accepts a forced old version: if
+/// it aborts with `protocol_version` before the certificate stage, the
 /// version is unsupported; anything later (including a certificate
 /// rejection) means the version was accepted.
-fn accepts_version(lab: &mut ActiveLab<'_>, device_name: &str, v: ProtocolVersion) -> bool {
-    let device = lab.testbed.device(device_name);
+fn accepts_version(lab: &mut ActiveLab<'_>, v: ProtocolVersion) -> bool {
     let policy = InterceptPolicy::ForcedVersion(v);
     for _ in 0..6 {
-        let outcomes = lab.boot_and_connect(device, Some(&policy));
+        let outcomes = lab.boot_and_connect(Some(&policy));
         if outcomes.is_empty() {
             continue;
         }
@@ -391,11 +389,11 @@ impl Experiment for OldVersionScan {
         );
         let devices: Vec<_> = testbed.devices.iter().filter(|d| d.spec.in_active).collect();
         let per_device = iotls_simnet::ordered_map_with(ctx.threads(), devices, |device| {
-            let mut lab10 = ActiveLab::with_ctx(testbed, ctx, &seed10);
-            let tls10 = accepts_version(&mut lab10, &device.spec.name, ProtocolVersion::Tls10);
+            let mut lab10 = ActiveLab::new(testbed, ctx, &seed10, device);
+            let tls10 = accepts_version(&mut lab10, ProtocolVersion::Tls10);
             let mut device_reg = lab10.metrics();
-            let mut lab11 = ActiveLab::with_ctx(testbed, ctx, &seed11);
-            let tls11 = accepts_version(&mut lab11, &device.spec.name, ProtocolVersion::Tls11);
+            let mut lab11 = ActiveLab::new(testbed, ctx, &seed11, device);
+            let tls11 = accepts_version(&mut lab11, ProtocolVersion::Tls11);
             device_reg.merge(&lab11.metrics());
             let row = (tls10 || tls11).then(|| OldVersionRow {
                 device: device.spec.name.clone(),

@@ -109,20 +109,6 @@ impl ExperimentCtx {
         ExperimentCtxBuilder::default()
     }
 
-    /// A hermetic context for lab-owned use: no environment reads, no
-    /// metrics, inline execution. Labs constructed outside an engine
-    /// ([`crate::ActiveLab::new`]) own one of these.
-    pub(crate) fn bare(seed: u64, plan: FaultPlan) -> ExperimentCtx {
-        ExperimentCtx {
-            seed,
-            plan,
-            threads: 1,
-            metrics: SharedRegistry::noop(),
-            metrics_sink: None,
-            warnings: Vec::new(),
-        }
-    }
-
     /// The root experiment seed (engines derive lab seeds from it).
     pub fn seed(&self) -> u64 {
         self.seed
@@ -715,15 +701,6 @@ mod tests {
         assert_eq!(derived.seed(), 9);
         assert_eq!(derived.threads(), 1);
         assert!(derived.metrics().is_live());
-    }
-
-    #[test]
-    fn bare_ctx_is_hermetic() {
-        let ctx = ExperimentCtx::bare(3, FaultPlan::none());
-        assert_eq!(ctx.threads(), 1);
-        assert!(!ctx.metrics().is_live());
-        assert!(ctx.warnings().is_empty());
-        assert!(ctx.metrics_sink().is_none());
     }
 
     #[test]

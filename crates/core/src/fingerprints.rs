@@ -88,13 +88,13 @@ impl Experiment for FingerprintSurveyor {
         let lab_seed = LabSeed::new(testbed.pki, seed ^ 0xF19E4);
         let devices: Vec<_> = testbed.devices.iter().filter(|d| d.spec.in_active).collect();
         let per_device = iotls_simnet::ordered_map_with(ctx.threads(), devices, |device| {
-            let mut lab = ActiveLab::with_ctx(testbed, ctx, &lab_seed);
+            let mut lab = ActiveLab::new(testbed, ctx, &lab_seed, device);
             let mut counts: BTreeMap<FingerprintId, u64> = BTreeMap::new();
             let mut seen: BTreeSet<FingerprintId> = BTreeSet::new();
             // A few reboots to ride out flaky boots and reach
             // follow-up destinations.
             for _ in 0..4 {
-                let outcomes = lab.boot_and_connect(device, None);
+                let outcomes = lab.boot_and_connect(None);
                 for o in &outcomes {
                     *counts.entry(o.first_fingerprint).or_insert(0) += 1;
                     seen.insert(o.first_fingerprint);

@@ -16,8 +16,9 @@
 //! * [`attacker`] — the on-path adversary and its Table 2 / §4.2
 //!   interception policies (self-signed, wrong-hostname, invalid
 //!   BasicConstraints, spoofed-CA, mute, forced-version);
-//! * [`lab`] — the active laboratory: smart-plug power cycles, boot
-//!   bursts, fallback retries, the Yi give-up quirk, passthrough;
+//! * [`lab`] — the active laboratory, one per device: smart-plug
+//!   power cycles, boot bursts, fallback retries, the Yi give-up
+//!   quirk, passthrough;
 //! * [`audit`] — the interception audit with TrafficPassthrough
 //!   (Table 7, §4.2's +20.4% hostnames, the 7/11 sensitive leaks);
 //! * [`downgrade`] — failure-triggered downgrade probing (Table 5)

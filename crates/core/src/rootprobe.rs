@@ -16,7 +16,7 @@ use crate::experiment::{
 };
 use crate::lab::{ActiveLab, FaultStats, LabSeed};
 use iotls_capture::json::Json;
-use iotls_devices::{canonical_probe_order, DeviceSetup, Testbed};
+use iotls_devices::{canonical_probe_order, Testbed};
 use iotls_obs::Registry;
 use iotls_rootstore::CaId;
 use iotls_tls::alert::AlertDescription;
@@ -121,23 +121,18 @@ enum ProbeAttempt {
     Alert(Option<AlertDescription>),
 }
 
-/// Intercepts only the device's *first* boot connection under
+/// Intercepts only the lab device's *first* boot connection under
 /// `policy`. Every call consumes exactly one reboot, whether or not
 /// the session survives its injected faults — so a chaos run walks
 /// the device's flaky-boot schedule in lockstep with a clean run.
-fn probe_attempt(
-    lab: &mut ActiveLab<'_>,
-    device: &DeviceSetup,
-    policy: &InterceptPolicy,
-) -> ProbeAttempt {
-    if !lab.power_cycle(device) {
+fn probe_attempt(lab: &mut ActiveLab<'_>, policy: &InterceptPolicy) -> ProbeAttempt {
+    if !lab.power_cycle() {
         return ProbeAttempt::NoTraffic; // flaky boot
     }
-    let Some(first) = device.spec.boot_destinations().first().cloned() else {
+    let Some(dest) = lab.device().spec.boot_destinations().first().copied() else {
         return ProbeAttempt::NoTraffic;
     };
-    let dest = first.clone();
-    let outcome = lab.connect(device, &dest, Some(policy));
+    let outcome = lab.connect(dest, Some(policy));
     if outcome.result.tainted() {
         return ProbeAttempt::Faulted;
     }
@@ -154,7 +149,6 @@ fn probe_attempt(
 /// but total reboots are bounded at `2 * tries`.
 fn probe_retrying(
     lab: &mut ActiveLab<'_>,
-    device: &DeviceSetup,
     policy: &InterceptPolicy,
     tries: u32,
 ) -> Option<Option<AlertDescription>> {
@@ -162,7 +156,7 @@ fn probe_retrying(
     let mut total = 0;
     while no_traffic < tries && total < tries * 2 {
         total += 1;
-        match probe_attempt(lab, device, policy) {
+        match probe_attempt(lab, policy) {
             ProbeAttempt::Alert(alert) => return Some(alert),
             ProbeAttempt::Faulted => {}
             ProbeAttempt::NoTraffic => no_traffic += 1,
@@ -313,18 +307,16 @@ fn probe_all(testbed: &Testbed, ctx: &ExperimentCtx) -> RootProbeReport {
         // verdict: it earns an extra screening attempt instead of
         // consuming one.
         {
-            let mut lab = ActiveLab::with_ctx(testbed, ctx, &screening);
+            let mut lab = ActiveLab::new(testbed, ctx, &screening, device);
             let mut never_validates = false;
             let mut budget = 5;
             let mut attempts = 0;
             while attempts < budget {
                 attempts += 1;
-                let dev = lab.testbed.device(&device.spec.name);
-                let Some(dest) = dev.spec.boot_destinations().first().map(|d| (*d).clone())
-                else {
+                let Some(dest) = device.spec.boot_destinations().first().copied() else {
                     break;
                 };
-                let out = lab.connect(dev, &dest, Some(&InterceptPolicy::SelfSigned));
+                let out = lab.connect(dest, Some(&InterceptPolicy::SelfSigned));
                 if out.result.tainted() {
                     if budget < 10 {
                         budget += 1;
@@ -351,17 +343,11 @@ fn probe_all(testbed: &Testbed, ctx: &ExperimentCtx) -> RootProbeReport {
         let baseline;
         let known;
         {
-            let mut lab = ActiveLab::with_ctx(testbed, ctx, &amenability);
-            baseline = probe_retrying(&mut lab, device, &InterceptPolicy::SelfSigned, 8)
-                .flatten();
+            let mut lab = ActiveLab::new(testbed, ctx, &amenability, device);
+            baseline = probe_retrying(&mut lab, &InterceptPolicy::SelfSigned, 8).flatten();
             let popular = testbed.pki.universe.get(testbed.pki.common[0]).cert.clone();
-            known = probe_retrying(
-                &mut lab,
-                device,
-                &InterceptPolicy::SpoofedCa(Box::new(popular)),
-                8,
-            )
-            .flatten();
+            known = probe_retrying(&mut lab, &InterceptPolicy::SpoofedCa(Box::new(popular)), 8)
+                .flatten();
             device_reg.merge(&lab.metrics());
         }
         let amenable = match (baseline, known) {
@@ -385,15 +371,12 @@ fn probe_all(testbed: &Testbed, ctx: &ExperimentCtx) -> RootProbeReport {
             };
             // Fresh lab so probe boot k aligns with the device's boot
             // schedule for cert k.
-            let mut lab = ActiveLab::with_ctx(testbed, ctx, &probing);
+            let mut lab = ActiveLab::new(testbed, ctx, &probing, device);
             let mut faulted_probes: Vec<usize> = Vec::new();
             for (idx, ca_id) in order.iter().enumerate() {
                 let target = testbed.pki.universe.get(*ca_id).cert.clone();
-                let verdict = match probe_attempt(
-                    &mut lab,
-                    device,
-                    &InterceptPolicy::SpoofedCa(Box::new(target)),
-                ) {
+                let policy = InterceptPolicy::SpoofedCa(Box::new(target));
+                let verdict = match probe_attempt(&mut lab, &policy) {
                     ProbeAttempt::NoTraffic => ProbeVerdict::Inconclusive,
                     ProbeAttempt::Faulted => {
                         faulted_probes.push(idx);
@@ -414,12 +397,8 @@ fn probe_all(testbed: &Testbed, ctx: &ExperimentCtx) -> RootProbeReport {
             for idx in faulted_probes {
                 let ca_id = order[idx];
                 let target = testbed.pki.universe.get(ca_id).cert.clone();
-                let recovered = probe_retrying(
-                    &mut lab,
-                    device,
-                    &InterceptPolicy::SpoofedCa(Box::new(target)),
-                    6,
-                );
+                let recovered =
+                    probe_retrying(&mut lab, &InterceptPolicy::SpoofedCa(Box::new(target)), 6);
                 if let Some(alert) = recovered {
                     let verdict = verdict_for(alert);
                     if verdict != ProbeVerdict::Inconclusive {

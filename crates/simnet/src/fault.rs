@@ -11,7 +11,9 @@
 //! The injection point is the [`LinkConditioner`], which sits between
 //! the TLS endpoints and the [`crate::pipe::DuplexLink`] inside the
 //! session driver and may cut, corrupt, or throttle the byte stream.
-//! DNS faults are applied by [`crate::dns::DnsTable::resolve_faulted`].
+//! DNS faults never reach the link: the caller reads
+//! [`SessionFaults::dns`] before it dials, and a drawn DNS fault ends
+//! that try before any byte flows.
 
 use iotls_crypto::drbg::Drbg;
 

@@ -17,10 +17,10 @@
 //!   endpoints over a link, feeding the conditioned bytes to a
 //!   middleware chain (the tap's position) and exchanging app
 //!   payloads;
-//! * [`dns`] — simulated DNS with a per-device query log (revocation
-//!   endpoint detection);
 //! * [`fault`] — seeded deterministic fault injection (resets, stalls,
-//!   garbled fragments, DNS failures, power cycles) for chaos runs;
+//!   garbled fragments, DNS failures, power cycles) for chaos runs; a
+//!   DNS fault is drawn per try and applied at resolution time by the
+//!   caller, and the simulator keeps no DNS table or query log;
 //! * [`mux`] — the accept-loop/session-mux shim for the resident
 //!   gateway: record a clean session's wire tape once, replay it per
 //!   multiplexed session under its own fault draw and deadline;
@@ -29,7 +29,6 @@
 //!   loops, and the run-scoped worker pool the gateway lends each
 //!   tick's batch to.
 
-pub mod dns;
 pub mod driver;
 pub mod events;
 pub mod fault;
@@ -39,7 +38,6 @@ pub mod par;
 pub mod pipe;
 pub mod tap;
 
-pub use dns::{DnsOutcome, DnsQuery, DnsTable};
 pub use driver::{drive_session, sessions_driven, DriveScratch, SessionParams, SessionResult};
 pub use events::{EventQueue, SimClock};
 pub use fault::{

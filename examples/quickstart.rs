@@ -5,7 +5,7 @@
 //!
 //! Flags: `--seed N --threads N --faults PM --metrics` (see
 //! `iotls_repro::cli`). With `--faults`, the fault-stats line at the
-//! end shows the injected chaos and the lab's recovery work.
+//! end shows the injected chaos and the labs' recovery work.
 
 use iotls_repro::cli::{fault_stats_line, ExampleArgs};
 use iotls_repro::core::{ActiveLab, InterceptPolicy, LabSeed};
@@ -29,14 +29,14 @@ fn main() {
     println!("{}", iotls_repro::analysis::tables::table1_roster(testbed));
 
     // A benign connection: the D-Link camera phones home while the
-    // gateway passively observes. The lab borrows the ctx, so the
-    // fault plan follows the flags, and takes its attacker from the
-    // lab seed.
+    // gateway passively observes. A lab drives one device; it borrows
+    // the ctx, so the fault plan follows the flags, and takes its
+    // attacker from the lab seed.
     let lab_seed = LabSeed::new(testbed.pki, ctx.seed());
-    let mut lab = ActiveLab::with_ctx(testbed, &ctx, &lab_seed);
     let camera = testbed.device("D-Link Camera");
-    let dest = camera.spec.destinations[0].clone();
-    let outcome = lab.connect(camera, &dest, None);
+    let mut camera_lab = ActiveLab::new(testbed, &ctx, &lab_seed, camera);
+    let dest = &camera.spec.destinations[0];
+    let outcome = camera_lab.connect(dest, None);
     let obs = outcome.result.observation.as_ref().expect("tapped");
     println!(
         "Passive observation: {} -> {} | negotiated {} with {} | fingerprint {}",
@@ -53,7 +53,7 @@ fn main() {
 
     // The same connection under a NoValidation attack: the strict
     // camera refuses (and we see exactly which alert it sends).
-    let outcome = lab.connect(camera, &dest, Some(&InterceptPolicy::SelfSigned));
+    let outcome = camera_lab.connect(dest, Some(&InterceptPolicy::SelfSigned));
     println!(
         "Self-signed interception of {}: established = {}, client alerts = {:?}",
         dest.hostname,
@@ -66,10 +66,11 @@ fn main() {
     );
 
     // And against a device that never validates, the attacker reads
-    // the plaintext.
+    // the plaintext. The doorbell gets a lab of its own.
     let zmodo = testbed.device("Zmodo Doorbell");
-    let dest = zmodo.spec.destinations[0].clone();
-    let outcome = lab.connect(zmodo, &dest, Some(&InterceptPolicy::SelfSigned));
+    let mut zmodo_lab = ActiveLab::new(testbed, &ctx, &lab_seed, zmodo);
+    let dest = &zmodo.spec.destinations[0];
+    let outcome = zmodo_lab.connect(dest, Some(&InterceptPolicy::SelfSigned));
     println!(
         "Self-signed interception of {}: established = {}, exfiltrated = {:?}",
         dest.hostname,
@@ -77,6 +78,8 @@ fn main() {
         String::from_utf8_lossy(&outcome.result.server_received),
     );
 
-    println!("\n{}", fault_stats_line(&lab.fault_stats()));
+    let mut stats = camera_lab.fault_stats();
+    stats.merge(&zmodo_lab.fault_stats());
+    println!("\n{}", fault_stats_line(&stats));
     args.finish(&ctx);
 }

@@ -125,6 +125,16 @@ cargo test -q --offline -p iotls --lib -- lab::tests::fault_stats_survive_export
     lab::tests::two_fault_exports_read_back_as_their_sum lab::tests::zero_fault_stats_export_no_key
 cargo test -q --offline -p iotls-x509 --lib -- cache::tests::cache_stats_survive_export_and_read_back \
     cache::tests::two_cache_exports_read_back_as_their_sum cache::tests::zero_cache_stats_export_no_key
+# One lab, one device: the lab unit tests (legitimate and intercepted
+# connections, fallback retries, the Yi quirk, passthrough, flaky
+# boots, fault recovery, DNS-fault retries, the verification cache,
+# attacker sharing) and the chaos determinism check build every lab
+# through the one constructor, bound to one roster device, from a ctx
+# with explicit worker and metrics knobs. Also in the workspace run;
+# repeated by name so a lab that drifts from the engines' construction
+# path is called out explicitly.
+cargo test -q --offline -p iotls --lib lab::tests
+cargo test -q --offline --test chaos_experiments chaos_runs_are_deterministic
 
 # Docs gate: rustdoc warnings (broken intra-doc links, bad code
 # fences) fail tier-1, same as clippy warnings do.
@@ -214,6 +224,16 @@ fi
 if [ "$(grep -rnE 'fn count_injected\(' crates/*/src | wc -l)" -gt 1 ]; then
     grep -rnE 'fn count_injected\(' crates/*/src
     echo "tier1: FAILED (fn count_injected defined more than once in crates/*/src)" >&2
+    exit 1
+fi
+
+# API-surface gate: a lab drives one device and is built one way, and
+# the simulator injects DNS faults without keeping a DNS table. Fail if
+# the DNS table, the lab's device map, its owned-ctx constructors, the
+# bare ctx, or the unread unlock set comes back.
+if grep -rnE 'struct DnsTable|pub mod dns|enum LabCtx|fn with_faults\(|fn with_ctx\(|fn bare\(|states: HashMap|pub unlocked' \
+    crates/*/src; then
+    echo "tier1: FAILED (removed lab or DNS API reintroduced in crates/*/src)" >&2
     exit 1
 fi
 

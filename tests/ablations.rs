@@ -17,13 +17,25 @@
 //! process-wide session counter, which other tests in this binary move
 //! concurrently.
 
-use iotls_repro::core::{run_fingerprint_survey, ActiveLab, ConnectionOutcome, InterceptPolicy};
+use iotls_repro::core::{
+    run_fingerprint_survey, ActiveLab, ConnectionOutcome, ExperimentCtx, InterceptPolicy, LabSeed,
+};
 use iotls_repro::devices::{canonical_probe_order, Testbed};
 use iotls_repro::tls::alert::AlertDescription;
 use std::collections::{BTreeSet, HashSet};
 
 /// The seed every ablation runs at.
 const SEED: u64 = 0xBE7C;
+
+/// The ctx the ablations' labs borrow: no faults, one worker and no
+/// metrics, whatever the environment says.
+fn lab_ctx() -> ExperimentCtx {
+    ExperimentCtx::builder()
+        .seed(SEED)
+        .threads(1)
+        .metrics(false)
+        .build()
+}
 
 /// Handshakes behind a run of connections: one per outcome, plus one
 /// for each fallback reconnect.
@@ -42,18 +54,16 @@ fn alert_side_channel_carries_what_success_and_failure_cannot() {
     let testbed = Testbed::global();
     let order = canonical_probe_order(testbed.pki);
     let sample = order.iter().take(10).chain(order.iter().rev().take(10));
-    let mut lab = ActiveLab::new(testbed, SEED);
+    let ctx = lab_ctx();
+    let lab_seed = LabSeed::new(testbed.pki, SEED);
     let dev = testbed.device("Google Home Mini");
-    let dest = dev.spec.destinations[0].clone();
+    let mut lab = ActiveLab::new(testbed, &ctx, &lab_seed, dev);
+    let dest = &dev.spec.destinations[0];
     let mut established = BTreeSet::new();
     let mut first_alerts = HashSet::new();
     for ca in sample {
         let target = testbed.pki.universe.get(*ca).cert.clone();
-        let out = lab.connect(
-            dev,
-            &dest,
-            Some(&InterceptPolicy::SpoofedCa(Box::new(target))),
-        );
+        let out = lab.connect(dest, Some(&InterceptPolicy::SpoofedCa(Box::new(target))));
         established.insert(out.result.established);
         first_alerts.insert(
             out.result
@@ -80,8 +90,10 @@ fn alert_side_channel_carries_what_success_and_failure_cannot() {
 #[test]
 fn one_boot_burst_mixes_tls_instances() {
     let testbed = Testbed::global();
-    let mut lab = ActiveLab::new(testbed, SEED);
-    let outcomes = lab.boot_and_connect(testbed.device("Fire TV"), None);
+    let ctx = lab_ctx();
+    let lab_seed = LabSeed::new(testbed.pki, SEED);
+    let mut lab = ActiveLab::new(testbed, &ctx, &lab_seed, testbed.device("Fire TV"));
+    let outcomes = lab.boot_and_connect(None);
     let instances: BTreeSet<_> = outcomes.iter().map(|o| o.first_fingerprint).collect();
     assert_eq!(outcomes.len(), 21, "connections in one boot burst");
     assert_eq!(
@@ -98,17 +110,20 @@ fn one_reboot_per_certificate_costs_one_handshake_per_probe() {
     let target = testbed.pki.universe.get(testbed.pki.common[2]).cert.clone();
     let policy = InterceptPolicy::SpoofedCa(Box::new(target));
 
+    let ctx = lab_ctx();
+    let lab_seed = LabSeed::new(testbed.pki, SEED);
+
     // The paper's unit: power-cycle, then probe the first boot
     // connection only.
-    let mut lab = ActiveLab::new(testbed, SEED);
-    assert!(lab.power_cycle(dev), "the first boot produces traffic");
-    let dest = dev.spec.boot_destinations()[0].clone();
-    let probe = [lab.connect(dev, &dest, Some(&policy))];
+    let mut lab = ActiveLab::new(testbed, &ctx, &lab_seed, dev);
+    assert!(lab.power_cycle(), "the first boot produces traffic");
+    let dest = dev.spec.boot_destinations()[0];
+    let probe = [lab.connect(dest, Some(&policy))];
     assert_eq!(handshakes(&probe), 1);
 
     // The batched alternative drives the whole boot.
-    let mut lab = ActiveLab::new(testbed, SEED);
-    let batched = lab.boot_and_connect(dev, Some(&policy));
+    let mut lab = ActiveLab::new(testbed, &ctx, &lab_seed, dev);
+    let batched = lab.boot_and_connect(Some(&policy));
     assert_eq!(handshakes(&batched), 9);
 }
 

@@ -11,7 +11,7 @@
 use iotls_repro::core::{
     run_downgrade_probe, run_interception_audit, run_old_version_scan, run_root_probe, ActiveLab,
     DowngradeProbe, Experiment, ExperimentCtx, ExperimentKind, FaultStats, InterceptPolicy,
-    InterceptionAudit, OldVersionScan, Report, RootProbe,
+    InterceptionAudit, LabSeed, OldVersionScan, Report, RootProbe,
 };
 use iotls_repro::devices::{client_config, Testbed};
 use iotls_repro::simnet::{
@@ -154,11 +154,17 @@ fn chaos_runs_are_deterministic() {
     // outcomes, identical retry counts — run twice, compare.
     let tb = Testbed::global();
     let run = || {
-        let mut lab = ActiveLab::with_faults(tb, 0xDE7, chaos_plan());
-        let dev = tb.device("Amazon Echo Dot");
+        let ctx = ExperimentCtx::builder()
+            .seed(0xDE7)
+            .plan(chaos_plan())
+            .threads(1)
+            .metrics(false)
+            .build();
+        let lab_seed = LabSeed::new(tb.pki, 0xDE7);
+        let mut lab = ActiveLab::new(tb, &ctx, &lab_seed, tb.device("Amazon Echo Dot"));
         let mut log = Vec::new();
         for _ in 0..6 {
-            for o in lab.boot_and_connect(dev, Some(&InterceptPolicy::SelfSigned)) {
+            for o in lab.boot_and_connect(Some(&InterceptPolicy::SelfSigned)) {
                 log.push((
                     o.destination.clone(),
                     o.result.established,
