@@ -195,6 +195,30 @@ impl Default for ObsChunk {
 }
 
 impl ObsChunk {
+    /// A chunk whose fixed-width columns hold `rows` zeroes, allocated
+    /// zeroed (so no fill pass runs), with room for `rows` spans and
+    /// empty pools: a fresh buffer for one frame read to fill in place.
+    pub(crate) fn zeroed(rows: usize) -> ObsChunk {
+        ObsChunk {
+            time: vec![0; rows],
+            device: vec![0; rows],
+            destination: vec![0; rows],
+            sni: vec![0; rows],
+            fingerprint: vec![0; rows],
+            adv_versions: Vec::with_capacity(rows),
+            max_adv: vec![0; rows],
+            suites: Vec::with_capacity(rows),
+            neg_version: vec![0; rows],
+            neg_suite: vec![0; rows],
+            leaf_issuer: vec![0; rows],
+            alerts_c2s: Vec::with_capacity(rows),
+            alerts_s2c: Vec::with_capacity(rows),
+            flags: vec![0; rows],
+            count: vec![0; rows],
+            ..ObsChunk::default()
+        }
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.time.len()

@@ -67,6 +67,7 @@ use crate::RevRow;
 use std::fs::{self, File};
 use std::io::{self, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, PoisonError};
 
 /// Manifest magic: "IOTLS" + "SM" (segmented manifest) + generation.
 const SEG_MAGIC: [u8; 8] = *b"IOTLSSM1";
@@ -229,11 +230,45 @@ struct Segment {
     store: ColumnarStore,
 }
 
+/// The buffers one [`SegmentedStore::scan`] reads frames into: a
+/// chunk's columns, and the byte scratch its span columns and pool
+/// tail pass through.
+#[derive(Default)]
+struct ScanBuf {
+    chunk: ObsChunk,
+    bytes: Vec<u8>,
+}
+
+/// A scan buffer checked out of a store's pool, put back when dropped
+/// (whether the scan finished, failed, or unwound).
+struct Lease<'a> {
+    pool: &'a Mutex<Vec<ScanBuf>>,
+    buf: ScanBuf,
+}
+
+// The pool's lock is held only for one `pop` or `push`, which leave the
+// list whole at every step, so a poisoned lock still guards a usable
+// pool and is recovered with `into_inner`.
+impl<'a> Lease<'a> {
+    fn new(pool: &'a Mutex<Vec<ScanBuf>>) -> Lease<'a> {
+        let buf = pool.lock().unwrap_or_else(PoisonError::into_inner).pop();
+        Lease { pool, buf: buf.unwrap_or_default() }
+    }
+}
+
+impl Drop for Lease<'_> {
+    fn drop(&mut self) {
+        let buf = std::mem::take(&mut self.buf);
+        self.pool.lock().unwrap_or_else(PoisonError::into_inner).push(buf);
+    }
+}
+
 /// An opened segmented store: the manifest and every listed segment's
 /// footer resident, chunk frames read on demand. Chunks are numbered
 /// globally in segment order, so analysis code shards over one flat
 /// index space whatever the segment layout. `Sync`: readers share one
-/// store across scoped worker threads.
+/// store across scoped worker threads, and [`scan`](Self::scan) lends
+/// each of them read buffers from a pool the store keeps.
 pub struct SegmentedStore {
     dir: PathBuf,
     segments: Vec<Segment>,
@@ -246,6 +281,9 @@ pub struct SegmentedStore {
     total_rows: u64,
     total_connections: u64,
     orphans: usize,
+    /// Scan buffers not lent out: as many as scans ever ran at once,
+    /// dropped with the store.
+    pool: Mutex<Vec<ScanBuf>>,
 }
 
 impl std::fmt::Debug for SegmentedStore {
@@ -354,6 +392,7 @@ impl SegmentedStore {
             total_rows,
             total_connections,
             orphans,
+            pool: Mutex::new(Vec::new()),
         })
     }
 
@@ -448,21 +487,61 @@ impl SegmentedStore {
         out
     }
 
-    /// Reads, CRC-checks, decodes, and validates global chunk `i`.
+    /// Reads, CRC-checks, and validates global chunk `i` into a chunk
+    /// of its own.
     pub fn read_chunk(&self, i: usize) -> Result<ObsChunk, StoreError> {
         self.read_chunk_with(i, &mut Vec::new())
     }
 
-    /// [`read_chunk`](Self::read_chunk) through a caller-owned `pread`
-    /// buffer. A loop that walks many frames through one scratch
-    /// vector pays for the frame-sized allocation once instead of per
-    /// chunk — the buffer is grow-only and overwritten in place.
+    /// [`read_chunk`](Self::read_chunk) with a caller-owned byte
+    /// scratch for the span columns and the pool tail (grow-only,
+    /// overwritten in place). The chunk's columns are allocated zeroed
+    /// for each call, so no fill pass runs, but each call still pays
+    /// the allocation; [`scan`](Self::scan) reuses them.
     pub fn read_chunk_with(&self, i: usize, scratch: &mut Vec<u8>) -> Result<ObsChunk, StoreError> {
         if i >= self.chunk_count() {
             return Err(StoreError::Corrupt("chunk index out of range"));
         }
+        let mut chunk = ObsChunk::zeroed(self.chunk_rows(i));
+        self.read_into(i, &mut chunk, scratch)?;
+        Ok(chunk)
+    }
+
+    /// Reads each of `chunks` (global indices, in the order given)
+    /// into one buffer and calls `f` with it, stopping at the first
+    /// frame that fails to read. The buffer comes from a pool the
+    /// store keeps and goes back to it when the scan ends, however it
+    /// ends: scans that follow one another reuse the same column
+    /// buffers, so once they have grown to the largest frame a frame
+    /// read allocates nothing. Scans running at the same time each get
+    /// a buffer of their own, so the pool holds at most one per
+    /// concurrent scan.
+    pub fn scan(
+        &self,
+        chunks: impl IntoIterator<Item = usize>,
+        mut f: impl FnMut(&ObsChunk),
+    ) -> Result<(), StoreError> {
+        let mut lease = Lease::new(&self.pool);
+        let ScanBuf { chunk, bytes } = &mut lease.buf;
+        for i in chunks {
+            self.read_into(i, chunk, bytes)?;
+            f(chunk);
+        }
+        Ok(())
+    }
+
+    /// Reads global chunk `i` into `chunk` through `scratch`.
+    fn read_into(
+        &self,
+        i: usize,
+        chunk: &mut ObsChunk,
+        scratch: &mut Vec<u8>,
+    ) -> Result<(), StoreError> {
+        if i >= self.chunk_count() {
+            return Err(StoreError::Corrupt("chunk index out of range"));
+        }
         let seg = self.segment_of(i);
-        self.segments[seg].store.read_chunk_with(i - self.offsets[seg], scratch)
+        self.segments[seg].store.read_into(i - self.offsets[seg], chunk, scratch)
     }
 
     /// Frame payload bytes fetched from segment `i` since open — the
@@ -484,13 +563,10 @@ impl SegmentedStore {
 
     /// Materializes the whole store as one in-memory dataset.
     pub fn to_dataset(&self) -> Result<ColumnarDataset, StoreError> {
-        let mut chunks = Vec::with_capacity(self.chunk_count());
         let mut scratch = Vec::new();
-        for seg in &self.segments {
-            for i in 0..seg.store.chunk_count() {
-                chunks.push(seg.store.read_chunk_with(i, &mut scratch)?);
-            }
-        }
+        let chunks = (0..self.chunk_count())
+            .map(|i| self.read_chunk_with(i, &mut scratch))
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(ColumnarDataset {
             strings: self.strings.clone(),
             fps: self.fps.clone(),
@@ -831,6 +907,135 @@ impl SegmentedWriter {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columnar::{ChunkWriter, RowView};
+    use iotls_tls::fingerprint::FingerprintId;
+    use std::sync::Barrier;
+
+    /// A one-segment store of `sizes.len()` chunks of `sizes[i]` rows
+    /// each, in a per-process scratch directory.
+    fn pool_store(name: &str, sizes: &[usize]) -> SegmentedStore {
+        let dir = std::env::temp_dir()
+            .join(format!("iotls-segstore-{}-{name}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let mut strings = Interner::new();
+        let device = strings.intern("Cam A");
+        let destination = strings.intern("cloud.example");
+        let mut fps = DigestInterner::new();
+        fps.intern(FingerprintId([1; 16]));
+        let mut w = SegmentedWriter::create(&dir).expect("create store");
+        for (c, &rows) in sizes.iter().enumerate() {
+            let mut cw = ChunkWriter::new();
+            for r in 0..rows {
+                cw.push(&RowView {
+                    time: (c * 1000 + r) as i64,
+                    device,
+                    destination,
+                    sni: None,
+                    fingerprint: 0,
+                    advertised_wire: &[0x0303],
+                    max_advertised_wire: 0x0303,
+                    suites: &[0xc02f, 0x002f][..1 + r % 2],
+                    negotiated_version_wire: Some(0x0303),
+                    negotiated_suite: Some(0xc02f),
+                    leaf_issuer: None,
+                    alerts_c2s: &[42][..r % 2],
+                    alerts_s2c: &[],
+                    requested_ocsp: false,
+                    ocsp_stapled: false,
+                    established: true,
+                    count: 1,
+                });
+            }
+            w.add_chunk(&cw.take()).expect("write chunk");
+        }
+        w.finish(&strings, &fps, &[], 0).expect("publish store");
+        SegmentedStore::open(&dir).expect("open store")
+    }
+
+    /// Where the column buffers of `c` live, and how much each holds.
+    fn buffers(c: &ObsChunk) -> [(usize, usize); 5] {
+        [
+            (c.time.as_ptr() as usize, c.time.capacity()),
+            (c.device.as_ptr() as usize, c.device.capacity()),
+            (c.count.as_ptr() as usize, c.count.capacity()),
+            (c.suites.as_ptr() as usize, c.suites.capacity()),
+            (c.alerts_c2s.as_ptr() as usize, c.alerts_c2s.capacity()),
+        ]
+    }
+
+    #[test]
+    fn scans_in_a_row_reuse_one_buffer() {
+        let store = pool_store("reuse", &[40, 64, 7]);
+        let mut first = Vec::new();
+        store.scan(0..3, |c| first.push(buffers(c))).expect("first scan");
+        let grown = *first.last().unwrap();
+        let mut second = Vec::new();
+        store.scan(0..3, |c| second.push(buffers(c))).expect("second scan");
+        // Once grown to the largest frame, the buffers neither move nor
+        // grow again, whatever order the frames come in.
+        store.scan([1, 2, 0, 1], |c| second.push(buffers(c))).expect("third scan");
+        assert!(second.iter().all(|b| *b == grown), "{first:?} then {second:?}");
+        assert_eq!(store.pool.lock().unwrap().len(), 1);
+        fs::remove_dir_all(store.dir()).ok();
+    }
+
+    #[test]
+    fn concurrent_scans_get_their_own_buffers() {
+        let store = pool_store("concurrent", &[16, 16]);
+        let both_out = Barrier::new(2);
+        let [a, b] = std::thread::scope(|s| {
+            let scan = |i: usize| {
+                let (store, both_out) = (&store, &both_out);
+                s.spawn(move || {
+                    let mut seen = None;
+                    store
+                        .scan([i], |c| {
+                            // Both scans hold their buffer here at once.
+                            both_out.wait();
+                            seen = Some(buffers(c)[0]);
+                        })
+                        .expect("scan");
+                    seen.expect("one chunk scanned")
+                })
+            };
+            [scan(0), scan(1)].map(|h| h.join().expect("scan thread"))
+        });
+        assert_ne!(a.0, b.0, "two concurrent scans shared a buffer");
+        assert_eq!(store.pool.lock().unwrap().len(), 2);
+        // A later scan takes one of the two back out.
+        let mut seen = Vec::new();
+        store.scan([0], |c| seen.push(buffers(c)[0])).expect("scan");
+        assert!(seen[0] == a || seen[0] == b);
+        assert_eq!(store.pool.lock().unwrap().len(), 2);
+        fs::remove_dir_all(store.dir()).ok();
+    }
+
+    #[test]
+    fn a_failed_scan_leaves_the_pool_usable() {
+        let store = pool_store("failed", &[32, 32]);
+        let mut before = Vec::new();
+        store.scan(0..2, |c| before.push(buffers(c))).expect("clean scan");
+
+        // Flip a byte inside chunk 1's frame under the open store.
+        let seg = store.dir().join(segment_name(0));
+        let clean = fs::read(&seg).expect("read segment");
+        let mut bad = clean.clone();
+        let frame1 = 20 + usize::try_from(store.segments[0].store.frame_bytes_total()).unwrap() / 2;
+        bad[frame1 + 5] ^= 0x40;
+        fs::write(&seg, &bad).expect("corrupt segment");
+        let mut rows = 0;
+        let err = store.scan(0..2, |c| rows += c.len()).expect_err("chunk 1 is corrupt");
+        assert!(matches!(err, StoreError::ChecksumMismatch { chunk: Some(1), .. }), "{err}");
+        assert_eq!(rows, 32, "chunk 0 was handed over before chunk 1 failed");
+        assert_eq!(store.pool.lock().unwrap().len(), 1, "the failed scan returned its buffer");
+
+        // The pool still lends the same buffer, and it reads clean data.
+        fs::write(&seg, &clean).expect("restore segment");
+        let mut after = Vec::new();
+        store.scan(0..2, |c| after.push(buffers(c))).expect("scan after the failure");
+        assert_eq!(after, before);
+        fs::remove_dir_all(store.dir()).ok();
+    }
 
     #[test]
     fn manifest_roundtrips() {

@@ -31,15 +31,14 @@
 //!
 //! The crate-private `StoreWriter` streams chunks into one segment
 //! file as they seal, and `ColumnarStore` reads one back: the
-//! directory and tables eagerly, chunk frames lazily through
-//! positioned reads (`pread`), so peak memory stays near one decoded
-//! chunk per reading thread and a pruned time/device slice never
-//! touches the skipped frames at all. The public surface is the
-//! segmented store built on them, the typed [`StoreError`], and the
-//! [`crc32`] kernel.
+//! directory and tables eagerly, chunk frames lazily, one positioned
+//! read (`pread`) per column straight into a caller's reusable
+//! [`ObsChunk`], so a pruned time/device slice never touches the
+//! skipped frames at all. The public surface is the segmented store
+//! built on them, the typed [`StoreError`], and the [`crc32`] kernel.
 //!
 //! Corruption never panics: truncations, bit flips, and structurally
-//! impossible values all surface as typed [`StoreError`]s. Decoded
+//! impossible values all surface as typed [`StoreError`]s. Read
 //! chunks are validated — span columns must land inside their pools
 //! and symbol columns inside the intern tables — so even a
 //! CRC-correct but hostile file cannot push an out-of-bounds index
@@ -400,30 +399,56 @@ fn read_at_or_trunc(
 
 // ── Little-endian encode helpers ────────────────────────────────────
 
-/// Fixed-width integers the codec lays down little-endian.
-pub(crate) trait LeWord: Copy {
+/// Fixed-width integers the codec lays down little-endian: the
+/// element types of every fixed-width column.
+///
+/// # Safety
+///
+/// Implementors are primitive integers: no padding bytes, and every
+/// bit pattern is a valid value, so the frame reader may fill a
+/// column's memory straight from file bytes ([`column_bytes`]).
+pub(crate) unsafe trait LeWord: Copy + Default {
     /// The value's little-endian bytes (`to_le_bytes`).
     type Bytes: IntoIterator<Item = u8>;
     fn le_bytes(self) -> Self::Bytes;
+    /// The value whose memory holds little-endian bytes (`from_le`;
+    /// the identity on little-endian targets).
+    fn from_le(v: Self) -> Self;
 }
 
 macro_rules! le_word {
     ($($t:ty),*) => {$(
-        impl LeWord for $t {
+        // SAFETY: a primitive integer type.
+        unsafe impl LeWord for $t {
             type Bytes = [u8; std::mem::size_of::<$t>()];
             fn le_bytes(self) -> Self::Bytes {
                 self.to_le_bytes()
             }
+            fn from_le(v: Self) -> Self {
+                <$t>::from_le(v)
+            }
         }
     )*};
 }
-le_word!(u16, u32, u64, i64);
+le_word!(u8, u16, u32, u64, i64);
+
+/// A column's memory as bytes, for a positioned read to fill in place.
+fn column_bytes<T: LeWord>(col: &mut [T]) -> &mut [u8] {
+    // SAFETY: `LeWord` types are primitive integers (its safety
+    // contract): the byte slice covers exactly the column's
+    // initialized memory, `u8` needs no alignment, and whatever bytes
+    // are written through it leave valid values behind. The mutable
+    // borrow of `col` lasts as long as the returned slice.
+    unsafe {
+        std::slice::from_raw_parts_mut(col.as_mut_ptr().cast::<u8>(), std::mem::size_of_val(col))
+    }
+}
 
 /// Appends a column little-endian in one bulk pass — the write-side
-/// mirror of [`decode_le`]. Flattening fixed-size arrays keeps the
-/// iterator's exact length, so `extend` reserves once and writes
-/// without a capacity check per element (a per-element
-/// `extend_from_slice` cannot vectorize).
+/// mirror of the frame reader's one `pread` per column. Flattening
+/// fixed-size arrays keeps the iterator's exact length, so `extend`
+/// reserves once and writes without a capacity check per element (a
+/// per-element `extend_from_slice` cannot vectorize).
 pub(crate) fn put_le<T: LeWord>(buf: &mut Vec<u8>, vals: &[T]) {
     buf.extend(vals.iter().flat_map(|v| v.le_bytes()));
 }
@@ -514,44 +539,13 @@ impl<'a> Reader<'a> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    pub(crate) fn u16s(&mut self, n: usize) -> Result<Vec<u16>, StoreError> {
-        decode_le::<u16>(self.take(n * 2)?, n, |b| {
-            u16::from_le_bytes(b.try_into().unwrap())
-        })
-    }
-
-    pub(crate) fn u32s(&mut self, n: usize) -> Result<Vec<u32>, StoreError> {
-        decode_le::<u32>(self.take(n * 4)?, n, |b| {
-            u32::from_le_bytes(b.try_into().unwrap())
-        })
-    }
-
+    /// `n` little-endian words (the device bitmaps of the footer
+    /// directory and the manifest).
     pub(crate) fn u64s(&mut self, n: usize) -> Result<Vec<u64>, StoreError> {
-        decode_le::<u64>(self.take(n * 8)?, n, |b| {
-            u64::from_le_bytes(b.try_into().unwrap())
-        })
-    }
-
-    pub(crate) fn i64s(&mut self, n: usize) -> Result<Vec<i64>, StoreError> {
-        decode_le::<i64>(self.take(n * 8)?, n, |b| {
-            i64::from_le_bytes(b.try_into().unwrap())
-        })
-    }
-
-    pub(crate) fn spans(&mut self, n: usize) -> Result<Vec<(u32, u16)>, StoreError> {
-        // Decode straight from the raw offset/length bytes into the
-        // pair vector — no intermediate columns, one pass.
-        let offs = self.take(n * 4)?;
-        let lens = self.take(n * 2)?;
-        Ok(offs
-            .chunks_exact(4)
-            .zip(lens.chunks_exact(2))
-            .map(|(o, l)| {
-                (
-                    u32::from_le_bytes(o.try_into().unwrap()),
-                    u16::from_le_bytes(l.try_into().unwrap()),
-                )
-            })
+        let raw = self.take(n.saturating_mul(8))?;
+        Ok(raw
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes(b.try_into().unwrap()))
             .collect())
     }
 
@@ -561,33 +555,6 @@ impl<'a> Reader<'a> {
         } else {
             Err(StoreError::Corrupt("trailing bytes after structure"))
         }
-    }
-}
-
-/// Decode `n` little-endian integers from `raw`. On little-endian
-/// targets the wire layout IS the in-memory layout, so the whole
-/// column becomes one memcpy — this path carries the bulk of the
-/// reload bytes (every fixed-width column of every frame). Other
-/// targets fall back to the per-element conversion closure.
-fn decode_le<T: Copy + Default>(
-    raw: &[u8],
-    n: usize,
-    from_bytes: impl Fn(&[u8]) -> T,
-) -> Result<Vec<T>, StoreError> {
-    debug_assert_eq!(raw.len(), n * std::mem::size_of::<T>());
-    if cfg!(target_endian = "little") {
-        let mut out = Vec::<T>::with_capacity(n);
-        // SAFETY: `raw` holds exactly `n` values of the integer type
-        // `T` in little-endian byte order, which on a little-endian
-        // target is `T`'s native representation; the copy fills the
-        // capacity just reserved before the length is set.
-        unsafe {
-            std::ptr::copy_nonoverlapping(raw.as_ptr(), out.as_mut_ptr() as *mut u8, raw.len());
-            out.set_len(n);
-        }
-        Ok(out)
-    } else {
-        Ok(raw.chunks_exact(std::mem::size_of::<T>()).map(from_bytes).collect())
     }
 }
 
@@ -748,8 +715,8 @@ fn read_exact_at(file: &File, buf: &mut [u8], off: u64) -> io::Result<()> {
 // ── Segment reader ──────────────────────────────────────────────────
 
 /// An opened segment file: directory, intern tables, flows, and tails
-/// resident; chunk frames `pread`, checksummed, and decoded on demand
-/// by [`read_chunk_with`](Self::read_chunk_with).
+/// resident; chunk frames `pread` column by column, checksummed, and
+/// validated on demand by [`read_into`](Self::read_into).
 #[derive(Debug)]
 pub(crate) struct ColumnarStore {
     file: File,
@@ -770,9 +737,9 @@ pub(crate) struct ColumnarStore {
 
 impl ColumnarStore {
     /// Opens `path` with lazy positioned reads: only the footer
-    /// becomes resident, and [`read_chunk_with`](Self::read_chunk_with)
-    /// `pread`s one frame at a time — peak memory stays near one
-    /// decoded chunk per reading thread regardless of file size.
+    /// becomes resident, and [`read_into`](Self::read_into) `pread`s
+    /// one frame at a time into the caller's buffers — memory stays
+    /// at the buffers the callers hold, regardless of file size.
     pub(crate) fn open(path: &Path) -> Result<ColumnarStore, StoreError> {
         Self::open_inner(path).map_err(|e| e.with_path(path))
     }
@@ -832,7 +799,7 @@ impl ColumnarStore {
                 return Err(StoreError::Corrupt("chunk frame outside frame region"));
             }
             if ROW_BYTES * rows as u64 + 8 > len {
-                return Err(StoreError::Corrupt("chunk frame shorter than its row count"));
+                return Err(StoreError::Corrupt(SHORT_FRAME));
             }
             dir.push(DirEntry {
                 offset,
@@ -982,62 +949,256 @@ impl ColumnarStore {
             .collect()
     }
 
-    /// Reads, CRC-checks, decodes, and validates frame `i` through a
-    /// caller-owned `pread` buffer. A loop that walks many frames
-    /// through one scratch vector pays for the frame-sized allocation
-    /// once instead of per chunk — the buffer is grow-only and
-    /// overwritten in place.
-    pub(crate) fn read_chunk_with(
+    /// Reads frame `i` into `chunk`: each fixed-width column is
+    /// `pread` straight into its buffer, the span columns and the pool
+    /// tail through the caller's byte `scratch` (see [`FrameReader`]).
+    /// Every buffer is grow-only and overwritten in place, so a reused
+    /// `chunk` and `scratch` cost no allocation and no fill for a
+    /// frame no larger than the last.
+    ///
+    /// The checks run while each column is still in cache, but the
+    /// verdicts keep one order: the frame CRC, then the tail's
+    /// structure, then the symbol and span ranges, so every corrupt
+    /// frame yields one `StoreError` however it is read. On error,
+    /// `chunk` holds no meaningful rows.
+    pub(crate) fn read_into(
         &self,
         i: usize,
+        chunk: &mut ObsChunk,
         scratch: &mut Vec<u8>,
-    ) -> Result<ObsChunk, StoreError> {
-        self.read_frame(i, scratch).map_err(|e| e.with_path(&self.path))
+    ) -> Result<(), StoreError> {
+        self.read_columns(i, chunk, scratch)
+            .map_err(|e| e.with_path(&self.path))
     }
 
-    fn read_frame(&self, i: usize, scratch: &mut Vec<u8>) -> Result<ObsChunk, StoreError> {
+    fn read_columns(
+        &self,
+        i: usize,
+        chunk: &mut ObsChunk,
+        scratch: &mut Vec<u8>,
+    ) -> Result<(), StoreError> {
         let entry = self
             .dir
             .get(i)
             .ok_or(StoreError::Corrupt("chunk index out of range"))?;
         let len = usize::try_from(entry.len).map_err(|_| trunc("frame", entry.offset))?;
-        let (payload, crc) = self.frame_crc(entry.offset, len, scratch)?;
+        // `open` holds every directory entry to this bound; restated so
+        // no entry can make a column run past its frame.
+        let fixed = ROW_BYTES * entry.rows as u64;
+        if fixed + 8 > entry.len {
+            return Err(StoreError::Corrupt(SHORT_FRAME));
+        }
+        let n = entry.rows as usize;
+        let mut f = FrameReader { file: &self.file, off: entry.offset, crc: !0 };
+        f.column(&mut chunk.time, n)?;
+        let device = symbols_needed(f.column(&mut chunk.device, n)?);
+        let destination = symbols_needed(f.column(&mut chunk.destination, n)?);
+        let sni = optional_symbols_needed(f.column(&mut chunk.sni, n)?);
+        let fingerprint = symbols_needed(f.column(&mut chunk.fingerprint, n)?);
+        let leaf_issuer = optional_symbols_needed(f.column(&mut chunk.leaf_issuer, n)?);
+        f.column(&mut chunk.max_adv, n)?;
+        f.column(&mut chunk.neg_version, n)?;
+        f.column(&mut chunk.neg_suite, n)?;
+        f.column(&mut chunk.flags, n)?;
+        f.column(&mut chunk.count, n)?;
+        let adv_versions = f.spans(&mut chunk.adv_versions, n, scratch)?;
+        let suites = f.spans(&mut chunk.suites, n, scratch)?;
+        let alerts_c2s = f.spans(&mut chunk.alerts_c2s, n, scratch)?;
+        let alerts_s2c = f.spans(&mut chunk.alerts_s2c, n, scratch)?;
+        let tail = grow(scratch, len - fixed as usize);
+        f.read(tail)?;
         self.frame_bytes
             .fetch_add(entry.len, std::sync::atomic::Ordering::Relaxed);
-        if crc != entry.crc {
+        if !f.crc != entry.crc {
             return Err(StoreError::ChecksumMismatch { chunk: Some(i as u32), path: String::new() });
         }
-        decode_chunk(payload, entry, self.strings.len() as u32, self.fps.len() as u32)
+
+        // Structure: two length-prefixed pools fill the tail exactly.
+        let mut r = Reader::at(tail, "chunk frame", fixed);
+        let u16s = r.u32()? as usize;
+        let pool_u16 = r.take(u16s.saturating_mul(2))?;
+        let u8s = r.u32()? as usize;
+        let pool_u8 = r.take(u8s)?;
+        r.done()?;
+        chunk.pool_u16.clear();
+        chunk.pool_u16.extend(
+            pool_u16
+                .chunks_exact(2)
+                .map(|b| u16::from_le_bytes(b.try_into().unwrap())),
+        );
+        chunk.pool_u8.clear();
+        chunk.pool_u8.extend_from_slice(pool_u8);
+        chunk.min_time = entry.min_time;
+        chunk.max_time = entry.max_time;
+        chunk.device_bits.clear();
+        chunk.device_bits.extend_from_slice(&entry.device_bits);
+
+        // Ranges: symbols inside the intern tables (`NO_SYM` allowed
+        // where the schema is optional), spans inside their pools.
+        let (strings, fps) = (self.strings.len() as u64, self.fps.len() as u64);
+        if device > strings || destination > strings {
+            return Err(StoreError::Corrupt("row symbol outside string table"));
+        }
+        if sni > strings || leaf_issuer > strings {
+            return Err(StoreError::Corrupt("optional symbol outside string table"));
+        }
+        if fingerprint > fps {
+            return Err(StoreError::Corrupt("fingerprint outside digest table"));
+        }
+        let (u16s, u8s) = (u16s as u64, u8s as u64);
+        if adv_versions > u16s || suites > u16s {
+            return Err(StoreError::Corrupt("u16 span outside pool"));
+        }
+        if alerts_c2s > u8s || alerts_s2c > u8s {
+            return Err(StoreError::Corrupt("u8 span outside pool"));
+        }
+        Ok(())
+    }
+}
+
+/// What `open` and the frame reader report for a directory entry too
+/// short for the fixed-width columns its row count implies.
+const SHORT_FRAME: &str = "chunk frame shorter than its row count";
+
+/// One frame read front to back with one `pread` per column: each
+/// read lands in its destination buffer, and the CRC-32C folds over
+/// it while it is still in cache.
+struct FrameReader<'a> {
+    file: &'a File,
+    /// Absolute file offset of the next read.
+    off: u64,
+    /// Raw (pre-inverted) CRC-32C state over the bytes read so far.
+    crc: u32,
+}
+
+impl FrameReader<'_> {
+    /// Fills `buf` from the frame's next bytes and folds them into
+    /// the CRC.
+    fn read(&mut self, buf: &mut [u8]) -> Result<(), StoreError> {
+        read_at_or_trunc(self.file, buf, self.off, "frame")?;
+        self.crc = crc32_raw(self.crc, buf);
+        self.off += buf.len() as u64;
+        Ok(())
     }
 
-    /// Frame fetch fused with its checksum: the frame is `pread` in
-    /// 256 KiB blocks and each block is CRC'd while still cache-hot
-    /// from the copy — one trip through DRAM instead of two for a
-    /// multi-megabyte frame. `scratch` is grow-only, so same-size
-    /// frames (the common case — every sealed chunk holds
-    /// `CHUNK_ROWS` rows) cost zero allocation and zero memset after
-    /// the first.
-    fn frame_crc<'a>(
-        &self,
-        off: u64,
-        len: usize,
-        scratch: &'a mut Vec<u8>,
-    ) -> Result<(&'a [u8], u32), StoreError> {
-        const BLOCK: usize = 256 << 10;
-        if scratch.len() < len {
-            scratch.resize(len, 0);
+    /// Reads an `n`-entry fixed-width column straight into `col`:
+    /// resized to `n` (a reused buffer of that length is neither
+    /// reallocated nor filled), checksummed, and byte-swapped in
+    /// place on big-endian targets.
+    fn column<'c, T: LeWord>(
+        &mut self,
+        col: &'c mut Vec<T>,
+        n: usize,
+    ) -> Result<&'c [T], StoreError> {
+        col.resize(n, T::default());
+        self.read(column_bytes(col))?;
+        if cfg!(target_endian = "big") {
+            for v in col.iter_mut() {
+                *v = T::from_le(*v);
+            }
         }
-        let mut state = !0u32;
-        let mut done = 0;
-        while done < len {
-            let n = BLOCK.min(len - done);
-            let block = &mut scratch[done..done + n];
-            read_at_or_trunc(&self.file, block, off + done as u64, "frame")?;
-            state = crc32_raw(state, block);
-            done += n;
-        }
-        Ok((&scratch[..len], !state))
+        Ok(col)
     }
+
+    /// Reads one span column (all `n` offsets, then all `n` lengths)
+    /// through `scratch` and zips it into `spans` ([`zip_spans`]).
+    fn spans(
+        &mut self,
+        spans: &mut Vec<(u32, u16)>,
+        n: usize,
+        scratch: &mut Vec<u8>,
+    ) -> Result<u64, StoreError> {
+        let raw = grow(scratch, 6 * n);
+        self.read(raw)?;
+        let (offs, lens) = raw.split_at(4 * n);
+        Ok(wide(|| zip_spans(offs, lens, spans)))
+    }
+}
+
+// The span zip stores each `(offset, len)` pair as two `u32` words:
+// the offset, then the length's native bytes over two zero padding
+// bytes. Whole-word stores vectorize where a store per tuple field
+// does not. The tuple layout this relies on is pinned here: offset at
+// bytes 0..4, length at 4..6, eight bytes in all, aligned to 4.
+const _: () = assert!(
+    std::mem::size_of::<(u32, u16)>() == 8
+        && std::mem::align_of::<(u32, u16)>() == 4
+        && std::mem::offset_of!((u32, u16), 0) == 0
+        && std::mem::offset_of!((u32, u16), 1) == 4
+);
+
+/// Zips span offsets and lengths (two little-endian runs, as on the
+/// wire) into `(offset, len)` pairs in `spans`. Returns the largest
+/// `offset + len`, 0 for an empty column: a pool holds every span iff
+/// it is at least that long.
+fn zip_spans(offs: &[u8], lens: &[u8], spans: &mut Vec<(u32, u16)>) -> u64 {
+    let pairs = offs.chunks_exact(4).zip(lens.chunks_exact(2));
+    let n = pairs.len();
+    spans.clear();
+    spans.reserve(n);
+    let out = spans.spare_capacity_mut().as_mut_ptr().cast::<[u32; 2]>();
+    let mut end = 0u64;
+    for (i, (o, l)) in pairs.enumerate() {
+        let off = u32::from_le_bytes(o.try_into().unwrap());
+        let len = u16::from_le_bytes(l.try_into().unwrap());
+        let [lo, hi] = len.to_ne_bytes();
+        // SAFETY: `i < n` and `n` slots are reserved; `[u32; 2]` has
+        // the pair's size and alignment, and its words land on the
+        // pair's offset and length bytes (the layout asserted above).
+        unsafe { out.add(i).write([off, u32::from_ne_bytes([lo, hi, 0, 0])]) };
+        end = end.max(off as u64 + len as u64);
+    }
+    // SAFETY: the loop initialized all `n` pairs.
+    unsafe { spans.set_len(n) };
+    end
+}
+
+/// Runs `f` compiled for AVX2 when the CPU has it, as compiled for the
+/// target otherwise. The frame reader's max reductions and span zip
+/// run through it: baseline x86_64 (SSE2) has no 32- or 64-bit vector
+/// max, and there a symbol reduction took 0.26–0.34 ns per entry and
+/// a span zip 1.0–1.5 ns, against 0.07 and 0.55 with AVX2.
+#[inline(always)]
+fn wide<R>(f: impl FnOnce() -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("avx2") {
+        /// # Safety
+        ///
+        /// The CPU must support AVX2.
+        #[target_feature(enable = "avx2")]
+        unsafe fn avx2<R>(f: impl FnOnce() -> R) -> R {
+            f()
+        }
+        // SAFETY: guarded by the runtime AVX2 detection above.
+        return unsafe { avx2(f) };
+    }
+    f()
+}
+
+/// The first `len` bytes of a grow-only scratch buffer.
+fn grow(scratch: &mut Vec<u8>, len: usize) -> &mut [u8] {
+    if scratch.len() < len {
+        scratch.resize(len, 0);
+    }
+    &mut scratch[..len]
+}
+
+/// Entries a table needs so that every symbol of a required column
+/// indexes it: the largest symbol plus one, 0 for an empty column. A
+/// branch-free max reduction, so it vectorizes.
+fn symbols_needed(col: &[u32]) -> u64 {
+    let top = wide(|| col.iter().fold(0, |m, &s| m.max(s)));
+    if col.is_empty() {
+        0
+    } else {
+        top as u64 + 1
+    }
+}
+
+/// [`symbols_needed`] for an optional column, whose `NO_SYM` needs no
+/// entry: shifted up by one, the sentinel wraps to 0.
+fn optional_symbols_needed(col: &[u32]) -> u64 {
+    wide(|| col.iter().fold(0, |m, &s| m.max(s.wrapping_add(1)))) as u64
 }
 
 /// The pruning test a chunk's directory entry and a segment's
@@ -1070,88 +1231,13 @@ fn check_header(header: &[u8]) -> Result<u64, StoreError> {
     Ok(u64::from_le_bytes(header[12..20].try_into().unwrap()))
 }
 
-/// Decodes one CRC-verified frame payload, validating every index:
-/// span columns must land inside their pools, symbol columns inside
-/// the intern tables (`NO_SYM` allowed where the schema is optional).
-fn decode_chunk(
-    payload: &[u8],
-    entry: &DirEntry,
-    string_count: u32,
-    fp_count: u32,
-) -> Result<ObsChunk, StoreError> {
-    let n = entry.rows as usize;
-    let mut r = Reader::new(payload, "chunk frame");
-    let time = r.i64s(n)?;
-    let device = r.u32s(n)?;
-    let destination = r.u32s(n)?;
-    let sni = r.u32s(n)?;
-    let fingerprint = r.u32s(n)?;
-    let leaf_issuer = r.u32s(n)?;
-    let max_adv = r.u16s(n)?;
-    let neg_version = r.u16s(n)?;
-    let neg_suite = r.u16s(n)?;
-    let flags = r.take(n)?.to_vec();
-    let count = r.u64s(n)?;
-    let adv_versions = r.spans(n)?;
-    let suites = r.spans(n)?;
-    let alerts_c2s = r.spans(n)?;
-    let alerts_s2c = r.spans(n)?;
-    let pool_u16_len = r.u32()? as usize;
-    let pool_u16 = r.u16s(pool_u16_len)?;
-    let pool_u8_len = r.u32()? as usize;
-    let pool_u8 = r.take(pool_u8_len)?.to_vec();
-    r.done()?;
-
-    let sym_ok = |col: &[u32]| col.iter().all(|&s| s < string_count);
-    let opt_sym_ok = |col: &[u32]| col.iter().all(|&s| s == NO_SYM || s < string_count);
-    if !sym_ok(&device) || !sym_ok(&destination) {
-        return Err(StoreError::Corrupt("row symbol outside string table"));
-    }
-    if !opt_sym_ok(&sni) || !opt_sym_ok(&leaf_issuer) {
-        return Err(StoreError::Corrupt("optional symbol outside string table"));
-    }
-    if !fingerprint.iter().all(|&f| f < fp_count) {
-        return Err(StoreError::Corrupt("fingerprint outside digest table"));
-    }
-    let span_ok = |spans: &[(u32, u16)], pool_len: usize| {
-        spans
-            .iter()
-            .all(|&(off, len)| (off as usize).checked_add(len as usize).is_some_and(|e| e <= pool_len))
-    };
-    if !span_ok(&adv_versions, pool_u16.len()) || !span_ok(&suites, pool_u16.len()) {
-        return Err(StoreError::Corrupt("u16 span outside pool"));
-    }
-    if !span_ok(&alerts_c2s, pool_u8.len()) || !span_ok(&alerts_s2c, pool_u8.len()) {
-        return Err(StoreError::Corrupt("u8 span outside pool"));
-    }
-
-    Ok(ObsChunk {
-        time,
-        device,
-        destination,
-        sni,
-        fingerprint,
-        adv_versions,
-        max_adv,
-        suites,
-        neg_version,
-        neg_suite,
-        leaf_issuer,
-        alerts_c2s,
-        alerts_s2c,
-        flags,
-        count,
-        pool_u16,
-        pool_u8,
-        min_time: entry.min_time,
-        max_time: entry.max_time,
-        device_bits: entry.device_bits.clone(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columnar::{ChunkWriter, RowView, CHUNK_ROWS};
+    use crate::generate::CaptureCtx;
+    use iotls_devices::Testbed;
+    use std::path::PathBuf;
 
     #[test]
     fn crc32_matches_the_crc32c_check_value() {
@@ -1249,5 +1335,378 @@ mod tests {
         let (a, b) = (CRC_STRIDE / 2 + 3, block + 2 * CRC_STRIDE + 11);
         let state = crc32_raw(crc32_raw(crc32_raw(!0, &data[..a]), &data[a..b]), &data[b..]);
         assert_eq!(!state, crc32(&data));
+    }
+
+    // ── The column reader against the full-frame oracle ──────────
+
+    /// The retired read path, kept as the oracle the column reader is
+    /// held to: the directory bound `open` applies, the whole frame in
+    /// one read, its CRC, then a decode that copies every column out of
+    /// the frame and validates the copies.
+    fn oracle_read(store: &ColumnarStore, i: usize) -> Result<ObsChunk, StoreError> {
+        let entry = &store.dir[i];
+        let read = || {
+            if ROW_BYTES * entry.rows as u64 + 8 > entry.len {
+                return Err(StoreError::Corrupt(SHORT_FRAME));
+            }
+            let mut payload = vec![0; entry.len as usize];
+            read_at_or_trunc(&store.file, &mut payload, entry.offset, "frame")?;
+            if crc32(&payload) != entry.crc {
+                let chunk = Some(i as u32);
+                return Err(StoreError::ChecksumMismatch { chunk, path: String::new() });
+            }
+            let (strings, fps) = (store.strings.len() as u32, store.fps.len() as u32);
+            decode_frame_oracle(&payload, entry, strings, fps)
+        };
+        read().map_err(|e| e.with_path(&store.path))
+    }
+
+    /// `n` little-endian values `width` bytes wide, one at a time.
+    fn oracle_column<T>(
+        r: &mut Reader<'_>,
+        n: usize,
+        width: usize,
+        from: impl Fn(&[u8]) -> T,
+    ) -> Result<Vec<T>, StoreError> {
+        Ok(r.take(n * width)?.chunks_exact(width).map(from).collect())
+    }
+
+    fn oracle_spans(r: &mut Reader<'_>, n: usize) -> Result<Vec<(u32, u16)>, StoreError> {
+        let offs = r.take(n * 4)?;
+        let lens = r.take(n * 2)?;
+        Ok(offs
+            .chunks_exact(4)
+            .zip(lens.chunks_exact(2))
+            .map(|(o, l)| {
+                let off = u32::from_le_bytes(o.try_into().unwrap());
+                (off, u16::from_le_bytes(l.try_into().unwrap()))
+            })
+            .collect())
+    }
+
+    /// Decodes one CRC-verified frame payload, validating every index
+    /// after the whole frame is decoded.
+    fn decode_frame_oracle(
+        payload: &[u8],
+        entry: &DirEntry,
+        string_count: u32,
+        fp_count: u32,
+    ) -> Result<ObsChunk, StoreError> {
+        let n = entry.rows as usize;
+        let mut r = Reader::new(payload, "chunk frame");
+        let u16s = |b: &[u8]| u16::from_le_bytes(b.try_into().unwrap());
+        let u32s = |b: &[u8]| u32::from_le_bytes(b.try_into().unwrap());
+        let time = oracle_column(&mut r, n, 8, |b| i64::from_le_bytes(b.try_into().unwrap()))?;
+        let device = oracle_column(&mut r, n, 4, u32s)?;
+        let destination = oracle_column(&mut r, n, 4, u32s)?;
+        let sni = oracle_column(&mut r, n, 4, u32s)?;
+        let fingerprint = oracle_column(&mut r, n, 4, u32s)?;
+        let leaf_issuer = oracle_column(&mut r, n, 4, u32s)?;
+        let max_adv = oracle_column(&mut r, n, 2, u16s)?;
+        let neg_version = oracle_column(&mut r, n, 2, u16s)?;
+        let neg_suite = oracle_column(&mut r, n, 2, u16s)?;
+        let flags = r.take(n)?.to_vec();
+        let count = oracle_column(&mut r, n, 8, |b| u64::from_le_bytes(b.try_into().unwrap()))?;
+        let adv_versions = oracle_spans(&mut r, n)?;
+        let suites = oracle_spans(&mut r, n)?;
+        let alerts_c2s = oracle_spans(&mut r, n)?;
+        let alerts_s2c = oracle_spans(&mut r, n)?;
+        let pool_u16_len = r.u32()? as usize;
+        let pool_u16 = oracle_column(&mut r, pool_u16_len, 2, u16s)?;
+        let pool_u8_len = r.u32()? as usize;
+        let pool_u8 = r.take(pool_u8_len)?.to_vec();
+        r.done()?;
+
+        let sym_ok = |col: &[u32]| col.iter().all(|&s| s < string_count);
+        let opt_sym_ok = |col: &[u32]| col.iter().all(|&s| s == NO_SYM || s < string_count);
+        if !sym_ok(&device) || !sym_ok(&destination) {
+            return Err(StoreError::Corrupt("row symbol outside string table"));
+        }
+        if !opt_sym_ok(&sni) || !opt_sym_ok(&leaf_issuer) {
+            return Err(StoreError::Corrupt("optional symbol outside string table"));
+        }
+        if !fingerprint.iter().all(|&f| f < fp_count) {
+            return Err(StoreError::Corrupt("fingerprint outside digest table"));
+        }
+        let span_ok = |spans: &[(u32, u16)], pool_len: usize| {
+            spans.iter().all(|&(off, len)| {
+                (off as usize).checked_add(len as usize).is_some_and(|e| e <= pool_len)
+            })
+        };
+        if !span_ok(&adv_versions, pool_u16.len()) || !span_ok(&suites, pool_u16.len()) {
+            return Err(StoreError::Corrupt("u16 span outside pool"));
+        }
+        if !span_ok(&alerts_c2s, pool_u8.len()) || !span_ok(&alerts_s2c, pool_u8.len()) {
+            return Err(StoreError::Corrupt("u8 span outside pool"));
+        }
+
+        Ok(ObsChunk {
+            time,
+            device,
+            destination,
+            sni,
+            fingerprint,
+            adv_versions,
+            max_adv,
+            suites,
+            neg_version,
+            neg_suite,
+            leaf_issuer,
+            alerts_c2s,
+            alerts_s2c,
+            flags,
+            count,
+            pool_u16,
+            pool_u8,
+            min_time: entry.min_time,
+            max_time: entry.max_time,
+            device_bits: entry.device_bits.clone(),
+        })
+    }
+
+    /// Asserts that two chunks hold the same columns, pools and
+    /// pruning metadata.
+    fn assert_same_chunk(got: &ObsChunk, want: &ObsChunk, what: &str) {
+        macro_rules! same {
+            ($($field:ident),*) => {$(
+                assert!(got.$field == want.$field, "{what}: {} differs", stringify!($field));
+            )*};
+        }
+        same!(time, device, destination, sni, fingerprint, adv_versions, max_adv, suites);
+        same!(neg_version, neg_suite, leaf_issuer, alerts_c2s, alerts_s2c, flags, count);
+        same!(pool_u16, pool_u8, min_time, max_time, device_bits);
+    }
+
+    /// A per-process scratch path for one test's segment file.
+    fn scratch(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("iotls-store-{}-{name}", std::process::id()))
+    }
+
+    /// One segment of the generated capture at `per_row` connections
+    /// per row, written chunk by chunk as the generator seals them.
+    fn generated_segment(path: &Path, per_row: u64) -> ColumnarStore {
+        let mut w = StoreWriter::create(path).expect("create segment");
+        let ctx = CaptureCtx::new(crate::DEFAULT_SEED).with_threads(1);
+        let tail = ctx.generate_streamed(Testbed::global(), per_row, &mut |c| {
+            w.add_chunk(&c).expect("write chunk")
+        });
+        w.finish(&tail.strings, &tail.fps, &tail.revocation_flows, tail.truncated)
+            .expect("finish segment");
+        ColumnarStore::open(path).expect("open segment")
+    }
+
+    #[test]
+    fn column_reader_matches_the_full_frame_oracle_on_every_chunk() {
+        let path = scratch("generated.seg");
+        let store = generated_segment(&path, 64);
+        let n = store.chunk_count();
+        assert!(n >= 3, "{n} chunks");
+        assert!((0..n - 1).all(|i| store.chunk_rows(i) == CHUNK_ROWS));
+        assert!(store.chunk_rows(n - 1) < CHUNK_ROWS, "the last chunk is short");
+
+        // One reused buffer walked forward (full chunks, then the short
+        // last one) and back (the short one, then full ones): a pooled
+        // buffer both shrinks and grows between frames.
+        let (mut chunk, mut scratch) = (ObsChunk::default(), Vec::new());
+        for i in (0..n).chain((0..n).rev()) {
+            store.read_into(i, &mut chunk, &mut scratch).expect("column read");
+            let want = oracle_read(&store, i).expect("oracle read");
+            assert_same_chunk(&chunk, &want, &format!("chunk {i}"));
+        }
+        // A fresh zeroed buffer per frame, as `read_chunk_with` reads.
+        for i in [0, n - 1] {
+            let mut fresh = ObsChunk::zeroed(store.chunk_rows(i));
+            store.read_into(i, &mut fresh, &mut Vec::new()).expect("fresh read");
+            assert_same_chunk(&fresh, &oracle_read(&store, i).unwrap(), &format!("fresh {i}"));
+        }
+        // Each chunk fetches its frame once, whatever buffers it lands in.
+        let fresh = store.dir[0].len + store.dir[n - 1].len;
+        assert_eq!(store.frame_bytes_read(), 2 * store.frame_bytes_total() + fresh);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The bytes of a one-chunk segment of three hand-built rows over
+    /// a three-string, two-digest table. Row 0 has no SNI and no
+    /// alerts; rows 1 and 2 carry alert spans.
+    fn tiny_segment(path: &Path) -> Vec<u8> {
+        let mut strings = Interner::new();
+        let cam = strings.intern("Cam A");
+        let cloud = strings.intern("cloud.example");
+        let root = strings.intern("SimTrust Root");
+        let mut fps = DigestInterner::new();
+        fps.intern(FingerprintId([1; 16]));
+        fps.intern(FingerprintId([2; 16]));
+        let base = RowView {
+            time: 1_514_764_800,
+            device: cam,
+            destination: cloud,
+            sni: None,
+            fingerprint: 0,
+            advertised_wire: &[0x0302, 0x0303],
+            max_advertised_wire: 0x0303,
+            suites: &[0xc02f, 0x0005],
+            negotiated_version_wire: Some(0x0303),
+            negotiated_suite: Some(0xc02f),
+            leaf_issuer: Some(root),
+            alerts_c2s: &[],
+            alerts_s2c: &[],
+            requested_ocsp: true,
+            ocsp_stapled: false,
+            established: true,
+            count: 5,
+        };
+        let mut cw = ChunkWriter::new();
+        cw.push(&base);
+        cw.push(&RowView {
+            time: base.time + 10,
+            sni: Some(cloud),
+            fingerprint: 1,
+            advertised_wire: &[0x0303],
+            suites: &[0x002f],
+            negotiated_version_wire: None,
+            negotiated_suite: None,
+            leaf_issuer: None,
+            alerts_c2s: &[42],
+            alerts_s2c: &[0],
+            established: false,
+            count: 1,
+            ..base
+        });
+        cw.push(&RowView { time: base.time + 20, alerts_c2s: &[42], alerts_s2c: &[40, 0], ..base });
+        let mut w = StoreWriter::create(path).expect("create segment");
+        w.add_chunk(&cw.take()).expect("write chunk");
+        w.finish(&strings, &fps, &[], 0).expect("finish segment");
+        std::fs::read(path).expect("read segment back")
+    }
+
+    /// `seg` (a one-chunk segment) rebuilt around `frame` with
+    /// directory CRC `crc`: the header's footer offset, the directory
+    /// entry's length and the footer CRC follow, so only the frame and
+    /// its CRC are hostile.
+    fn with_frame(seg: &[u8], frame: &[u8], crc: u32) -> Vec<u8> {
+        let footer_off = u64::from_le_bytes(seg[12..20].try_into().unwrap()) as usize;
+        // chunk_count u64, then chunk 0: offset u64 · len u64 · rows u32 · crc u32 · …
+        let mut footer = seg[footer_off..seg.len() - 4].to_vec();
+        footer[16..24].copy_from_slice(&(frame.len() as u64).to_le_bytes());
+        footer[28..32].copy_from_slice(&crc.to_le_bytes());
+        let mut out = seg[..HEADER_LEN as usize].to_vec();
+        out[12..20].copy_from_slice(&(HEADER_LEN + frame.len() as u64).to_le_bytes());
+        out.extend_from_slice(frame);
+        out.extend_from_slice(&footer);
+        out.extend_from_slice(&crc32(&footer).to_le_bytes());
+        out
+    }
+
+    /// What reading chunk 0 of segment `bytes` gives the column
+    /// reader and the oracle: the chunk, or the error's full `Debug`
+    /// form (variant, context, offset and file). Both see an `open`
+    /// failure alike.
+    fn read_both(path: &Path, bytes: &[u8]) -> [Result<ObsChunk, String>; 2] {
+        std::fs::write(path, bytes).expect("write segment");
+        let store = match ColumnarStore::open(path) {
+            Ok(store) => store,
+            Err(e) => return [Err(format!("{e:?}")), Err(format!("{e:?}"))],
+        };
+        let mut chunk = ObsChunk::default();
+        let column = store.read_into(0, &mut chunk, &mut Vec::new()).map(|()| chunk);
+        [column, oracle_read(&store, 0)].map(|r| r.map_err(|e| format!("{e:?}")))
+    }
+
+    fn assert_agree(path: &Path, bytes: &[u8], what: &str) -> Result<ObsChunk, String> {
+        let [column, oracle] = read_both(path, bytes);
+        match (&column, &oracle) {
+            (Ok(got), Ok(want)) => assert_same_chunk(got, want, what),
+            _ => assert_eq!(column.as_ref().err(), oracle.as_ref().err(), "{what}"),
+        }
+        column
+    }
+
+    #[test]
+    fn hostile_frames_fail_alike_in_both_readers() {
+        let path = scratch("hostile.seg");
+        let seg = tiny_segment(&path);
+        let footer_off = u64::from_le_bytes(seg[12..20].try_into().unwrap()) as usize;
+        let frame = seg[HEADER_LEN as usize..footer_off].to_vec();
+        let n = 3;
+        let fixed = ROW_BYTES as usize * n;
+        let word = |f: &[u8], at: usize| u32::from_le_bytes(f[at..at + 4].try_into().unwrap());
+        let pool_u16 = word(&frame, fixed);
+        let pool_u8 = word(&frame, fixed + 4 + 2 * pool_u16 as usize);
+        assert_eq!(frame.len(), fixed + 8 + 2 * pool_u16 as usize + pool_u8 as usize);
+        assert!(pool_u16 > 0 && pool_u8 > 0);
+
+        // Untouched, both readers return the same chunk.
+        let good = assert_agree(&path, &with_frame(&seg, &frame, crc32(&frame)), "untouched");
+        let good = good.expect("the untouched frame reads");
+        assert_eq!(good.sni[0], NO_SYM, "an absent SNI is in range");
+
+        // Column starts within the frame (rows are `n` wide).
+        let (device, destination, sni) = (8 * n, 12 * n, 16 * n);
+        let (fingerprint, leaf_issuer) = (20 * n, 24 * n);
+        let (adv_off, suites_off, c2s_off) = (43 * n, 49 * n, 55 * n);
+        let u8_word = fixed + 4 + 2 * pool_u16 as usize;
+        let set = |at: usize, v: u32| {
+            let mut f = frame.clone();
+            f[at..at + 4].copy_from_slice(&v.to_le_bytes());
+            f
+        };
+        let mut trailing = frame.clone();
+        trailing.extend_from_slice(&[0, 0]);
+        let row_symbol = "Corrupt(\"row symbol outside string table\")";
+        let optional = "Corrupt(\"optional symbol outside string table\")";
+        let digest = "Corrupt(\"fingerprint outside digest table\")";
+        let u16_span = "Corrupt(\"u16 span outside pool\")";
+        let u8_span = "Corrupt(\"u8 span outside pool\")";
+        let short = "Corrupt(\"chunk frame shorter than its row count\")";
+        let cases: Vec<(&str, Vec<u8>, &str)> = vec![
+            ("device past the string table", set(device + 4, 3), row_symbol),
+            ("destination past the string table", set(destination + 8, 3), row_symbol),
+            ("NO_SYM device", set(device, NO_SYM), row_symbol),
+            ("NO_SYM destination", set(destination + 4, NO_SYM), row_symbol),
+            ("SNI past the string table", set(sni, 3), optional),
+            ("leaf issuer past the string table", set(leaf_issuer + 8, 3), optional),
+            ("fingerprint past the digest table", set(fingerprint + 4, 2), digest),
+            ("version span past its pool", set(adv_off, pool_u16), u16_span),
+            ("suite span offset at u32::MAX", set(suites_off + 8, u32::MAX), u16_span),
+            ("alert span past its pool", set(c2s_off + 4, pool_u8), u8_span),
+            ("u16 pool length overruns the frame", set(fixed, u32::MAX), "Truncated"),
+            ("u8 pool length overruns the frame", set(u8_word, pool_u8 + 1), "Truncated"),
+            ("frame cut inside its u8 pool", frame[..frame.len() - 1].to_vec(), "Truncated"),
+            ("trailing bytes", trailing, "Corrupt(\"trailing bytes after structure\")"),
+            ("directory len short of the fixed columns", frame[..fixed + 7].to_vec(), short),
+        ];
+        for (what, hostile, want) in cases {
+            let got = assert_agree(&path, &with_frame(&seg, &hostile, crc32(&hostile)), what);
+            let err = got.expect_err(what);
+            assert!(err.starts_with(want), "{what}: {err}");
+        }
+        // A byte changed under the old CRC is a checksum mismatch in
+        // both, also when the change is hostile: the CRC's verdict
+        // comes first.
+        let stale = [("stale CRC", set(device, 1)), ("stale CRC, hostile", set(device, 3))];
+        for (what, hostile) in stale {
+            let err = assert_agree(&path, &with_frame(&seg, &hostile, crc32(&frame)), what);
+            assert!(err.expect_err(what).starts_with("ChecksumMismatch"), "{what}");
+        }
+
+        // A directory entry that `open` would have refused, handed to
+        // both readers directly: the same error, not a panic.
+        std::fs::write(&path, with_frame(&seg, &frame, crc32(&frame))).unwrap();
+        let mut store = ColumnarStore::open(&path).expect("open");
+        store.dir[0].len = (fixed + 7) as u64;
+        store.dir[0].crc = crc32(&frame[..fixed + 7]);
+        let column = store.read_into(0, &mut ObsChunk::default(), &mut Vec::new());
+        let oracle = oracle_read(&store, 0);
+        assert_eq!(format!("{:?}", column.unwrap_err()), format!("{:?}", oracle.unwrap_err()));
+
+        // Every byte of the frame flipped under a recomputed CRC (a
+        // CRC-valid frame, hostile or not): both readers agree.
+        for i in 0..frame.len() {
+            let mut f = frame.clone();
+            f[i] ^= 1 << (i % 8);
+            let what = format!("flip at byte {i}");
+            let _ = assert_agree(&path, &with_frame(&seg, &f, crc32(&f)), &what);
+        }
+        std::fs::remove_file(&path).ok();
     }
 }

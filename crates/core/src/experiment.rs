@@ -229,7 +229,8 @@ impl ExperimentCtxBuilder {
     }
 
     /// Forces metrics on (live registry) or off (no-op shard),
-    /// instead of inferring liveness from `IOTLS_METRICS`.
+    /// instead of inferring liveness from `IOTLS_METRICS`. Forced off,
+    /// the context does not read `IOTLS_METRICS` at all.
     pub fn metrics(mut self, on: bool) -> Self {
         self.metrics = Some(on);
         self
@@ -260,19 +261,8 @@ impl ExperimentCtxBuilder {
             }
         });
 
-        let env_sink = match std::env::var(METRICS_ENV) {
-            Err(_) => None,
-            Ok(path) if path.is_empty() => {
-                warnings.push(ExperimentError::InvalidEnv {
-                    var: METRICS_ENV,
-                    value: path,
-                });
-                None
-            }
-            Ok(path) => Some(path),
-        };
-        let live = self.metrics.unwrap_or(env_sink.is_some());
-        let metrics_sink = if live { env_sink } else { None };
+        let (live, metrics_sink) =
+            resolve_metrics(self.metrics, || std::env::var(METRICS_ENV).ok(), &mut warnings);
         let metrics = if live {
             SharedRegistry::live()
         } else {
@@ -295,6 +285,32 @@ impl ExperimentCtxBuilder {
             warnings,
         }
     }
+}
+
+/// Metrics liveness and sink path from the builder's `forced` knob and
+/// the `IOTLS_METRICS` value `env` reads. Metrics forced off never call
+/// `env`: a ctx that cannot write metrics neither needs the variable
+/// nor warns about it. Otherwise an empty value is recorded as an
+/// [`ExperimentError::InvalidEnv`] warning and names no sink.
+fn resolve_metrics(
+    forced: Option<bool>,
+    env: impl FnOnce() -> Option<String>,
+    warnings: &mut Vec<ExperimentError>,
+) -> (bool, Option<String>) {
+    if forced == Some(false) {
+        return (false, None);
+    }
+    let sink = match env() {
+        Some(path) if path.is_empty() => {
+            warnings.push(ExperimentError::InvalidEnv {
+                var: METRICS_ENV,
+                value: path,
+            });
+            None
+        }
+        sink => sink,
+    };
+    (forced.unwrap_or(sink.is_some()), sink)
 }
 
 /// The `IOTLS_THREADS` fallback: available parallelism, floor 1.
@@ -701,6 +717,41 @@ mod tests {
         assert_eq!(derived.seed(), 9);
         assert_eq!(derived.threads(), 1);
         assert!(derived.metrics().is_live());
+    }
+
+    #[test]
+    fn metrics_forced_off_never_read_the_env() {
+        let mut warnings = Vec::new();
+        let resolved = resolve_metrics(
+            Some(false),
+            || panic!("IOTLS_METRICS read under .metrics(false)"),
+            &mut warnings,
+        );
+        assert_eq!(resolved, (false, None));
+        assert!(warnings.is_empty());
+    }
+
+    #[test]
+    fn empty_metrics_env_warns_unless_metrics_are_forced_off() {
+        let empty = || Some(String::new());
+        for forced in [None, Some(true)] {
+            let mut warnings = Vec::new();
+            assert_eq!(resolve_metrics(forced, empty, &mut warnings), (forced.is_some(), None));
+            assert_eq!(
+                warnings,
+                vec![ExperimentError::InvalidEnv { var: METRICS_ENV, value: String::new() }],
+                "forced {forced:?}"
+            );
+        }
+
+        // A path turns metrics on unless forced off; no value leaves them off.
+        let path = || Some("m.json".to_string());
+        let mut warnings = Vec::new();
+        assert_eq!(resolve_metrics(None, path, &mut warnings), (true, Some("m.json".into())));
+        assert_eq!(resolve_metrics(Some(false), path, &mut warnings), (false, None));
+        assert_eq!(resolve_metrics(None, || None, &mut warnings), (false, None));
+        assert_eq!(resolve_metrics(Some(true), || None, &mut warnings), (true, None));
+        assert!(warnings.is_empty());
     }
 
     #[test]

@@ -763,9 +763,10 @@ pub fn analyze_streamed(
 }
 
 /// Analyzes a persisted store **without materializing the dataset**:
-/// chunk frames are read, decoded, folded, and dropped one at a time
-/// per worker, so peak memory stays near one chunk per thread even
-/// for the paper-scale corpus. Shards and merge order follow
+/// each worker [`scan`](SegmentedStore::scan)s its shard, reading one
+/// chunk frame at a time into a buffer the store pools and folding it,
+/// so memory stays at one chunk buffer per thread even for the
+/// paper-scale corpus. Shards and merge order follow
 /// [`shard_ranges`], so the result is byte-identical to
 /// [`analyze_columnar`] on the same rows — at any `IOTLS_THREADS` —
 /// and the `passive.*` counters carry the same names and values.
@@ -785,12 +786,10 @@ pub fn analyze_store(
     let partials = iotls_simnet::ordered_map_with(ctx.threads(), shards, |(lo, hi)| {
         let mut acc = PassiveAccumulator::new();
         let mut rows = 0u64;
-        let mut scratch = Vec::new();
-        for i in lo..hi {
-            let chunk = store.read_chunk_with(i, &mut scratch)?;
+        store.scan(lo..hi, |chunk| {
             rows += chunk.len() as u64;
-            acc.add_chunk(&chunk);
-        }
+            acc.add_chunk(chunk);
+        })?;
         Ok::<_, StoreError>((acc, rows))
     });
     let mut acc = PassiveAccumulator::new();
@@ -815,7 +814,7 @@ pub fn analyze_store(
 /// goes through the store's pruning directory
 /// ([`SegmentedStore::select_chunks`]): segments whose time range or
 /// device bitmap miss the predicate are skipped without a single
-/// frame read, surviving chunks are decoded and filtered exactly by
+/// frame read, surviving chunks are scanned and filtered exactly by
 /// [`PassiveAccumulator::add_chunk_window`]. Byte-identical to
 /// filtering a full analysis, at any `IOTLS_THREADS`.
 ///
@@ -849,11 +848,9 @@ pub fn analyze_store_slice(
     let partials = iotls_simnet::ordered_map_with(ctx.threads(), shards, |(lo, hi)| {
         let mut acc = PassiveAccumulator::new();
         let mut rows = 0u64;
-        let mut scratch = Vec::new();
-        for &i in &selected[lo..hi] {
-            let chunk = store.read_chunk_with(i, &mut scratch)?;
-            rows += acc.add_chunk_window(&chunk, from, to, filter_dev);
-        }
+        store.scan(selected[lo..hi].iter().copied(), |chunk| {
+            rows += acc.add_chunk_window(chunk, from, to, filter_dev);
+        })?;
         Ok::<_, StoreError>((acc, rows))
     });
     let mut acc = PassiveAccumulator::new();

@@ -10,6 +10,7 @@
 use iotls_repro::cli::{fault_stats_line, ExampleArgs};
 use iotls_repro::core::{ActiveLab, InterceptPolicy, LabSeed};
 use iotls_repro::devices::Testbed;
+use iotls_repro::simnet::SessionResult;
 
 fn main() {
     println!("== IoTLS reproduction quickstart ==\n");
@@ -31,55 +32,78 @@ fn main() {
     // A benign connection: the D-Link camera phones home while the
     // gateway passively observes. A lab drives one device; it borrows
     // the ctx, so the fault plan follows the flags, and takes its
-    // attacker from the lab seed.
+    // attacker from the lab seed. Every connection below recovers from
+    // injected faults (a reset or power cycle mid-handshake) by
+    // reconnecting, within the lab's budget.
     let lab_seed = LabSeed::new(testbed.pki, ctx.seed());
     let camera = testbed.device("D-Link Camera");
     let mut camera_lab = ActiveLab::new(testbed, &ctx, &lab_seed, camera);
     let dest = &camera.spec.destinations[0];
-    let outcome = camera_lab.connect(dest, None);
-    let obs = outcome.result.observation.as_ref().expect("tapped");
-    println!(
-        "Passive observation: {} -> {} | negotiated {} with {} | fingerprint {}",
-        obs.device,
-        obs.destination,
-        obs.negotiated_version.map(|v| v.to_string()).unwrap_or_default(),
-        obs.negotiated_suite
-            .and_then(iotls_repro::tls::ciphersuite::by_id)
-            .map(|s| s.name)
-            .unwrap_or("?"),
-        obs.fingerprint,
-    );
-    assert!(outcome.result.established);
+    let outcome = camera_lab.connect_recovering(dest, None);
+    if outcome.result.tainted() {
+        println!("{}", tainted_line("Benign connection", &outcome.result));
+    } else if let Some(obs) = &outcome.result.observation {
+        println!(
+            "Passive observation: {} -> {} | negotiated {} with {} | fingerprint {}",
+            obs.device,
+            obs.destination,
+            obs.negotiated_version.map(|v| v.to_string()).unwrap_or_default(),
+            obs.negotiated_suite
+                .and_then(iotls_repro::tls::ciphersuite::by_id)
+                .map(|s| s.name)
+                .unwrap_or("?"),
+            obs.fingerprint,
+        );
+    }
 
     // The same connection under a NoValidation attack: the strict
     // camera refuses (and we see exactly which alert it sends).
-    let outcome = camera_lab.connect(dest, Some(&InterceptPolicy::SelfSigned));
-    println!(
-        "Self-signed interception of {}: established = {}, client alerts = {:?}",
-        dest.hostname,
-        outcome.result.established,
-        outcome
-            .result
-            .observation
-            .map(|o| o.alerts_from_client)
-            .unwrap_or_default(),
-    );
+    let outcome = camera_lab.connect_recovering(dest, Some(&InterceptPolicy::SelfSigned));
+    if outcome.result.tainted() {
+        println!("{}", tainted_line("Self-signed interception", &outcome.result));
+    } else {
+        println!(
+            "Self-signed interception of {}: established = {}, client alerts = {:?}",
+            dest.hostname,
+            outcome.result.established,
+            outcome
+                .result
+                .observation
+                .map(|o| o.alerts_from_client)
+                .unwrap_or_default(),
+        );
+    }
 
     // And against a device that never validates, the attacker reads
     // the plaintext. The doorbell gets a lab of its own.
     let zmodo = testbed.device("Zmodo Doorbell");
     let mut zmodo_lab = ActiveLab::new(testbed, &ctx, &lab_seed, zmodo);
     let dest = &zmodo.spec.destinations[0];
-    let outcome = zmodo_lab.connect(dest, Some(&InterceptPolicy::SelfSigned));
-    println!(
-        "Self-signed interception of {}: established = {}, exfiltrated = {:?}",
-        dest.hostname,
-        outcome.result.established,
-        String::from_utf8_lossy(&outcome.result.server_received),
-    );
+    let outcome = zmodo_lab.connect_recovering(dest, Some(&InterceptPolicy::SelfSigned));
+    if outcome.result.tainted() {
+        println!("{}", tainted_line("Self-signed interception", &outcome.result));
+    } else {
+        println!(
+            "Self-signed interception of {}: established = {}, exfiltrated = {:?}",
+            dest.hostname,
+            outcome.result.established,
+            String::from_utf8_lossy(&outcome.result.server_received),
+        );
+    }
 
     let mut stats = camera_lab.fault_stats();
     stats.merge(&zmodo_lab.fault_stats());
     println!("\n{}", fault_stats_line(&stats));
     args.finish(&ctx);
+}
+
+/// What a connection that injected faults still spoiled after the
+/// reconnect budget shows: the faults, and no verdict.
+fn tainted_line(what: &str, result: &SessionResult) -> String {
+    format!(
+        "{what}: still tainted after the reconnect budget \
+         (last try: {} injected fault(s), failure {:?}); no verdict",
+        result.faults.len(),
+        result.failure,
+    )
 }
