@@ -9,7 +9,7 @@
 //! gateway) versus the store size the probe measured.
 
 use iotls::RootProbeReport;
-use iotls_capture::PassiveDataset;
+use iotls_capture::ColumnarDataset;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One device's utilization row.
@@ -33,17 +33,17 @@ impl UtilizationRow {
 
 /// Computes utilization for every amenable (probed) device.
 pub fn root_store_utilization(
-    ds: &PassiveDataset,
+    ds: &ColumnarDataset,
     probe: &RootProbeReport,
 ) -> Vec<UtilizationRow> {
     // Issuers per device from passive data.
-    let mut issuers: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
-    for w in &ds.observations {
-        if let Some(issuer) = &w.observation.leaf_issuer {
+    let mut issuers: BTreeMap<&str, BTreeSet<String>> = BTreeMap::new();
+    for r in ds.rows() {
+        if let Some(issuer) = r.leaf_issuer() {
             issuers
-                .entry(w.observation.device.clone())
+                .entry(r.device_name())
                 .or_default()
-                .insert(issuer.clone());
+                .insert(issuer.to_string());
         }
     }
     probe
@@ -54,7 +54,10 @@ pub fn root_store_utilization(
             let (dp, _) = row.deprecated_ratio();
             UtilizationRow {
                 device: row.device.clone(),
-                issuers_used: issuers.get(&row.device).cloned().unwrap_or_default(),
+                issuers_used: issuers
+                    .get(row.device.as_str())
+                    .cloned()
+                    .unwrap_or_default(),
                 measured_store_size: cp + dp,
             }
         })
@@ -87,7 +90,7 @@ pub fn render_utilization(rows: &[UtilizationRow]) -> String {
 mod tests {
     use super::*;
     use iotls::run_root_probe;
-    use iotls_capture::global_dataset;
+    use iotls_capture::global_columnar;
     use iotls_devices::Testbed;
     use std::sync::OnceLock;
 
@@ -95,7 +98,7 @@ mod tests {
         static R: OnceLock<Vec<UtilizationRow>> = OnceLock::new();
         R.get_or_init(|| {
             let probe = run_root_probe(Testbed::global(), 0x07111);
-            root_store_utilization(global_dataset(), &probe)
+            root_store_utilization(global_columnar(), &probe)
         })
     }
 

@@ -1,9 +1,10 @@
-//! Chunked struct-of-arrays storage for the passive dataset.
+//! Chunked struct-of-arrays storage for the passive dataset, its only
+//! in-memory form.
 //!
-//! The row-oriented [`PassiveDataset`] carries an owned `String` per
-//! observation field; at the paper's ≥10M-connection scale that is
-//! gigabytes of duplicated hostnames. This module stores the same
-//! information as ~64k-row columnar chunks over shared intern tables:
+//! A row of owned `String`s per observation would cost gigabytes of
+//! duplicated hostnames at the paper's ≥10M-connection scale. This
+//! module stores the capture as ~64k-row columnar chunks over shared
+//! intern tables:
 //!
 //! * fixed-width columns (times, symbols, wire code points, flags,
 //!   counts) — one `Vec` per field, ~65 bytes per row;
@@ -14,12 +15,11 @@
 //!   device bitmap, letting per-device or per-window scans skip
 //!   whole chunks without touching a row.
 //!
-//! Converting to and from the row form is lossless — `to_rows` /
-//! `from_rows` roundtrip byte-identically through the JSON exporter —
-//! so the columnar pipeline can be checked against the legacy path
-//! at seed scale while running in bounded memory at paper scale.
+//! Rows go in through [`DatasetBuilder::push_obs`] and come back out,
+//! losslessly, through [`ObsRef::observation`]; the JSON export
+//! ([`crate::serialize`]) reads the columns directly.
 
-use crate::dataset::{PassiveDataset, RevocationFlow, RevocationKind, WeightedObservation};
+use crate::dataset::{RevocationFlow, RevocationKind};
 use crate::intern::{DigestInterner, Interner, Symbol};
 use iotls_simnet::TlsObservation;
 use iotls_tls::alert::AlertDescription;
@@ -636,7 +636,10 @@ pub struct ColumnarDataset {
     pub chunks: Vec<ObsChunk>,
     /// Revocation endpoint flows.
     pub revocation_flows: Vec<RevRow>,
-    /// Truncated-capture count (see [`PassiveDataset::truncated`]).
+    /// Sessions whose capture was truncated before a parseable
+    /// ClientHello (e.g. cut by an injected fault). Real gateway
+    /// captures contain these too; they are counted rather than
+    /// silently dropped so generation-side loss is visible.
     pub truncated: u64,
 }
 
@@ -676,41 +679,38 @@ impl<'a> ObsRef<'a> {
         self.fps.resolve(self.raw.fingerprint_id())
     }
 
-    /// Materializes the legacy row form (exact inverse of
-    /// [`DatasetBuilder::push_obs`]).
-    pub fn to_weighted(&self) -> WeightedObservation {
+    /// Decodes the row into an owned observation, the exact inverse of
+    /// [`DatasetBuilder::push_obs`] (the row's connection count is
+    /// `self.raw.count()`).
+    pub fn observation(&self) -> TlsObservation {
         let raw = self.raw;
-        let version = |w: u16| {
-            ProtocolVersion::from_wire(w).expect("columns hold only valid version wires")
-        };
-        WeightedObservation {
-            observation: TlsObservation {
-                time: Timestamp(raw.time()),
-                device: self.device_name().to_string(),
-                destination: self.destination().to_string(),
-                sni: self.sni().map(str::to_string),
-                advertised_versions: raw.advertised_wire().iter().map(|w| version(*w)).collect(),
-                max_advertised: version(raw.max_advertised_wire()),
-                offered_suites: raw.suites().to_vec(),
-                requested_ocsp: raw.requested_ocsp(),
-                fingerprint: self.fingerprint(),
-                negotiated_version: raw.negotiated_version_wire().map(version),
-                negotiated_suite: raw.negotiated_suite(),
-                ocsp_stapled: raw.ocsp_stapled(),
-                leaf_issuer: self.leaf_issuer().map(str::to_string),
-                established: raw.established(),
-                alerts_from_client: raw
-                    .alerts_c2s()
-                    .iter()
-                    .map(|a| AlertDescription::from_wire(*a))
-                    .collect(),
-                alerts_from_server: raw
-                    .alerts_s2c()
-                    .iter()
-                    .map(|a| AlertDescription::from_wire(*a))
-                    .collect(),
-            },
-            count: raw.count(),
+        let version =
+            |w: u16| ProtocolVersion::from_wire(w).expect("columns hold only valid version wires");
+        TlsObservation {
+            time: Timestamp(raw.time()),
+            device: self.device_name().to_string(),
+            destination: self.destination().to_string(),
+            sni: self.sni().map(str::to_string),
+            advertised_versions: raw.advertised_wire().iter().map(|w| version(*w)).collect(),
+            max_advertised: version(raw.max_advertised_wire()),
+            offered_suites: raw.suites().to_vec(),
+            requested_ocsp: raw.requested_ocsp(),
+            fingerprint: self.fingerprint(),
+            negotiated_version: raw.negotiated_version_wire().map(version),
+            negotiated_suite: raw.negotiated_suite(),
+            ocsp_stapled: raw.ocsp_stapled(),
+            leaf_issuer: self.leaf_issuer().map(str::to_string),
+            established: raw.established(),
+            alerts_from_client: raw
+                .alerts_c2s()
+                .iter()
+                .map(|a| AlertDescription::from_wire(*a))
+                .collect(),
+            alerts_from_server: raw
+                .alerts_s2c()
+                .iter()
+                .map(|a| AlertDescription::from_wire(*a))
+                .collect(),
         }
     }
 }
@@ -756,41 +756,6 @@ impl ColumnarDataset {
                     })
                 })
             })
-    }
-
-    /// Materializes the legacy row-oriented dataset (byte-identical
-    /// through the JSON exporter).
-    pub fn to_rows(&self) -> PassiveDataset {
-        PassiveDataset {
-            observations: self.rows().map(|r| r.to_weighted()).collect(),
-            revocation_flows: self
-                .revocation_flows
-                .iter()
-                .map(|f| RevocationFlow {
-                    time: Timestamp(f.time),
-                    device: self.strings.resolve(f.device).to_string(),
-                    kind: f.kind,
-                    url: self.strings.resolve(f.url).to_string(),
-                    count: f.count,
-                })
-                .collect(),
-            truncated: self.truncated,
-        }
-    }
-
-    /// Converts a row-oriented dataset into columnar form.
-    pub fn from_rows(ds: &PassiveDataset) -> ColumnarDataset {
-        let mut b = DatasetBuilder::new();
-        let mut chunks = Vec::new();
-        for w in &ds.observations {
-            b.push_obs(&w.observation, w.count, &mut |c| chunks.push(c));
-        }
-        for f in &ds.revocation_flows {
-            b.push_flow(f);
-        }
-        b.truncated = ds.truncated;
-        b.flush(&mut |c| chunks.push(c));
-        b.into_dataset(chunks)
     }
 }
 
@@ -927,48 +892,65 @@ mod tests {
         }
     }
 
-    fn sample() -> PassiveDataset {
-        PassiveDataset {
-            observations: vec![
-                WeightedObservation {
-                    observation: obs("Cam A", Month::new(2018, 1), &[0xc02f, 0x0005]),
-                    count: 120,
-                },
-                WeightedObservation {
-                    observation: obs("Cam A", Month::new(2018, 2), &[0xc02f, 0x0005]),
-                    count: 80,
-                },
-                WeightedObservation {
-                    observation: obs("Hub B", Month::new(2018, 1), &[0x002f]),
-                    count: 33,
-                },
-            ],
-            revocation_flows: vec![RevocationFlow {
-                time: Month::new(2018, 1).start().plus_days(3),
-                device: "Hub B".into(),
-                kind: RevocationKind::CrlFetch,
-                url: "http://crl.example/x.crl".into(),
-                count: 4,
-            }],
-            truncated: 2,
+    /// The sample's rows and flows, as pushed.
+    fn sample_rows() -> (Vec<(TlsObservation, u64)>, Vec<RevocationFlow>) {
+        let observations = vec![
+            (obs("Cam A", Month::new(2018, 1), &[0xc02f, 0x0005]), 120),
+            (obs("Cam A", Month::new(2018, 2), &[0xc02f, 0x0005]), 80),
+            (obs("Hub B", Month::new(2018, 1), &[0x002f]), 33),
+        ];
+        let flows = vec![RevocationFlow {
+            time: Month::new(2018, 1).start().plus_days(3),
+            device: "Hub B".into(),
+            kind: RevocationKind::CrlFetch,
+            url: "http://crl.example/x.crl".into(),
+            count: 4,
+        }];
+        (observations, flows)
+    }
+
+    fn build(observations: &[(TlsObservation, u64)], flows: &[RevocationFlow]) -> ColumnarDataset {
+        let mut b = DatasetBuilder::new();
+        let mut chunks = Vec::new();
+        for (o, count) in observations {
+            b.push_obs(o, *count, &mut |c| chunks.push(c));
         }
+        for f in flows {
+            b.push_flow(f);
+        }
+        b.truncated = 2;
+        b.flush(&mut |c| chunks.push(c));
+        b.into_dataset(chunks)
+    }
+
+    fn sample() -> ColumnarDataset {
+        let (observations, flows) = sample_rows();
+        build(&observations, &flows)
     }
 
     #[test]
     fn row_roundtrip_is_json_identical() {
-        let ds = sample();
-        let col = ColumnarDataset::from_rows(&ds);
+        let (observations, flows) = sample_rows();
+        let col = build(&observations, &flows);
         assert_eq!(col.total_rows(), 3);
         assert_eq!(col.total_connections(), 233);
+        // `observation` decodes exactly what `push_obs` took in.
+        let decoded: Vec<(TlsObservation, u64)> = col
+            .rows()
+            .map(|r| (r.observation(), r.raw.count()))
+            .collect();
+        assert_eq!(format!("{decoded:?}"), format!("{observations:?}"));
+        // Pushed again, the decoded rows export the same bytes.
+        let json = crate::serialize::to_json_columnar(&col);
         assert_eq!(
-            crate::serialize::to_json(&col.to_rows()),
-            crate::serialize::to_json(&ds)
+            crate::serialize::to_json_columnar(&build(&decoded, &flows)),
+            json
         );
     }
 
     #[test]
     fn pools_dedupe_repeated_shapes() {
-        let col = ColumnarDataset::from_rows(&sample());
+        let col = sample();
         let chunk = &col.chunks[0];
         // Two "Cam A" rows share advertised + suite spans.
         assert_eq!(chunk.suites[0], chunk.suites[1]);
@@ -978,7 +960,7 @@ mod tests {
 
     #[test]
     fn pruning_metadata_matches_contents() {
-        let col = ColumnarDataset::from_rows(&sample());
+        let col = sample();
         let chunk = &col.chunks[0];
         let cam = col.strings.lookup("Cam A").unwrap();
         let hub = col.strings.lookup("Hub B").unwrap();
@@ -993,7 +975,7 @@ mod tests {
 
     #[test]
     fn device_rows_filters_and_prunes() {
-        let col = ColumnarDataset::from_rows(&sample());
+        let col = sample();
         let cam: Vec<u64> = col.device_rows("Cam A").map(|r| r.raw.count()).collect();
         assert_eq!(cam, vec![120, 80]);
         assert_eq!(col.device_rows("Nope").count(), 0);

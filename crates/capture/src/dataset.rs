@@ -1,21 +1,10 @@
-//! The passive dataset: weighted handshake observations plus
-//! revocation-endpoint flows, with the aggregate statistics §4.1
-//! reports (≈17M connections; per-device mean ≈422K, median ≈138K).
+//! Revocation-endpoint flows, and the aggregate statistics §4.1
+//! reports over the passive dataset (≈17M connections; per-device
+//! mean ≈422K, median ≈138K).
 
-use iotls_simnet::TlsObservation;
-use iotls_x509::{Month, Timestamp};
-
-/// One observed connection shape, weighted by how many connections it
-/// represents that month (the generator runs one real handshake per
-/// distinct configuration and replicates it, which is behaviorally
-/// identical for metadata-level analyses).
-#[derive(Debug, Clone)]
-pub struct WeightedObservation {
-    /// The handshake metadata, as the gateway tap reconstructed it.
-    pub observation: TlsObservation,
-    /// Number of connections this stands for.
-    pub count: u64,
-}
+use crate::columnar::ColumnarDataset;
+use iotls_x509::Timestamp;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Which revocation mechanism a flow exercises.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,20 +31,6 @@ pub struct RevocationFlow {
     pub count: u64,
 }
 
-/// The full passive dataset.
-#[derive(Debug, Default)]
-pub struct PassiveDataset {
-    /// Weighted TLS observations.
-    pub observations: Vec<WeightedObservation>,
-    /// Revocation endpoint flows.
-    pub revocation_flows: Vec<RevocationFlow>,
-    /// Sessions whose capture was truncated before a parseable
-    /// ClientHello (e.g. cut by an injected fault). Real gateway
-    /// captures contain these too; they are counted rather than
-    /// silently dropped so generation-side loss is visible.
-    pub truncated: u64,
-}
-
 /// Aggregate statistics over the dataset.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DatasetStats {
@@ -69,46 +44,19 @@ pub struct DatasetStats {
     pub median_per_device: u64,
 }
 
-impl PassiveDataset {
-    /// Total connections represented.
-    pub fn total_connections(&self) -> u64 {
-        self.observations.iter().map(|o| o.count).sum()
-    }
-
-    /// All observations from one device.
-    pub fn device_observations(&self, device: &str) -> Vec<&WeightedObservation> {
-        self.observations
-            .iter()
-            .filter(|o| o.observation.device == device)
-            .collect()
-    }
-
-    /// All observations in one month bucket.
-    pub fn month_observations(&self, month: Month) -> Vec<&WeightedObservation> {
-        self.observations
-            .iter()
-            .filter(|o| o.observation.time.month() == month)
-            .collect()
-    }
-
-    /// Device names present in the dataset, sorted. Allocates one
-    /// `String` per *distinct* device, not per observation.
+impl ColumnarDataset {
+    /// Device names with at least one observation, sorted. Allocates
+    /// one `String` per *distinct* device, not per row.
     pub fn device_names(&self) -> Vec<String> {
-        let mut names: Vec<&str> = self
-            .observations
-            .iter()
-            .map(|o| o.observation.device.as_str())
-            .collect();
-        names.sort_unstable();
-        names.dedup();
+        let names: BTreeSet<&str> = self.rows().map(|r| r.device_name()).collect();
         names.into_iter().map(String::from).collect()
     }
 
     /// Aggregate statistics (§4.1).
     pub fn stats(&self) -> DatasetStats {
-        let mut per: std::collections::BTreeMap<&str, u64> = std::collections::BTreeMap::new();
-        for o in &self.observations {
-            *per.entry(o.observation.device.as_str()).or_insert(0) += o.count;
+        let mut per: BTreeMap<&str, u64> = BTreeMap::new();
+        for r in self.rows() {
+            *per.entry(r.device_name()).or_insert(0) += r.raw.count();
         }
         let per_device: Vec<(String, u64)> =
             per.into_iter().map(|(d, c)| (d.to_string(), c)).collect();
@@ -136,8 +84,11 @@ impl PassiveDataset {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::columnar::DatasetBuilder;
+    use iotls_simnet::TlsObservation;
     use iotls_tls::fingerprint::{Fingerprint, FingerprintId};
     use iotls_tls::version::ProtocolVersion;
+    use iotls_x509::Month;
 
     fn obs(device: &str, month: Month) -> TlsObservation {
         let fp: FingerprintId = Fingerprint {
@@ -168,39 +119,36 @@ mod tests {
         }
     }
 
-    fn weighted(device: &str, month: Month, count: u64) -> WeightedObservation {
-        WeightedObservation {
-            observation: obs(device, month),
-            count,
+    /// A dataset of one row per `(device, month, count)`.
+    fn weighted(rows: &[(&str, Month, u64)]) -> ColumnarDataset {
+        let mut b = DatasetBuilder::new();
+        let mut chunks = Vec::new();
+        for &(device, month, count) in rows {
+            b.push_obs(&obs(device, month), count, &mut |c| chunks.push(c));
         }
+        b.flush(&mut |c| chunks.push(c));
+        b.into_dataset(chunks)
     }
 
     #[test]
     fn totals_and_filters() {
-        let ds = PassiveDataset {
-            observations: vec![
-                weighted("A", Month::new(2018, 1), 100),
-                weighted("A", Month::new(2018, 2), 50),
-                weighted("B", Month::new(2018, 1), 10),
-            ],
-            ..Default::default()
-        };
+        let ds = weighted(&[
+            ("A", Month::new(2018, 1), 100),
+            ("A", Month::new(2018, 2), 50),
+            ("B", Month::new(2018, 1), 10),
+        ]);
         assert_eq!(ds.total_connections(), 160);
-        assert_eq!(ds.device_observations("A").len(), 2);
-        assert_eq!(ds.month_observations(Month::new(2018, 1)).len(), 2);
+        assert_eq!(ds.device_rows("A").count(), 2);
         assert_eq!(ds.device_names(), vec!["A".to_string(), "B".to_string()]);
     }
 
     #[test]
     fn stats_mean_and_median() {
-        let ds = PassiveDataset {
-            observations: vec![
-                weighted("A", Month::new(2018, 1), 100),
-                weighted("B", Month::new(2018, 1), 10),
-                weighted("C", Month::new(2018, 1), 40),
-            ],
-            ..Default::default()
-        };
+        let ds = weighted(&[
+            ("A", Month::new(2018, 1), 100),
+            ("B", Month::new(2018, 1), 10),
+            ("C", Month::new(2018, 1), 40),
+        ]);
         let s = ds.stats();
         assert_eq!(s.total_connections, 150);
         assert!((s.mean_per_device - 50.0).abs() < 1e-9);
@@ -210,7 +158,7 @@ mod tests {
 
     #[test]
     fn empty_dataset_stats() {
-        let ds = PassiveDataset::default();
+        let ds = ColumnarDataset::default();
         let s = ds.stats();
         assert_eq!(s.total_connections, 0);
         assert_eq!(s.median_per_device, 0);

@@ -29,7 +29,7 @@ use crate::columnar::{
     CHUNK_ROWS,
 };
 use iotls_obs::{Registry, SharedRegistry};
-use crate::dataset::{PassiveDataset, RevocationKind};
+use crate::dataset::RevocationKind;
 use crate::intern::{DigestInterner, Interner, Symbol};
 use crate::timeline::{build_timeline, StudyEvent};
 use iotls_crypto::drbg::Drbg;
@@ -54,7 +54,7 @@ const CAPTURE_RETRIES: usize = 6;
 /// The context replaces the old `generate_with_faults` /
 /// `generate_streamed_metered` variant matrix: construct one
 /// [`CaptureCtx`], set the knobs that differ from the defaults, and
-/// call [`CaptureCtx::generate`] (or the columnar/streamed shapes).
+/// call [`CaptureCtx::generate_columnar`] (or the streamed shapes).
 /// The thread count is resolved once at construction — from
 /// `IOTLS_THREADS` via [`iotls_simnet::worker_count`] — instead of
 /// deep inside every fan-out.
@@ -116,11 +116,6 @@ impl CaptureCtx {
         &self.metrics
     }
 
-    /// Generates the row-oriented passive dataset.
-    pub fn generate(&self, testbed: &Testbed) -> PassiveDataset {
-        self.generate_columnar(testbed).to_rows()
-    }
-
     /// Generates the columnar passive dataset, keeping every chunk in
     /// memory.
     pub fn generate_columnar(&self, testbed: &Testbed) -> ColumnarDataset {
@@ -174,14 +169,8 @@ impl CaptureCtx {
 }
 
 /// Generates the passive dataset for the whole testbed, driven by
-/// the event timeline. Default-knob convenience for
-/// [`CaptureCtx::generate`].
-pub fn generate(testbed: &Testbed, seed: u64) -> PassiveDataset {
-    CaptureCtx::new(seed).generate(testbed)
-}
-
-/// Generates the columnar passive dataset (no faults). Default-knob
-/// convenience for [`CaptureCtx::generate_columnar`].
+/// the event timeline (no faults). Default-knob convenience for
+/// [`CaptureCtx::generate_columnar`].
 pub fn generate_columnar(testbed: &Testbed, seed: u64) -> ColumnarDataset {
     CaptureCtx::new(seed).generate_columnar(testbed)
 }
@@ -647,13 +636,12 @@ fn tap(chain: &mut Chain) -> &mut GatewayTap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dataset::RevocationKind;
     use iotls_tls::version::ProtocolVersion;
     use std::sync::OnceLock;
 
-    fn dataset() -> &'static PassiveDataset {
-        static DS: OnceLock<PassiveDataset> = OnceLock::new();
-        DS.get_or_init(|| generate(Testbed::global(), 0xCAFE))
+    fn dataset() -> &'static ColumnarDataset {
+        static DS: OnceLock<ColumnarDataset> = OnceLock::new();
+        DS.get_or_init(|| generate_columnar(Testbed::global(), 0xCAFE))
     }
 
     #[test]
@@ -676,9 +664,8 @@ mod tests {
         // Every device generated traffic for at least 6 months.
         for name in dataset().device_names() {
             let months: std::collections::BTreeSet<_> = dataset()
-                .device_observations(&name)
-                .iter()
-                .map(|o| o.observation.time.month())
+                .device_rows(&name)
+                .map(|o| o.observation().time.month())
                 .collect();
             assert!(months.len() >= 6, "{name}: {} months", months.len());
         }
@@ -688,10 +675,9 @@ mod tests {
     fn most_connections_establish() {
         let total = dataset().total_connections();
         let established: u64 = dataset()
-            .observations
-            .iter()
-            .filter(|o| o.observation.established)
-            .map(|o| o.count)
+            .rows()
+            .filter(|o| o.observation().established)
+            .map(|o| o.raw.count())
             .sum();
         assert!(
             established * 10 >= total * 9,
@@ -702,71 +688,70 @@ mod tests {
     #[test]
     fn wemo_always_advertises_deprecated_version() {
         // Fig. 1's one all-deprecated device.
-        for o in dataset().device_observations("Wemo Plug") {
-            assert_eq!(o.observation.max_advertised, ProtocolVersion::Tls10);
+        for o in dataset().device_rows("Wemo Plug") {
+            assert_eq!(o.observation().max_advertised, ProtocolVersion::Tls10);
         }
     }
 
     #[test]
     fn google_home_mini_transitions_to_tls13_in_may_2019() {
         let before: Vec<_> = dataset()
-            .device_observations("Google Home Mini")
-            .into_iter()
-            .filter(|o| o.observation.time.month() < Month::new(2019, 5))
+            .device_rows("Google Home Mini")
+            .map(|o| o.observation())
+            .filter(|o| o.time.month() < Month::new(2019, 5))
             .collect();
         let after: Vec<_> = dataset()
-            .device_observations("Google Home Mini")
-            .into_iter()
-            .filter(|o| o.observation.time.month() >= Month::new(2019, 5))
+            .device_rows("Google Home Mini")
+            .map(|o| o.observation())
+            .filter(|o| o.time.month() >= Month::new(2019, 5))
             .collect();
         assert!(!before.is_empty() && !after.is_empty());
         assert!(before
             .iter()
-            .all(|o| o.observation.max_advertised == ProtocolVersion::Tls12));
+            .all(|o| o.max_advertised == ProtocolVersion::Tls12));
         assert!(after
             .iter()
-            .all(|o| o.observation.max_advertised == ProtocolVersion::Tls13));
+            .all(|o| o.max_advertised == ProtocolVersion::Tls13));
     }
 
     #[test]
     fn samsung_washer_advertises_tls12_but_establishes_tls11() {
-        for o in dataset().device_observations("Samsung Washer") {
-            assert_eq!(o.observation.max_advertised, ProtocolVersion::Tls12);
-            assert_eq!(
-                o.observation.negotiated_version,
-                Some(ProtocolVersion::Tls11)
-            );
+        for o in dataset().device_rows("Samsung Washer") {
+            let o = o.observation();
+            assert_eq!(o.max_advertised, ProtocolVersion::Tls12);
+            assert_eq!(o.negotiated_version, Some(ProtocolVersion::Tls11));
         }
     }
 
     #[test]
     fn revocation_flows_only_from_crl_ocsp_devices() {
-        let crl_devices: std::collections::BTreeSet<_> = dataset()
+        let ds = dataset();
+        let crl_devices: std::collections::BTreeSet<_> = ds
             .revocation_flows
             .iter()
             .filter(|f| f.kind == RevocationKind::CrlFetch)
-            .map(|f| f.device.clone())
+            .map(|f| ds.strings.resolve(f.device))
             .collect();
         assert_eq!(
             crl_devices.into_iter().collect::<Vec<_>>(),
-            vec!["Samsung TV".to_string()]
+            vec!["Samsung TV"]
         );
-        let ocsp_devices: std::collections::BTreeSet<_> = dataset()
+        let ocsp_devices: std::collections::BTreeSet<_> = ds
             .revocation_flows
             .iter()
             .filter(|f| f.kind == RevocationKind::OcspQuery)
-            .map(|f| f.device.clone())
+            .map(|f| ds.strings.resolve(f.device))
             .collect();
         assert_eq!(ocsp_devices.len(), 3);
     }
 
     #[test]
     fn generation_is_deterministic() {
-        let a = generate(Testbed::global(), 7);
-        let b = generate(Testbed::global(), 7);
+        let a = generate_columnar(Testbed::global(), 7);
+        let b = generate_columnar(Testbed::global(), 7);
         assert_eq!(a.total_connections(), b.total_connections());
-        assert_eq!(a.observations.len(), b.observations.len());
-        let c = generate(Testbed::global(), 8);
+        assert_eq!(a.total_rows(), b.total_rows());
+        let c = generate_columnar(Testbed::global(), 8);
         assert_ne!(a.total_connections(), c.total_connections());
     }
 
@@ -777,15 +762,14 @@ mod tests {
         let ds = dataset();
         let share = |month: Month| -> f64 {
             let obs = ds
-                .device_observations("Insteon Hub")
-                .into_iter()
-                .filter(|o| o.observation.time.month() == month)
+                .device_rows("Insteon Hub")
+                .filter(|o| o.observation().time.month() == month)
                 .collect::<Vec<_>>();
-            let total: u64 = obs.iter().map(|o| o.count).sum();
+            let total: u64 = obs.iter().map(|o| o.raw.count()).sum();
             let legacy: u64 = obs
                 .iter()
-                .filter(|o| o.observation.destination.starts_with("alert."))
-                .map(|o| o.count)
+                .filter(|o| o.observation().destination.starts_with("alert."))
+                .map(|o| o.raw.count())
                 .sum();
             legacy as f64 / total.max(1) as f64
         };
@@ -829,12 +813,12 @@ mod tests {
 
     #[test]
     fn ctx_threads_and_metrics_knobs_do_not_change_the_dataset() {
-        let baseline = generate(Testbed::global(), 0xCAFE);
+        let baseline = generate_columnar(Testbed::global(), 0xCAFE);
         let metrics = SharedRegistry::live();
         let ctx = CaptureCtx::new(0xCAFE).with_threads(3).with_metrics(metrics.clone());
-        let ds = ctx.generate(Testbed::global());
+        let ds = ctx.generate_columnar(Testbed::global());
         assert_eq!(ds.total_connections(), baseline.total_connections());
-        assert_eq!(ds.observations.len(), baseline.observations.len());
+        assert_eq!(ds.total_rows(), baseline.total_rows());
         let snap = metrics.snapshot();
         assert!(snap.counter("capture.rows.weighted") > 0);
         assert_eq!(snap.counter("capture.connections"), ds.total_connections());

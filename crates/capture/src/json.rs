@@ -346,12 +346,16 @@ impl<'a> Parser<'a> {
                 }
                 b if b < 0x20 => return None,
                 _ => {
-                    // Consume one UTF-8 scalar (input is valid UTF-8
-                    // because it came from &str).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).ok()?;
-                    let c = rest.chars().next()?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote, backslash or
+                    // control byte in one step. Each of those is
+                    // ASCII, so the run ends on a char boundary.
+                    let rest = &self.bytes[self.pos..];
+                    let run = rest
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(rest.len());
+                    out.push_str(std::str::from_utf8(&rest[..run]).ok()?);
+                    self.pos += run;
                 }
             }
         }
@@ -419,6 +423,7 @@ mod tests {
             Json::Num(u64::MAX as i128),
             Json::Str("hi \"there\"\nline2\ttab\\slash".into()),
             Json::Str("unicode: ✓ 日本語".into()),
+            Json::Str("ü\"é\\日\n語\u{1}✓".into()),
         ] {
             assert_eq!(Json::parse(&v.encode()), Some(v));
         }

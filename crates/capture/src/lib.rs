@@ -10,6 +10,10 @@
 //! connection dataset that drives Figures 1–3 and Table 8, with JSON
 //! (de)serialization for the public-dataset deliverable.
 //!
+//! In memory the dataset has one form, the chunked, interned
+//! [`ColumnarDataset`]; [`ObsRef::observation`] decodes one of its
+//! rows back into an owned [`iotls_simnet::TlsObservation`].
+//!
 //! The dataset persists in one layout: a segmented store directory
 //! ([`SegmentedWriter`] builds or extends it, [`SegmentedStore`]
 //! reads it back frame by frame), whose segment files use the codec
@@ -31,15 +35,11 @@ pub use columnar::{
 };
 pub use segstore::{SegmentedStore, SegmentedWriter};
 pub use store::StoreError;
-pub use dataset::{
-    DatasetStats, PassiveDataset, RevocationFlow, RevocationKind, WeightedObservation,
-};
-pub use generate::{generate, generate_columnar, CaptureCtx};
+pub use dataset::{DatasetStats, RevocationFlow, RevocationKind};
+pub use generate::{generate_columnar, CaptureCtx};
 pub use intern::{DigestInterner, Interner, Symbol};
 pub use timeline::{build_timeline, StudyEvent};
-pub use serialize::{
-    from_json, to_json, to_json_columnar, DatasetFile, ObservationRecord, RevocationRecord,
-};
+pub use serialize::{from_json, to_json_columnar};
 
 use iotls_devices::Testbed;
 use std::sync::OnceLock;
@@ -48,14 +48,8 @@ use std::sync::OnceLock;
 /// benchmark workload.
 pub const DEFAULT_SEED: u64 = 0x10AD;
 
-/// The process-wide shared dataset (default seed, global testbed).
-pub fn global_dataset() -> &'static PassiveDataset {
-    static DS: OnceLock<PassiveDataset> = OnceLock::new();
-    DS.get_or_init(|| generate(Testbed::global(), DEFAULT_SEED))
-}
-
-/// The process-wide shared columnar dataset (default seed, global
-/// testbed). Same rows as [`global_dataset`], columnar form.
+/// The process-wide shared dataset (default seed, global testbed),
+/// generated once per process.
 pub fn global_columnar() -> &'static ColumnarDataset {
     static DS: OnceLock<ColumnarDataset> = OnceLock::new();
     DS.get_or_init(|| generate_columnar(Testbed::global(), DEFAULT_SEED))

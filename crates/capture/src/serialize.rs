@@ -1,11 +1,14 @@
 //! Dataset (de)serialization — the "publicly available longitudinal
 //! TLS handshake data" deliverable, in JSON (via the crate's own
 //! dependency-free [`crate::json`] codec).
+//!
+//! One writer, [`to_json_columnar`], walks the chunks and resolves
+//! symbols at the edge. [`from_json`] parses each record into a
+//! [`TlsObservation`] and pushes it through a [`DatasetBuilder`], so a
+//! parsed document re-exports byte for byte.
 
-use crate::columnar::ColumnarDataset;
-use crate::dataset::{
-    PassiveDataset, RevocationFlow, RevocationKind, WeightedObservation,
-};
+use crate::columnar::{ColumnarDataset, DatasetBuilder};
+use crate::dataset::{RevocationFlow, RevocationKind};
 use crate::json::Json;
 use iotls_simnet::TlsObservation;
 use iotls_tls::alert::AlertDescription;
@@ -13,76 +16,17 @@ use iotls_tls::fingerprint::FingerprintId;
 use iotls_tls::version::ProtocolVersion;
 use iotls_x509::Timestamp;
 
-/// Serializable mirror of one weighted observation.
-#[derive(Debug, PartialEq)]
-pub struct ObservationRecord {
-    /// Unix seconds.
-    pub time: i64,
-    /// Device name.
-    pub device: String,
-    /// Destination hostname.
-    pub destination: String,
-    /// SNI, if sent.
-    pub sni: Option<String>,
-    /// Advertised versions (wire values).
-    pub advertised_versions: Vec<u16>,
-    /// Offered suites.
-    pub offered_suites: Vec<u16>,
-    /// Requested an OCSP staple.
-    pub requested_ocsp: bool,
-    /// Fingerprint id (hex).
-    pub fingerprint: String,
-    /// Negotiated version (wire value).
-    pub negotiated_version: Option<u16>,
-    /// Negotiated suite.
-    pub negotiated_suite: Option<u16>,
-    /// Server stapled OCSP.
-    pub ocsp_stapled: bool,
-    /// Issuer CN of the served leaf certificate.
-    pub leaf_issuer: Option<String>,
-    /// Reached application data.
-    pub established: bool,
-    /// Alert codes seen from the client.
-    pub alerts_from_client: Vec<u8>,
-    /// Alert codes seen from the server.
-    pub alerts_from_server: Vec<u8>,
-    /// Connections represented.
-    pub count: u64,
-}
-
-/// Serializable revocation flow.
-#[derive(Debug, PartialEq)]
-pub struct RevocationRecord {
-    /// Unix seconds.
-    pub time: i64,
-    /// Device name.
-    pub device: String,
-    /// "crl" or "ocsp".
-    pub kind: String,
-    /// Endpoint URL.
-    pub url: String,
-    /// Connections.
-    pub count: u64,
-}
-
-/// Serializable dataset.
-#[derive(Debug, Default)]
-pub struct DatasetFile {
-    /// Observations.
-    pub observations: Vec<ObservationRecord>,
-    /// Revocation flows.
-    pub revocation_flows: Vec<RevocationRecord>,
-    /// Truncated-capture count (absent in older files).
-    pub truncated: u64,
-}
-
+/// Exactly 32 ASCII hex digits, as `FingerprintId`'s `Display` writes
+/// them; anything else (a sign, a multi-byte character) is `None`.
 fn fp_from_hex(s: &str) -> Option<FingerprintId> {
-    if s.len() != 32 {
+    let hex = s.as_bytes();
+    if hex.len() != 32 {
         return None;
     }
+    let nibble = |b: u8| char::from(b).to_digit(16);
     let mut out = [0u8; 16];
-    for i in 0..16 {
-        out[i] = u8::from_str_radix(&s[i * 2..i * 2 + 2], 16).ok()?;
+    for (byte, pair) in out.iter_mut().zip(hex.chunks_exact(2)) {
+        *byte = (nibble(pair[0])? << 4 | nibble(pair[1])?) as u8;
     }
     Some(FingerprintId(out))
 }
@@ -102,207 +46,71 @@ fn opt_u16(v: &Json) -> Option<Option<u16>> {
     }
 }
 
-impl From<&WeightedObservation> for ObservationRecord {
-    fn from(w: &WeightedObservation) -> Self {
-        let o = &w.observation;
-        ObservationRecord {
-            time: o.time.0,
-            device: o.device.clone(),
-            destination: o.destination.clone(),
-            sni: o.sni.clone(),
-            advertised_versions: o.advertised_versions.iter().map(|v| v.wire()).collect(),
-            offered_suites: o.offered_suites.clone(),
-            requested_ocsp: o.requested_ocsp,
-            fingerprint: o.fingerprint.to_string(),
-            negotiated_version: o.negotiated_version.map(|v| v.wire()),
-            negotiated_suite: o.negotiated_suite,
-            ocsp_stapled: o.ocsp_stapled,
-            leaf_issuer: o.leaf_issuer.clone(),
-            established: o.established,
-            alerts_from_client: o.alerts_from_client.iter().map(|a| a.wire()).collect(),
-            alerts_from_server: o.alerts_from_server.iter().map(|a| a.wire()).collect(),
-            count: w.count,
-        }
+/// An array of `item`s. A row's lists are spans of at most `u16::MAX`
+/// entries in the columns, so a longer one is malformed.
+fn list<T>(v: &Json, item: impl Fn(&Json) -> Option<T>) -> Option<Vec<T>> {
+    let items = v.as_arr()?;
+    if items.len() > usize::from(u16::MAX) {
+        return None;
     }
+    items.iter().map(item).collect()
 }
 
-impl ObservationRecord {
-    fn to_value(&self) -> Json {
-        Json::Obj(vec![
-            ("time".into(), self.time.into()),
-            ("device".into(), self.device.as_str().into()),
-            ("destination".into(), self.destination.as_str().into()),
-            ("sni".into(), self.sni.as_deref().into()),
-            (
-                "advertised_versions".into(),
-                self.advertised_versions.iter().copied().collect(),
-            ),
-            (
-                "offered_suites".into(),
-                self.offered_suites.iter().copied().collect(),
-            ),
-            ("requested_ocsp".into(), self.requested_ocsp.into()),
-            ("fingerprint".into(), self.fingerprint.as_str().into()),
-            ("negotiated_version".into(), self.negotiated_version.into()),
-            ("negotiated_suite".into(), self.negotiated_suite.into()),
-            ("ocsp_stapled".into(), self.ocsp_stapled.into()),
-            ("leaf_issuer".into(), self.leaf_issuer.as_deref().into()),
-            ("established".into(), self.established.into()),
-            (
-                "alerts_from_client".into(),
-                self.alerts_from_client.iter().copied().collect(),
-            ),
-            (
-                "alerts_from_server".into(),
-                self.alerts_from_server.iter().copied().collect(),
-            ),
-            ("count".into(), self.count.into()),
-        ])
-    }
-
-    fn from_value(v: &Json) -> Option<ObservationRecord> {
-        Some(ObservationRecord {
-            time: v.get("time")?.as_i64()?,
-            device: v.get("device")?.as_str()?.to_string(),
-            destination: v.get("destination")?.as_str()?.to_string(),
-            sni: opt_str(v.get("sni")?)?,
-            advertised_versions: v
-                .get("advertised_versions")?
-                .as_arr()?
-                .iter()
-                .map(Json::as_u16)
-                .collect::<Option<_>>()?,
-            offered_suites: v
-                .get("offered_suites")?
-                .as_arr()?
-                .iter()
-                .map(Json::as_u16)
-                .collect::<Option<_>>()?,
-            requested_ocsp: v.get("requested_ocsp")?.as_bool()?,
-            fingerprint: v.get("fingerprint")?.as_str()?.to_string(),
-            negotiated_version: opt_u16(v.get("negotiated_version")?)?,
-            negotiated_suite: opt_u16(v.get("negotiated_suite")?)?,
-            ocsp_stapled: v.get("ocsp_stapled")?.as_bool()?,
-            leaf_issuer: opt_str(v.get("leaf_issuer")?)?,
-            established: v.get("established")?.as_bool()?,
-            alerts_from_client: v
-                .get("alerts_from_client")?
-                .as_arr()?
-                .iter()
-                .map(Json::as_u8)
-                .collect::<Option<_>>()?,
-            alerts_from_server: v
-                .get("alerts_from_server")?
-                .as_arr()?
-                .iter()
-                .map(Json::as_u8)
-                .collect::<Option<_>>()?,
-            count: v.get("count")?.as_u64()?,
-        })
-    }
-
-    /// Converts back to the in-memory form. Returns `None` for
-    /// malformed records (unknown versions, bad fingerprints).
-    pub fn to_weighted(&self) -> Option<WeightedObservation> {
-        let advertised: Option<Vec<ProtocolVersion>> = self
-            .advertised_versions
-            .iter()
-            .map(|v| ProtocolVersion::from_wire(*v))
-            .collect();
-        let advertised = advertised?;
-        let max = advertised.iter().copied().max()?;
-        Some(WeightedObservation {
-            observation: TlsObservation {
-                time: Timestamp(self.time),
-                device: self.device.clone(),
-                destination: self.destination.clone(),
-                sni: self.sni.clone(),
-                advertised_versions: advertised,
-                max_advertised: max,
-                offered_suites: self.offered_suites.clone(),
-                requested_ocsp: self.requested_ocsp,
-                fingerprint: fp_from_hex(&self.fingerprint)?,
-                negotiated_version: match self.negotiated_version {
-                    Some(v) => Some(ProtocolVersion::from_wire(v)?),
-                    None => None,
-                },
-                negotiated_suite: self.negotiated_suite,
-                ocsp_stapled: self.ocsp_stapled,
-                leaf_issuer: self.leaf_issuer.clone(),
-                established: self.established,
-                alerts_from_client: self
-                    .alerts_from_client
-                    .iter()
-                    .map(|a| AlertDescription::from_wire(*a))
-                    .collect(),
-                alerts_from_server: self
-                    .alerts_from_server
-                    .iter()
-                    .map(|a| AlertDescription::from_wire(*a))
-                    .collect(),
-            },
-            count: self.count,
-        })
-    }
+fn version(v: &Json) -> Option<ProtocolVersion> {
+    ProtocolVersion::from_wire(v.as_u16()?)
 }
 
-impl RevocationRecord {
-    fn to_value(&self) -> Json {
-        Json::Obj(vec![
-            ("time".into(), self.time.into()),
-            ("device".into(), self.device.as_str().into()),
-            ("kind".into(), self.kind.as_str().into()),
-            ("url".into(), self.url.as_str().into()),
-            ("count".into(), self.count.into()),
-        ])
-    }
-
-    fn from_value(v: &Json) -> Option<RevocationRecord> {
-        Some(RevocationRecord {
-            time: v.get("time")?.as_i64()?,
-            device: v.get("device")?.as_str()?.to_string(),
-            kind: v.get("kind")?.as_str()?.to_string(),
-            url: v.get("url")?.as_str()?.to_string(),
-            count: v.get("count")?.as_u64()?,
-        })
-    }
+fn alert(v: &Json) -> Option<AlertDescription> {
+    v.as_u8().map(AlertDescription::from_wire)
 }
 
-/// Serializes a dataset to JSON.
-pub fn to_json(dataset: &PassiveDataset) -> String {
-    let observations: Vec<ObservationRecord> =
-        dataset.observations.iter().map(Into::into).collect();
-    let revocation_flows: Vec<RevocationRecord> = dataset
-        .revocation_flows
-        .iter()
-        .map(|f| RevocationRecord {
-            time: f.time.0,
-            device: f.device.clone(),
-            kind: match f.kind {
-                RevocationKind::CrlFetch => "crl".into(),
-                RevocationKind::OcspQuery => "ocsp".into(),
-            },
-            url: f.url.clone(),
-            count: f.count,
-        })
-        .collect();
-    Json::Obj(vec![
-        (
-            "observations".into(),
-            observations.iter().map(|r| r.to_value()).collect(),
-        ),
-        (
-            "revocation_flows".into(),
-            revocation_flows.iter().map(|r| r.to_value()).collect(),
-        ),
-        ("truncated".into(), dataset.truncated.into()),
-    ])
-    .encode()
+/// One observation record and its connection count. `None` for a
+/// missing or mistyped field, an unknown version, an empty advertised
+/// list or a malformed fingerprint.
+fn observation(v: &Json) -> Option<(TlsObservation, u64)> {
+    let advertised_versions = list(v.get("advertised_versions")?, version)?;
+    let max_advertised = advertised_versions.iter().copied().max()?;
+    let observation = TlsObservation {
+        time: Timestamp(v.get("time")?.as_i64()?),
+        device: v.get("device")?.as_str()?.to_string(),
+        destination: v.get("destination")?.as_str()?.to_string(),
+        sni: opt_str(v.get("sni")?)?,
+        advertised_versions,
+        max_advertised,
+        offered_suites: list(v.get("offered_suites")?, Json::as_u16)?,
+        requested_ocsp: v.get("requested_ocsp")?.as_bool()?,
+        fingerprint: fp_from_hex(v.get("fingerprint")?.as_str()?)?,
+        negotiated_version: match opt_u16(v.get("negotiated_version")?)? {
+            Some(w) => Some(ProtocolVersion::from_wire(w)?),
+            None => None,
+        },
+        negotiated_suite: opt_u16(v.get("negotiated_suite")?)?,
+        ocsp_stapled: v.get("ocsp_stapled")?.as_bool()?,
+        leaf_issuer: opt_str(v.get("leaf_issuer")?)?,
+        established: v.get("established")?.as_bool()?,
+        alerts_from_client: list(v.get("alerts_from_client")?, alert)?,
+        alerts_from_server: list(v.get("alerts_from_server")?, alert)?,
+    };
+    Some((observation, v.get("count")?.as_u64()?))
 }
 
-/// Serializes a columnar dataset to JSON, byte-identical to
-/// `to_json(&ds.to_rows())` — but straight off the chunks, without
-/// materializing the `String`-heavy row vector first.
+fn flow(v: &Json) -> Option<RevocationFlow> {
+    Some(RevocationFlow {
+        time: Timestamp(v.get("time")?.as_i64()?),
+        device: v.get("device")?.as_str()?.to_string(),
+        kind: match v.get("kind")?.as_str()? {
+            "crl" => RevocationKind::CrlFetch,
+            "ocsp" => RevocationKind::OcspQuery,
+            _ => return None,
+        },
+        url: v.get("url")?.as_str()?.to_string(),
+        count: v.get("count")?.as_u64()?,
+    })
+}
+
+/// Serializes the dataset to JSON straight off the chunks: one object
+/// per row in chunk order, then the revocation flows and the
+/// truncation tally. [`from_json`] reads it back.
 pub fn to_json_columnar(ds: &ColumnarDataset) -> String {
     let observations: Vec<Json> = ds
         .rows()
@@ -372,44 +180,31 @@ pub fn to_json_columnar(ds: &ColumnarDataset) -> String {
     .encode()
 }
 
-/// Parses a dataset from JSON. Returns `None` on malformed input.
-pub fn from_json(json: &str) -> Option<PassiveDataset> {
+/// Parses a dataset from JSON, pushing each record through a
+/// [`DatasetBuilder`] in document order. Returns `None` on malformed
+/// input.
+pub fn from_json(json: &str) -> Option<ColumnarDataset> {
     let root = Json::parse(json)?;
-    let observations: Option<Vec<WeightedObservation>> = root
-        .get("observations")?
-        .as_arr()?
-        .iter()
-        .map(|v| ObservationRecord::from_value(v)?.to_weighted())
-        .collect();
-    let revocation_flows: Option<Vec<RevocationFlow>> = root
-        .get("revocation_flows")?
-        .as_arr()?
-        .iter()
-        .map(|v| {
-            let r = RevocationRecord::from_value(v)?;
-            Some(RevocationFlow {
-                time: Timestamp(r.time),
-                device: r.device,
-                kind: match r.kind.as_str() {
-                    "crl" => RevocationKind::CrlFetch,
-                    "ocsp" => RevocationKind::OcspQuery,
-                    _ => return None,
-                },
-                url: r.url,
-                count: r.count,
-            })
-        })
-        .collect();
+    let mut b = DatasetBuilder::new();
+    let mut chunks = Vec::new();
+    // Every connection total the analyses take is at most the sum of
+    // all counts, so that sum must fit in a `u64`.
+    let mut connections: u64 = 0;
+    for v in root.get("observations")?.as_arr()? {
+        let (obs, count) = observation(v)?;
+        connections = connections.checked_add(count)?;
+        b.push_obs(&obs, count, &mut |c| chunks.push(c));
+    }
+    for v in root.get("revocation_flows")?.as_arr()? {
+        b.push_flow(&flow(v)?);
+    }
     // Older files predate the truncated counter; treat absent as 0.
-    let truncated = match root.get("truncated") {
+    b.truncated = match root.get("truncated") {
         Some(v) => v.as_u64()?,
         None => 0,
     };
-    Some(PassiveDataset {
-        observations: observations?,
-        revocation_flows: revocation_flows?,
-        truncated,
-    })
+    b.flush(&mut |c| chunks.push(c));
+    Some(b.into_dataset(chunks))
 }
 
 #[cfg(test)]
@@ -417,7 +212,7 @@ mod tests {
     use super::*;
     use iotls_tls::fingerprint::Fingerprint;
 
-    fn sample() -> PassiveDataset {
+    fn sample() -> ColumnarDataset {
         let fp = Fingerprint {
             version: 0x0303,
             ciphers: vec![0xc02f, 0x0005],
@@ -425,55 +220,53 @@ mod tests {
             groups: vec![29],
             point_formats: vec![0],
         };
-        PassiveDataset {
-            observations: vec![WeightedObservation {
-                observation: TlsObservation {
-                    time: Timestamp(1_546_300_800),
-                    device: "Test Device".into(),
-                    destination: "x.example".into(),
-                    sni: Some("x.example".into()),
-                    advertised_versions: vec![
-                        ProtocolVersion::Tls11,
-                        ProtocolVersion::Tls12,
-                    ],
-                    max_advertised: ProtocolVersion::Tls12,
-                    offered_suites: vec![0xc02f, 0x0005],
-                    requested_ocsp: true,
-                    fingerprint: fp.id(),
-                    negotiated_version: Some(ProtocolVersion::Tls12),
-                    negotiated_suite: Some(0xc02f),
-                    ocsp_stapled: true,
-                    leaf_issuer: Some("SimTrust Global Root CA 001".into()),
-                    established: true,
-                    alerts_from_client: vec![AlertDescription::UnknownCa],
-                    alerts_from_server: vec![],
-                },
-                count: 1234,
-            }],
-            revocation_flows: vec![RevocationFlow {
-                time: Timestamp(1_546_387_200),
-                device: "Test Device".into(),
-                kind: RevocationKind::OcspQuery,
-                url: "http://ocsp.example".into(),
-                count: 7,
-            }],
-            truncated: 3,
-        }
+        let observation = TlsObservation {
+            time: Timestamp(1_546_300_800),
+            device: "Test Device".into(),
+            destination: "x.example".into(),
+            sni: Some("x.example".into()),
+            advertised_versions: vec![ProtocolVersion::Tls11, ProtocolVersion::Tls12],
+            max_advertised: ProtocolVersion::Tls12,
+            offered_suites: vec![0xc02f, 0x0005],
+            requested_ocsp: true,
+            fingerprint: fp.id(),
+            negotiated_version: Some(ProtocolVersion::Tls12),
+            negotiated_suite: Some(0xc02f),
+            ocsp_stapled: true,
+            leaf_issuer: Some("SimTrust Global Root CA 001".into()),
+            established: true,
+            alerts_from_client: vec![AlertDescription::UnknownCa],
+            alerts_from_server: vec![],
+        };
+        let mut b = DatasetBuilder::new();
+        let mut chunks = Vec::new();
+        b.push_obs(&observation, 1234, &mut |c| chunks.push(c));
+        b.push_flow(&RevocationFlow {
+            time: Timestamp(1_546_387_200),
+            device: "Test Device".into(),
+            kind: RevocationKind::OcspQuery,
+            url: "http://ocsp.exämple".into(),
+            count: 7,
+        });
+        b.truncated = 3;
+        b.flush(&mut |c| chunks.push(c));
+        b.into_dataset(chunks)
     }
 
     #[test]
     fn json_roundtrip_preserves_everything() {
         let ds = sample();
-        let json = to_json(&ds);
+        let json = to_json_columnar(&ds);
         let back = from_json(&json).unwrap();
-        assert_eq!(back.observations.len(), 1);
-        let a = &ds.observations[0];
-        let b = &back.observations[0];
-        assert_eq!(a.count, b.count);
-        assert_eq!(a.observation.fingerprint, b.observation.fingerprint);
-        assert_eq!(a.observation.advertised_versions, b.observation.advertised_versions);
-        assert_eq!(a.observation.alerts_from_client, b.observation.alerts_from_client);
-        assert_eq!(a.observation.negotiated_version, b.observation.negotiated_version);
+        assert_eq!(back.total_rows(), 1);
+        let a = ds.rows().next().unwrap();
+        let b = back.rows().next().unwrap();
+        assert_eq!(a.raw.count(), b.raw.count());
+        let (a, b) = (a.observation(), b.observation());
+        assert_eq!(a.fingerprint, b.fingerprint);
+        assert_eq!(a.advertised_versions, b.advertised_versions);
+        assert_eq!(a.alerts_from_client, b.alerts_from_client);
+        assert_eq!(a.negotiated_version, b.negotiated_version);
         assert_eq!(back.revocation_flows.len(), 1);
         assert_eq!(back.revocation_flows[0].kind, RevocationKind::OcspQuery);
         assert_eq!(back.truncated, 3);
@@ -481,26 +274,69 @@ mod tests {
 
     #[test]
     fn columnar_export_is_byte_identical() {
-        let cds = crate::columnar::ColumnarDataset::from_rows(&sample());
-        assert_eq!(to_json_columnar(&cds), to_json(&cds.to_rows()));
-        // And at seed scale, against the canonical dataset.
-        let global = crate::global_columnar();
-        assert_eq!(
-            to_json_columnar(global),
-            to_json(crate::global_dataset())
-        );
+        // A parsed export re-exports the same bytes.
+        let json = to_json_columnar(&sample());
+        assert_eq!(to_json_columnar(&from_json(&json).unwrap()), json);
+        // And at seed scale, on the canonical dataset.
+        let json = to_json_columnar(crate::global_columnar());
+        assert_eq!(to_json_columnar(&from_json(&json).unwrap()), json);
     }
 
     #[test]
     fn malformed_json_rejected() {
         assert!(from_json("not json").is_none());
         assert!(from_json("{\"observations\": [{\"bad\": true}]}").is_none());
+        // Every cut of a valid export, at every character boundary.
+        let json = to_json_columnar(&sample());
+        for end in (0..json.len()).filter(|&i| json.is_char_boundary(i)) {
+            assert!(
+                from_json(&json[..end]).is_none(),
+                "accepted a {end}-byte prefix"
+            );
+        }
+        // Well-formed JSON carrying values the dataset cannot hold.
+        let hostile = [
+            (
+                "\"advertised_versions\":[770,771]",
+                "\"advertised_versions\":[770,39321]",
+            ),
+            ("\"negotiated_version\":771", "\"negotiated_version\":39321"),
+            (
+                "\"advertised_versions\":[770,771]",
+                "\"advertised_versions\":[]",
+            ),
+            ("\"count\":1234", "\"count\":-1"),
+            ("\"ocsp\"", "\"carrier-pigeon\""),
+            ("\"truncated\":3", "\"truncated\":\"3\""),
+        ];
+        for (from, to) in hostile {
+            assert!(json.contains(from), "{from}");
+            assert!(
+                from_json(&json.replace(from, to)).is_none(),
+                "accepted {to}"
+            );
+        }
+        // Two rows whose counts sum past `u64::MAX`; one such row is fine.
+        let twice = |doc: &str| {
+            let (_, rest) = doc.split_once("\"observations\":[").expect("rows");
+            let (row, _) = rest.split_once("],\"revocation_flows\"").expect("one row");
+            doc.replace(row, &format!("{row},{row}"))
+        };
+        let max = json.replace("\"count\":1234", &format!("\"count\":{}", u64::MAX));
+        assert!(from_json(&twice(&json)).is_some());
+        assert!(from_json(&max).is_some());
+        assert!(from_json(&twice(&max)).is_none());
+        // A list longer than a column span can hold.
+        let long = format!("\"offered_suites\":[{}]", vec!["5"; 65_536].join(","));
+        let json = json.replace("\"offered_suites\":[49199,5]", &long);
+        assert!(json.contains(&long));
+        assert!(from_json(&json).is_none());
     }
 
     #[test]
     fn missing_truncated_defaults_to_zero() {
-        let ds = PassiveDataset::default();
-        let json = to_json(&ds).replace(",\"truncated\":0", "");
+        let ds = ColumnarDataset::default();
+        let json = to_json_columnar(&ds).replace(",\"truncated\":0", "");
         let back = from_json(&json).unwrap();
         assert_eq!(back.truncated, 0);
     }
@@ -508,16 +344,23 @@ mod tests {
     #[test]
     fn bad_fingerprint_hex_rejected() {
         let ds = sample();
-        let json = to_json(&ds).replace(
-            &ds.observations[0].observation.fingerprint.to_string(),
-            "zz",
-        );
-        assert!(from_json(&json).is_none());
+        let fp = ds.rows().next().unwrap().fingerprint().to_string();
+        let json = to_json_columnar(&ds);
+        // Too short; 32 bytes of which 30 are multi-byte characters;
+        // a `+`-signed pair, which `u8::from_str_radix` would accept.
+        let multibyte = format!("{}ab", "日".repeat(10));
+        let signed = format!("+a{}", &fp[2..]);
+        for bad in ["zz", multibyte.as_str(), signed.as_str()] {
+            assert!(
+                from_json(&json.replace(&fp, bad)).is_none(),
+                "accepted {bad:?}"
+            );
+        }
     }
 
     #[test]
     fn unknown_revocation_kind_rejected() {
-        let json = to_json(&sample()).replace("\"ocsp\"", "\"carrier-pigeon\"");
+        let json = to_json_columnar(&sample()).replace("\"ocsp\"", "\"carrier-pigeon\"");
         assert!(from_json(&json).is_none());
     }
 }

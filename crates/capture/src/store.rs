@@ -1014,7 +1014,7 @@ impl ColumnarStore {
         }
 
         // Structure: two length-prefixed pools fill the tail exactly.
-        let mut r = Reader::at(tail, "chunk frame", fixed);
+        let mut r = Reader::at(tail, "chunk frame", entry.offset + fixed);
         let u16s = r.u32()? as usize;
         let pool_u16 = r.take(u16s.saturating_mul(2))?;
         let u8s = r.u32()? as usize;
@@ -1393,7 +1393,7 @@ mod tests {
         fp_count: u32,
     ) -> Result<ObsChunk, StoreError> {
         let n = entry.rows as usize;
-        let mut r = Reader::new(payload, "chunk frame");
+        let mut r = Reader::at(payload, "chunk frame", entry.offset);
         let u16s = |b: &[u8]| u16::from_le_bytes(b.try_into().unwrap());
         let u32s = |b: &[u8]| u32::from_le_bytes(b.try_into().unwrap());
         let time = oracle_column(&mut r, n, 8, |b| i64::from_le_bytes(b.try_into().unwrap()))?;
@@ -1658,6 +1658,10 @@ mod tests {
         let u16_span = "Corrupt(\"u16 span outside pool\")";
         let u8_span = "Corrupt(\"u8 span outside pool\")";
         let short = "Corrupt(\"chunk frame shorter than its row count\")";
+        // Offsets count from the start of the segment file: its 20-byte
+        // header, the 201 bytes of fixed columns, the pool's length.
+        assert_eq!((HEADER_LEN as usize, fixed), (20, 201));
+        let pool_overrun = "Truncated { context: \"chunk frame\", offset: 225,";
         let cases: Vec<(&str, Vec<u8>, &str)> = vec![
             ("device past the string table", set(device + 4, 3), row_symbol),
             ("destination past the string table", set(destination + 8, 3), row_symbol),
@@ -1669,7 +1673,7 @@ mod tests {
             ("version span past its pool", set(adv_off, pool_u16), u16_span),
             ("suite span offset at u32::MAX", set(suites_off + 8, u32::MAX), u16_span),
             ("alert span past its pool", set(c2s_off + 4, pool_u8), u8_span),
-            ("u16 pool length overruns the frame", set(fixed, u32::MAX), "Truncated"),
+            ("u16 pool length overruns the frame", set(fixed, u32::MAX), pool_overrun),
             ("u8 pool length overruns the frame", set(u8_word, pool_u8 + 1), "Truncated"),
             ("frame cut inside its u8 pool", frame[..frame.len() - 1].to_vec(), "Truncated"),
             ("trailing bytes", trailing, "Corrupt(\"trailing bytes after structure\")"),

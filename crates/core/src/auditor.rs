@@ -418,27 +418,28 @@ mod tests {
 
     #[test]
     fn guardian_pauses_insecure_negotiations_only() {
-        use iotls_capture::global_dataset;
-        let ds = global_dataset();
+        use iotls_capture::global_columnar;
+        let ds = global_columnar();
+        let observations = |device| ds.device_rows(device).map(|r| r.observation());
         // Wemo's connections negotiate TLS 1.0 → paused.
-        let wemo = ds.device_observations("Wemo Plug");
+        let wemo: Vec<_> = observations("Wemo Plug").collect();
         assert!(wemo
             .iter()
-            .all(|o| matches!(guardian_verdict(&o.observation), GuardianAction::PauseAndAsk(_))));
+            .all(|o| matches!(guardian_verdict(o), GuardianAction::PauseAndAsk(_))));
         // The D-Link camera negotiates modern TLS → allowed.
-        let dlink = ds.device_observations("D-Link Camera");
+        let dlink: Vec<_> = observations("D-Link Camera").collect();
         assert!(dlink
             .iter()
-            .all(|o| guardian_verdict(&o.observation) == GuardianAction::Allow));
+            .all(|o| guardian_verdict(o) == GuardianAction::Allow));
         // Wink Hub 2's 3DES destination gets paused; its broken-but-
         // modern-looking OTA destination passes (the guardian sees
         // negotiation metadata, not validation behavior).
-        let wink = ds.device_observations("Wink Hub 2");
+        let wink: Vec<_> = observations("Wink Hub 2").collect();
         assert!(wink.iter().any(
-            |o| matches!(guardian_verdict(&o.observation), GuardianAction::PauseAndAsk(_))
+            |o| matches!(guardian_verdict(o), GuardianAction::PauseAndAsk(_))
         ));
         assert!(wink
             .iter()
-            .any(|o| guardian_verdict(&o.observation) == GuardianAction::Allow));
+            .any(|o| guardian_verdict(o) == GuardianAction::Allow));
     }
 }

@@ -9,7 +9,7 @@
 //! curated tracker/CDN list, as the original approach combines
 //! WHOIS-style ownership with blocklists) and the bias analysis.
 
-use iotls_capture::PassiveDataset;
+use iotls_capture::ColumnarDataset;
 use iotls_devices::Party;
 use iotls_tls::version::ProtocolVersion;
 use std::collections::{BTreeMap, BTreeSet};
@@ -141,20 +141,20 @@ impl PartyBiasRow {
 /// Runs the §5.1 bias test over devices advertising more than one
 /// maximum version within a single month (concurrent instances, not
 /// firmware transitions).
-pub fn party_version_bias(ds: &PassiveDataset) -> Vec<PartyBiasRow> {
+pub fn party_version_bias(ds: &ColumnarDataset) -> Vec<PartyBiasRow> {
     let mut out = Vec::new();
     for device in ds.device_names() {
+        let rows: Vec<_> = ds
+            .device_rows(&device)
+            .map(|r| (r.observation(), r.raw.count()))
+            .collect();
         // Group by month to exclude across-time transitions.
         let mut by_month: BTreeMap<_, Vec<_>> = BTreeMap::new();
-        for w in ds.device_observations(&device) {
-            by_month
-                .entry(w.observation.time.month())
-                .or_default()
-                .push(w);
+        for (o, _) in &rows {
+            by_month.entry(o.time.month()).or_default().push(o);
         }
         let concurrent = by_month.values().any(|obs| {
-            let versions: BTreeSet<_> =
-                obs.iter().map(|w| w.observation.max_advertised).collect();
+            let versions: BTreeSet<_> = obs.iter().map(|o| o.max_advertised).collect();
             versions.len() > 1
         });
         if !concurrent {
@@ -163,12 +163,12 @@ pub fn party_version_bias(ds: &PassiveDataset) -> Vec<PartyBiasRow> {
         let mut max_versions = BTreeSet::new();
         let mut first: BTreeMap<ProtocolVersion, u64> = BTreeMap::new();
         let mut third: BTreeMap<ProtocolVersion, u64> = BTreeMap::new();
-        for w in ds.device_observations(&device) {
-            let v = w.observation.max_advertised;
+        for (o, count) in &rows {
+            let v = o.max_advertised;
             max_versions.insert(v);
-            match label_party(&device, &w.observation.destination) {
-                Party::First => *first.entry(v).or_insert(0) += w.count,
-                Party::Third => *third.entry(v).or_insert(0) += w.count,
+            match label_party(&device, &o.destination) {
+                Party::First => *first.entry(v).or_insert(0) += count,
+                Party::Third => *third.entry(v).or_insert(0) += count,
             }
         }
         let normalize = |m: BTreeMap<ProtocolVersion, u64>| {
@@ -190,7 +190,7 @@ pub fn party_version_bias(ds: &PassiveDataset) -> Vec<PartyBiasRow> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iotls_capture::global_dataset;
+    use iotls_capture::global_columnar;
     use iotls_devices::Testbed;
 
     #[test]
@@ -213,7 +213,7 @@ mod tests {
 
     #[test]
     fn bias_rows_cover_multi_version_devices() {
-        let rows = party_version_bias(global_dataset());
+        let rows = party_version_bias(global_columnar());
         let names: Vec<&str> = rows.iter().map(|r| r.device.as_str()).collect();
         // The Insteon Hub runs concurrent TLS 1.0 and 1.2 instances.
         assert!(names.contains(&"Insteon Hub"), "{names:?}");
@@ -226,7 +226,7 @@ mod tests {
     fn no_party_bias_found() {
         // The paper's finding: no pattern ties the version mix to the
         // destination party.
-        for row in party_version_bias(global_dataset()) {
+        for row in party_version_bias(global_columnar()) {
             assert!(
                 !row.shows_party_bias(),
                 "{}: first={:?} third={:?}",

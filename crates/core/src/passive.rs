@@ -7,8 +7,9 @@
 //! ([`analyze_streamed`]), or read back from a segmented store
 //! ([`analyze_store`], [`analyze_store_slice`]) — into per-device
 //! monthly series plus the summary statistics quoted in the text. The
-//! per-row scans over the materialized `PassiveDataset` that the fold
-//! replaced survive only as this module's test oracle.
+//! per-row scans over a materialized row vector that the fold
+//! replaced survive only as this module's test oracle, over rows the
+//! tests decode from the columnar capture.
 
 use crate::experiment::ExperimentCtx;
 use iotls_capture::{
@@ -896,7 +897,8 @@ pub fn analyze_store_slice(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iotls_capture::{global_columnar, global_dataset, PassiveDataset};
+    use iotls_capture::{global_columnar, RevocationFlow};
+    use iotls_simnet::TlsObservation;
     use std::sync::OnceLock;
 
     // ── Fold oracle ─────────────────────────────────────────────────
@@ -1183,13 +1185,71 @@ mod tests {
 
     // ── Row-scan oracle ─────────────────────────────────────────────
     //
-    // The per-row scans over the materialized `PassiveDataset` that the
+    // The per-row scans over a materialized row vector that the
     // accumulator replaced, kept verbatim as the reference the
     // production fold is held to: each re-scans the row vector and
-    // accumulates per-row `f64`s.
+    // accumulates per-row `f64`s. The row vector is decoded from the
+    // columnar capture here, row by row through `ObsRef::observation`.
+
+    /// One decoded row and the connections it stands for.
+    struct Weighted {
+        observation: TlsObservation,
+        count: u64,
+    }
+
+    /// The capture as the row scans read it.
+    struct Rows {
+        observations: Vec<Weighted>,
+        revocation_flows: Vec<RevocationFlow>,
+    }
+
+    impl Rows {
+        fn decode(ds: &ColumnarDataset) -> Rows {
+            let observations = ds
+                .rows()
+                .map(|r| Weighted {
+                    observation: r.observation(),
+                    count: r.raw.count(),
+                })
+                .collect();
+            let revocation_flows = ds
+                .revocation_flows
+                .iter()
+                .map(|f| RevocationFlow {
+                    time: Timestamp(f.time),
+                    device: ds.strings.resolve(f.device).to_string(),
+                    kind: f.kind,
+                    url: ds.strings.resolve(f.url).to_string(),
+                    count: f.count,
+                })
+                .collect();
+            Rows {
+                observations,
+                revocation_flows,
+            }
+        }
+
+        /// Device names present in the rows, sorted.
+        fn device_names(&self) -> Vec<String> {
+            let names: BTreeSet<&str> = self
+                .observations
+                .iter()
+                .map(|w| w.observation.device.as_str())
+                .collect();
+            names.into_iter().map(String::from).collect()
+        }
+
+        /// All rows from one device.
+        fn device_observations(&self, device: &str) -> Vec<&Weighted> {
+            self.observations
+                .iter()
+                .filter(|w| w.observation.device == device)
+                .collect()
+        }
+    }
 
     /// Builds the Figure 1 series.
-    fn version_series(ds: &PassiveDataset) -> Series<VersionMix> {
+    fn version_series(ds: &Rows) -> Series<VersionMix> {
         let mut acc: Series<(u64, VersionMix)> = BTreeMap::new();
         for w in &ds.observations {
             let o = &w.observation;
@@ -1223,7 +1283,7 @@ mod tests {
     }
 
     /// Builds the Figures 2–3 series.
-    fn cipher_series(ds: &PassiveDataset) -> Series<CipherMix> {
+    fn cipher_series(ds: &Rows) -> Series<CipherMix> {
         let mut acc: Series<(u64, CipherMix)> = BTreeMap::new();
         for w in &ds.observations {
             let o = &w.observation;
@@ -1276,7 +1336,7 @@ mod tests {
     }
 
     /// Detects permanent upgrades of the dominant advertised version.
-    fn version_transitions(ds: &PassiveDataset) -> Vec<VersionTransition> {
+    fn version_transitions(ds: &Rows) -> Vec<VersionTransition> {
         let mut out = Vec::new();
         for device in ds.device_names() {
             // Dominant advertised max per month.
@@ -1319,7 +1379,7 @@ mod tests {
     }
 
     /// Computes the §5.1 summary.
-    fn passive_summary(ds: &PassiveDataset) -> PassiveSummary {
+    fn passive_summary(ds: &Rows) -> PassiveSummary {
         let mut tls12_exclusive = Vec::new();
         let mut fig1 = Vec::new();
         let mut adv_insecure = Vec::new();
@@ -1411,7 +1471,7 @@ mod tests {
 
     /// Computes Table 8 from passive data: CRL/OCSP from revocation
     /// endpoint flows, stapling from `status_request` in ClientHellos.
-    fn revocation_summary(ds: &PassiveDataset) -> RevocationSummary {
+    fn revocation_summary(ds: &Rows) -> RevocationSummary {
         let mut crl = BTreeSet::new();
         let mut ocsp = BTreeSet::new();
         for f in &ds.revocation_flows {
@@ -1434,7 +1494,7 @@ mod tests {
     }
 
     /// The sorted, distinct months with traffic (the heatmap x-axis).
-    fn month_axis(ds: &PassiveDataset) -> Vec<Month> {
+    fn month_axis(ds: &Rows) -> Vec<Month> {
         let mut months: Vec<Month> = ds
             .observations
             .iter()
@@ -1553,7 +1613,7 @@ mod tests {
 
     #[test]
     fn accumulator_matches_legacy_row_scan_exactly() {
-        let ds = global_dataset();
+        let ds = &Rows::decode(global_columnar());
         let a = analysis();
         assert_eq!(a.version_series, version_series(ds));
         assert_eq!(a.cipher_series, cipher_series(ds));
@@ -1562,6 +1622,7 @@ mod tests {
         assert_eq!(a.revocation, revocation_summary(ds));
         assert_eq!(a.month_axis, month_axis(ds));
         assert_eq!(a.device_names, ds.device_names());
+        assert_eq!(a.device_names, global_columnar().device_names());
         assert_eq!(a.total_connections, global_columnar().total_connections());
     }
 

@@ -9,7 +9,7 @@
 //! Flags: `--seed N --threads N --faults PM --metrics` (see
 //! `iotls_repro::cli`).
 
-use iotls_repro::capture::global_dataset;
+use iotls_repro::capture::global_columnar;
 use iotls_repro::cli::{fault_stats_line, ExampleArgs};
 use iotls_repro::core::{
     guardian_verdict, AuditService, Experiment, Grade, GuardianAction,
@@ -44,16 +44,16 @@ fn main() {
     println!("{}\n", fault_stats_line(&report.fault_stats));
 
     // 2. The guardian gateway over one month of passive traffic.
-    let ds = global_dataset();
+    let ds = global_columnar();
     let mut paused: u64 = 0;
     let mut allowed: u64 = 0;
     let mut paused_devices = std::collections::BTreeSet::new();
-    for w in &ds.observations {
-        match guardian_verdict(&w.observation) {
-            GuardianAction::Allow => allowed += w.count,
+    for r in ds.rows() {
+        match guardian_verdict(&r.observation()) {
+            GuardianAction::Allow => allowed += r.raw.count(),
             GuardianAction::PauseAndAsk(_) => {
-                paused += w.count;
-                paused_devices.insert(w.observation.device.clone());
+                paused += r.raw.count();
+                paused_devices.insert(r.device_name());
             }
         }
     }

@@ -34,7 +34,7 @@ fn main() {
 
     // §5.2's closing question, answered with measurements.
     let utilization = iotls_repro::analysis::root_store_utilization(
-        iotls_repro::capture::global_dataset(),
+        iotls_repro::capture::global_columnar(),
         &report,
     );
     println!("{}", iotls_repro::analysis::render_utilization(&utilization));

@@ -153,6 +153,17 @@ cargo test -q --offline -p iotls-x509 --lib -- cache::tests::cache_stats_survive
 # path is called out explicitly.
 cargo test -q --offline -p iotls --lib lab::tests
 cargo test -q --offline --test chaos_experiments chaos_runs_are_deterministic
+# One dataset form: the JSON codec (string runs copied whole, exactly
+# 32 ASCII hex digits per fingerprint, every char-boundary prefix and
+# hostile value of an export rejected without a panic), the seed-scale
+# export parsed back into the columnar dataset and re-exported byte for
+# byte with an equal analysis, and the row-scan oracle over rows
+# decoded from the columnar capture. Also in the workspace run;
+# repeated by name so a codec or decoder drift is called out
+# explicitly.
+cargo test -q --offline -p iotls-capture --lib -- json::tests serialize::tests
+cargo test -q --offline --test dataset_and_reports full_dataset_json_roundtrip
+cargo test -q --offline -p iotls --lib passive::tests::accumulator_matches_legacy_row_scan_exactly
 # Quickstart under faults: every connection recovers through the lab's
 # reconnect budget and an outcome still tainted after it is printed,
 # not asserted on, so a documented flag value exits 0.
@@ -266,6 +277,21 @@ fi
 if grep -rnE 'struct DnsTable|pub mod dns|enum LabCtx|fn with_faults\(|fn with_ctx\(|fn bare\(|states: HashMap|pub unlocked' \
     crates/*/src; then
     echo "tier1: FAILED (removed lab or DNS API reintroduced in crates/*/src)" >&2
+    exit 1
+fi
+
+# API-surface gate: the passive capture has one in-memory form, the
+# columnar dataset, and one JSON writer. Fail if the row-vector
+# dataset, its row type, the row-form JSON writer's mirror structs, the
+# row conversions, the second shared capture, or the row-form
+# generator comes back.
+if grep -rnE 'struct (PassiveDataset|WeightedObservation|ObservationRecord|RevocationRecord|DatasetFile)|fn (to_rows|from_rows|global_dataset|to_weighted)\(' \
+    crates/*/src; then
+    echo "tier1: FAILED (row-form dataset API reintroduced in crates/*/src)" >&2
+    exit 1
+fi
+if grep -rnE 'pub fn generate\(' crates/capture/src; then
+    echo "tier1: FAILED (row-form generate reintroduced in crates/capture/src)" >&2
     exit 1
 fi
 

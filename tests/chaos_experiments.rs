@@ -367,12 +367,12 @@ fn gateway_survives_fault_plan_extremes() {
 
 #[test]
 fn passive_dataset_is_identical_under_chaos_and_counts_truncations() {
-    use iotls_repro::capture::{generate, CaptureCtx};
+    use iotls_repro::capture::{generate_columnar, CaptureCtx};
     let tb = Testbed::global();
-    let clean = generate(tb, 0xCAFE);
-    let chaos = CaptureCtx::new(0xCAFE).with_plan(chaos_plan()).generate(tb);
+    let clean = generate_columnar(tb, 0xCAFE);
+    let chaos = CaptureCtx::new(0xCAFE).with_plan(chaos_plan()).generate_columnar(tb);
     assert_eq!(clean.total_connections(), chaos.total_connections());
-    assert_eq!(clean.observations.len(), chaos.observations.len());
+    assert_eq!(clean.total_rows(), chaos.total_rows());
     assert_eq!(
         clean.revocation_flows.len(),
         chaos.revocation_flows.len()

@@ -2,7 +2,7 @@
 //! that every table/figure renderer produces the expected artifacts.
 
 use iotls_repro::analysis::{figures, tables, FingerprintDb, SharingGraph};
-use iotls_repro::capture::{from_json, global_columnar, global_dataset, to_json};
+use iotls_repro::capture::{from_json, global_columnar, to_json_columnar};
 use iotls_repro::core::{
     analyze_columnar, library_alert_matrix, run_downgrade_probe, run_fingerprint_survey,
     run_interception_audit, run_old_version_scan, run_root_probe, ExperimentCtx,
@@ -11,22 +11,30 @@ use iotls_repro::devices::Testbed;
 
 #[test]
 fn full_dataset_json_roundtrip() {
-    let ds = global_dataset();
-    let json = to_json(ds);
+    let ds = global_columnar();
+    let json = to_json_columnar(ds);
     assert!(json.len() > 100_000, "dataset JSON suspiciously small");
     let back = from_json(&json).expect("roundtrip parses");
-    assert_eq!(back.observations.len(), ds.observations.len());
+    // The parsed dataset exports the same bytes.
+    assert_eq!(to_json_columnar(&back), json);
+    assert_eq!(back.total_rows(), ds.total_rows());
     assert_eq!(back.total_connections(), ds.total_connections());
     assert_eq!(back.revocation_flows.len(), ds.revocation_flows.len());
     // Spot-check structural equality of a few records.
-    for i in [0usize, 7, 1000 % ds.observations.len()] {
-        let a = &ds.observations[i];
-        let b = &back.observations[i];
-        assert_eq!(a.count, b.count);
-        assert_eq!(a.observation.device, b.observation.device);
-        assert_eq!(a.observation.fingerprint, b.observation.fingerprint);
-        assert_eq!(a.observation.offered_suites, b.observation.offered_suites);
+    for i in [0usize, 7, 1000 % ds.total_rows()] {
+        let a = ds.rows().nth(i).expect("row");
+        let b = back.rows().nth(i).expect("row");
+        assert_eq!(a.raw.count(), b.raw.count());
+        let (a, b) = (a.observation(), b.observation());
+        assert_eq!(a.device, b.device);
+        assert_eq!(a.fingerprint, b.fingerprint);
+        assert_eq!(a.offered_suites, b.offered_suites);
     }
+    // The export carries every column the fold reads (the maximum
+    // advertised version is the maximum of the advertised list on
+    // both sides), so the re-read dataset folds to the same analysis.
+    let ctx = ExperimentCtx::new(0);
+    assert_eq!(analyze_columnar(&back, &ctx), analyze_columnar(ds, &ctx));
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //! suite through the public API and asserts the paper's headline
 //! findings (the abstract's numbers).
 
-use iotls_repro::capture::{global_columnar, global_dataset};
+use iotls_repro::capture::global_columnar;
 use iotls_repro::core::{
     analyze_columnar, library_alert_matrix, run_downgrade_probe, run_interception_audit,
     run_old_version_scan, run_root_probe, ExperimentCtx,
@@ -80,7 +80,7 @@ fn passive_headlines_match_paper() {
 
 #[test]
 fn dataset_scale_matches_section_4_1() {
-    let stats = global_dataset().stats();
+    let stats = global_columnar().stats();
     // ≈17M total connections, mean ≈422K, median ≈138K — same order
     // and same mean>median skew.
     assert!(

@@ -15,8 +15,8 @@
 //! All scratch stores live under `target/test_segstore/`.
 
 use iotls_repro::capture::{
-    to_json_columnar, CaptureCtx, ColumnarDataset, DatasetBuilder, RevocationFlow, RevocationKind,
-    SegmentedStore, SegmentedWriter, DEFAULT_SEED,
+    to_json_columnar, CaptureCtx, ColumnarDataset, DatasetBuilder, RevRow, RevocationFlow,
+    RevocationKind, SegmentedStore, SegmentedWriter, DEFAULT_SEED,
 };
 use iotls_repro::core::{
     analyze_columnar, analyze_store, analyze_store_slice, ExperimentCtx, PassiveAnalysis,
@@ -28,7 +28,7 @@ use iotls_repro::simnet::TlsObservation;
 use iotls_repro::tls::alert::AlertDescription;
 use iotls_repro::tls::fingerprint::FingerprintId;
 use iotls_repro::tls::version::ProtocolVersion;
-use iotls_repro::x509::Month;
+use iotls_repro::x509::{Month, Timestamp};
 use std::path::{Path, PathBuf};
 
 /// A scratch path under `target/test_segstore/`, wiped per test.
@@ -253,6 +253,17 @@ fn append_then_reopen_equals_one_shot_build_at_any_thread_count() {
     std::fs::remove_dir_all(&appended).ok();
 }
 
+/// One interned flow of `ds`, with its names resolved.
+fn decode_flow(ds: &ColumnarDataset, f: &RevRow) -> RevocationFlow {
+    RevocationFlow {
+        time: Timestamp(f.time),
+        device: ds.strings.resolve(f.device).into(),
+        kind: f.kind,
+        url: ds.strings.resolve(f.url).into(),
+        count: f.count,
+    }
+}
+
 /// Brute force: rebuild a corpus containing ONLY the rows (and
 /// flows) inside the slice, then analyze it in memory.
 fn brute_force_slice(
@@ -261,18 +272,18 @@ fn brute_force_slice(
     to: i64,
     device: Option<&str>,
 ) -> PassiveAnalysis {
-    let rows = ds.to_rows();
     let mut b = DatasetBuilder::new();
     let mut chunks = Vec::new();
-    for w in &rows.observations {
-        let t = w.observation.time.0;
-        if t >= from && t <= to && device.is_none_or(|d| d == w.observation.device) {
-            b.push_obs(&w.observation, w.count, &mut |c| chunks.push(c));
+    for r in ds.rows() {
+        let o = r.observation();
+        let t = o.time.0;
+        if t >= from && t <= to && device.is_none_or(|d| d == o.device) {
+            b.push_obs(&o, r.raw.count(), &mut |c| chunks.push(c));
         }
     }
-    for f in &rows.revocation_flows {
+    for f in ds.revocation_flows.iter().map(|f| decode_flow(ds, f)) {
         if f.time.0 >= from && f.time.0 <= to && device.is_none_or(|d| d == f.device) {
-            b.push_flow(f);
+            b.push_flow(&f);
         }
     }
     b.flush(&mut |c| chunks.push(c));
@@ -426,19 +437,19 @@ fn append_interns_against_the_existing_symbol_tables() {
     );
 
     // The combined analysis equals analyzing the concatenated rows.
-    let mut both = day1.to_rows();
-    let more = day2.to_rows();
-    both.observations.extend(more.observations);
-    both.revocation_flows.extend(more.revocation_flows);
     let mut b = DatasetBuilder::new();
     let mut chunks = Vec::new();
-    for w in &both.observations {
-        b.push_obs(&w.observation, w.count, &mut |c| chunks.push(c));
+    for day in [&day1, &day2] {
+        for r in day.rows() {
+            b.push_obs(&r.observation(), r.raw.count(), &mut |c| chunks.push(c));
+        }
     }
-    for f in &both.revocation_flows {
-        b.push_flow(f);
+    for day in [&day1, &day2] {
+        for f in &day.revocation_flows {
+            b.push_flow(&decode_flow(day, f));
+        }
     }
-    b.truncated = both.truncated;
+    b.truncated = day1.truncated;
     b.flush(&mut |c| chunks.push(c));
     let merged = b.into_dataset(chunks);
     let ctx = ExperimentCtx::new(0x10AD);
