@@ -379,10 +379,14 @@ impl<'a> Parser<'a> {
         }
     }
 
+    /// Exactly four ASCII hex digits (no sign, unlike
+    /// `u32::from_str_radix`).
     fn hex4(&mut self) -> Option<u32> {
         let digits = self.bytes.get(self.pos..self.pos + 4)?;
-        let s = std::str::from_utf8(digits).ok()?;
-        let v = u32::from_str_radix(s, 16).ok()?;
+        let mut v = 0;
+        for &b in digits {
+            v = v << 4 | char::from(b).to_digit(16)?;
+        }
         self.pos += 4;
         Some(v)
     }
@@ -476,6 +480,8 @@ mod tests {
             "[1] trailing",
             "\"\\q\"",
             "\"\\ud800\"",
+            "\"\\u+041\"",
+            "\"\\u-041\"",
             "nullx",
             "--1",
         ] {

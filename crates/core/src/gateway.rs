@@ -58,7 +58,7 @@ use iotls_obs::Registry;
 use iotls_simnet::mux::{
     replay_flow_chained, replay_flow_with, AcceptLoop, ReplayOutcome, ReplayScratch, SessionFlow,
 };
-use iotls_simnet::{FailureCause, FaultSampler, InjectedFault, Pool, SessionFaults};
+use iotls_simnet::{FailureCause, FaultKeyPrefix, InjectedFault, Pool, SessionFaults};
 use iotls_tls::client::ClientConnection;
 use iotls_tls::middleware::{Chain, ChainStats, Signal, Stage};
 use iotls_tls::server::ServerConnection;
@@ -395,8 +395,8 @@ struct Ticket {
 }
 
 /// One worker's state for a whole run: replay scratch, one chain slot
-/// per roster endpoint, and the buffer the fault-draw key is written
-/// into.
+/// per roster endpoint, and the buffer the per-try rest of the
+/// fault-draw key (`{seq}/try{n}`) is written into.
 struct WorkerState {
     scratch: ReplayScratch,
     chains: Vec<Option<Chain>>,
@@ -557,7 +557,15 @@ impl<'a> Gateway<'a> {
     /// and emits the final report. Byte-identical at any
     /// [`ExperimentCtx::threads`].
     pub fn run(&self) -> GatewayReport {
+        // Every fault-draw key of a flow starts `gw/{device}/{endpoint}/`:
+        // absorb that prefix into the plan's fork once per flow per run,
+        // so each draw hashes only its `{seq}/try{n}`.
         let sampler = self.ctx.plan().sampler();
+        let prefixes: Vec<FaultKeyPrefix> = self
+            .flows
+            .iter()
+            .map(|e| sampler.key_prefix(&format!("gw/{}/{}/", e.device, e.endpoint)))
+            .collect();
         iotls_simnet::with_pool(
             self.ctx.threads(),
             || WorkerState {
@@ -565,7 +573,7 @@ impl<'a> Gateway<'a> {
                 chains: self.worker_chains(),
                 key: String::new(),
             },
-            |worker, ticket| (ticket, self.drive(&sampler, worker, ticket)),
+            |worker, ticket| (ticket, self.drive(&prefixes, worker, ticket)),
             |pool| self.soak(pool),
         )
     }
@@ -783,15 +791,16 @@ impl<'a> Gateway<'a> {
     /// Drives one ticket on a worker: panic-isolated, pure in
     /// `(ctx.seed, plan, config, ticket)` — middleware chains
     /// included, provided they honour the [`ChainFactory`] contract.
-    /// `sampler` draws from the ctx's plan, derived once per run.
+    /// `prefixes` draw from the ctx's plan, one per flow entry, derived
+    /// once per run.
     fn drive(
         &self,
-        sampler: &FaultSampler,
+        prefixes: &[FaultKeyPrefix],
         worker: &mut WorkerState,
         ticket: Ticket,
     ) -> SessionOutcome {
         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.drive_inner(sampler, worker, ticket)
+            self.drive_inner(prefixes, worker, ticket)
         })) {
             Ok(outcome) => outcome,
             Err(_) => SessionOutcome {
@@ -810,7 +819,7 @@ impl<'a> Gateway<'a> {
     /// cycles are terminal, exactly as in [`crate::ActiveLab`].
     fn drive_inner(
         &self,
-        sampler: &FaultSampler,
+        prefixes: &[FaultKeyPrefix],
         worker: &mut WorkerState,
         ticket: Ticket,
     ) -> SessionOutcome {
@@ -830,7 +839,7 @@ impl<'a> Gateway<'a> {
         let mut chain = chains.get_mut(entry.endpoint_idx).and_then(Option::as_mut);
         let mut stats = FaultStats::default();
         let mut mw = ChainStats::default();
-        if sampler.is_none() {
+        if self.ctx.plan().is_none() {
             // Hot path: no fault-key formatting, no retry loop.
             let (out, verdict) = replay(
                 &entry.flow,
@@ -855,13 +864,9 @@ impl<'a> Gateway<'a> {
         let mut verdict = SessionVerdict::Failed(FailureCause::DnsFailure);
         for try_idx in 0..INLINE_RETRY_BUDGET {
             key.clear();
-            write!(
-                key,
-                "gw/{}/{}/{}/try{}",
-                entry.device, entry.endpoint, ticket.seq, try_idx
-            )
-            .expect("formatting into a String cannot fail");
-            let faults = sampler.session_faults(key);
+            write!(key, "{}/try{}", ticket.seq, try_idx)
+                .expect("formatting into a String cannot fail");
+            let faults = prefixes[ticket.flow_idx].session_faults(key);
 
             if faults.dns.is_some() {
                 stats.dns_failures += 1;

@@ -19,8 +19,8 @@ use iotls_devices::{apply_fallback, client_config, DeviceSetup, Testbed, TlsInst
 use iotls_obs::Registry;
 use iotls_rootstore::SimPki;
 use iotls_simnet::{
-    drive_session, record_session_metrics, DriveScratch, FailureCause, GatewayTap, InjectedFault,
-    LinkConditioner, SessionFaults, SessionParams, SessionResult,
+    drive_session, record_session_metrics, DriveScratch, FailureCause, FaultSampler, GatewayTap,
+    InjectedFault, LinkConditioner, SessionFaults, SessionParams, SessionResult,
 };
 use iotls_tls::client::{ClientConnection, HandshakeFailure};
 use iotls_tls::middleware::Chain;
@@ -29,6 +29,7 @@ use iotls_x509::cache::{CacheStats, VerificationCache};
 use iotls_x509::{Timestamp, ValidationPolicy};
 use std::borrow::Cow;
 use std::collections::BTreeSet;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// How many times one logical attempt transparently re-dials after a
@@ -209,9 +210,11 @@ pub struct ActiveLab<'a> {
     /// The on-path attacker, shared read-only with every other lab
     /// built from the same [`LabSeed`].
     attacker: Arc<Attacker>,
-    /// The fault plan comes from here; the lab holds no parallel
-    /// copies of the ctx's fields.
-    ctx: &'a ExperimentCtx,
+    /// The ctx's fault plan, with its DRBG fork derived once per lab.
+    sampler: FaultSampler,
+    /// The buffer each try's fault-draw key is written into, when the
+    /// plan can fire.
+    fault_key: String,
     state: DeviceState,
     rng: Drbg,
     now: Timestamp,
@@ -246,7 +249,7 @@ impl<'a> ActiveLab<'a> {
     /// engines stay intact.
     pub fn new(
         testbed: &'a Testbed,
-        ctx: &'a ExperimentCtx,
+        ctx: &ExperimentCtx,
         lab_seed: &LabSeed,
         device: &'a DeviceSetup,
     ) -> ActiveLab<'a> {
@@ -254,7 +257,8 @@ impl<'a> ActiveLab<'a> {
             testbed,
             device,
             attacker: Arc::clone(&lab_seed.attacker),
-            ctx,
+            sampler: ctx.plan().sampler(),
+            fault_key: String::new(),
             state: DeviceState::default(),
             rng: Drbg::from_seed(lab_seed.seed).fork("active-lab"),
             now: iotls_rootstore::probe_time(),
@@ -416,10 +420,14 @@ impl<'a> ActiveLab<'a> {
         for try_idx in 0..INLINE_RETRY_BUDGET {
             let seq = self.attempt_seq;
             self.attempt_seq += 1;
-            let faults = self
-                .ctx
-                .plan()
-                .session_faults(&format!("{conn_key}/try{seq}"));
+            let faults = if self.sampler.is_none() {
+                SessionFaults::none()
+            } else {
+                self.fault_key.clear();
+                write!(self.fault_key, "{conn_key}/try{seq}")
+                    .expect("formatting into a String cannot fail");
+                self.sampler.session_faults(&self.fault_key)
+            };
 
             let mut cfg = client_config(&spec, device.truth.store.clone());
             cfg.verify_cache = Some(Arc::clone(&self.verify_cache));
@@ -476,13 +484,12 @@ impl<'a> ActiveLab<'a> {
                 server_rng,
                 self.drive_scratch.take_server(),
             );
-            let payload = dest.payload.clone().unwrap_or_else(|| "ping".into());
             let mut conditioner = LinkConditioner::new(SessionFaults {
-                ops: faults.ops.clone(),
+                ops: faults.ops,
                 dns: None,
             });
             let params = SessionParams {
-                client_payload: Some(payload.as_bytes()),
+                client_payload: Some(dest.payload.as_deref().unwrap_or("ping").as_bytes()),
                 server_payload: Some(b"ok"),
             };
             self.tap().reset();

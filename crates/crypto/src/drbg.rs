@@ -7,6 +7,13 @@
 //! SHA-256, and independent streams can be forked by label so that
 //! adding randomness consumption in one subsystem does not perturb
 //! another.
+//!
+//! Callers that fork many labels sharing one prefix (the gateway's
+//! per-session fault draws) absorb the prefix once with
+//! [`Drbg::fork_prefix`] and hash only each label's rest; the forked
+//! stream is the one [`Drbg::fork`] derives from the whole label. The
+//! draws (`next_u64`, `below`, `range`, `chance`) are `#[inline]` so
+//! callers in other crates can fold constant bounds.
 
 use crate::chacha20::ChaCha20;
 use crate::sha256::Sha256;
@@ -18,13 +25,34 @@ pub struct Drbg {
     seed_key: [u8; 32],
 }
 
+/// The hash state of a fork label's fixed prefix, absorbed once by
+/// [`Drbg::fork_prefix`]: `fork_prefix(p).fork(r)` is `fork(p + r)`,
+/// at the cost of hashing only `r`.
+#[derive(Clone)]
+pub struct ForkPrefix {
+    absorbed: Sha256,
+}
+
+impl ForkPrefix {
+    /// Forks the stream labelled by the absorbed prefix followed by
+    /// `rest`.
+    pub fn fork(&self, rest: &str) -> Drbg {
+        let mut h = self.absorbed.clone();
+        h.update(rest.as_bytes());
+        Drbg::from_key(h.finalize())
+    }
+}
+
 impl Drbg {
     /// Creates a DRBG from a 64-bit seed.
     pub fn from_seed(seed: u64) -> Self {
         let mut h = Sha256::new();
         h.update(b"iotls-drbg-v1");
         h.update(&seed.to_be_bytes());
-        let key = h.finalize();
+        Drbg::from_key(h.finalize())
+    }
+
+    fn from_key(key: [u8; 32]) -> Drbg {
         Drbg {
             cipher: ChaCha20::new(&key, &[0u8; 12], 0),
             seed_key: key,
@@ -34,23 +62,27 @@ impl Drbg {
     /// Forks an independent stream identified by `label`. Draws from
     /// the fork never affect the parent.
     pub fn fork(&self, label: &str) -> Drbg {
+        self.fork_prefix(label).fork("")
+    }
+
+    /// Absorbs `prefix`, the fixed start of a family of fork labels,
+    /// so each fork of the family hashes only the rest of its label.
+    pub fn fork_prefix(&self, prefix: &str) -> ForkPrefix {
         let mut h = Sha256::new();
         h.update(b"iotls-drbg-fork");
         h.update(&self.seed_key);
-        h.update(label.as_bytes());
-        let key = h.finalize();
-        Drbg {
-            cipher: ChaCha20::new(&key, &[0u8; 12], 0),
-            seed_key: key,
-        }
+        h.update(prefix.as_bytes());
+        ForkPrefix { absorbed: h }
     }
 
     /// Fills `buf` with random bytes.
+    #[inline]
     pub fn fill_bytes(&mut self, buf: &mut [u8]) {
         self.cipher.keystream(buf);
     }
 
     /// Draws a uniform `u64`.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let mut b = [0u8; 8];
         self.fill_bytes(&mut b);
@@ -64,6 +96,7 @@ impl Drbg {
 
     /// Draws a uniform integer in `[0, bound)` using rejection
     /// sampling (unbiased). `bound` must be nonzero.
+    #[inline]
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "Drbg::below zero bound");
         let zone = u64::MAX - (u64::MAX % bound);
@@ -76,12 +109,14 @@ impl Drbg {
     }
 
     /// Draws a uniform integer in the inclusive range `[lo, hi]`.
+    #[inline]
     pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
         assert!(lo <= hi, "Drbg::range inverted bounds");
         lo + self.below(hi - lo + 1)
     }
 
     /// Bernoulli draw: true with probability `p` (clamped to `[0, 1]`).
+    #[inline]
     pub fn chance(&mut self, p: f64) -> bool {
         let p = p.clamp(0.0, 1.0);
         (self.next_u64() as f64 / u64::MAX as f64) < p
@@ -156,6 +191,40 @@ mod tests {
                 0x8030_59ac_7e5b_6683,
             ]
         );
+    }
+
+    /// A prefix absorbed once forks what the whole label forks, at
+    /// every split point (empty prefix and empty rest included) of the
+    /// empty label, labels that end inside the first hash block (whose
+    /// first 47 bytes are the fork's domain and seed key), a gateway
+    /// fault key that crosses it, and a label that spans three blocks.
+    #[test]
+    fn fork_prefix_forks_what_the_joined_label_forks() {
+        let base = Drbg::from_seed(0x6A7E).fork("fault-plan");
+        let long = "gw/Zmodo Doorbell/api.zmodo.example/".repeat(4) + "917/try5";
+        let labels = [
+            "",
+            "a",
+            "0123456789abcdef",
+            "gw/Zmodo Doorbell/api.zmodo.example/7/try0",
+        ];
+        for label in labels.into_iter().chain([long.as_str()]) {
+            let mut want = base.fork(label);
+            let want: Vec<u64> = (0..20).map(|_| want.next_u64()).collect();
+            for split in 0..=label.len() {
+                let (prefix, rest) = label.split_at(split);
+                let absorbed = base.fork_prefix(prefix);
+                let mut got = absorbed.fork(rest);
+                let got: Vec<u64> = (0..20).map(|_| got.next_u64()).collect();
+                assert_eq!(got, want, "{label:?} split at {split}");
+                // The prefix is reusable: a second fork draws the same.
+                assert_eq!(
+                    absorbed.fork(rest).next_u64(),
+                    want[0],
+                    "{label:?} at {split}"
+                );
+            }
+        }
     }
 
     #[test]

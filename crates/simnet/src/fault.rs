@@ -14,8 +14,15 @@
 //! DNS faults never reach the link: the caller reads
 //! [`SessionFaults::dns`] before it dials, and a drawn DNS fault ends
 //! that try before any byte flows.
+//!
+//! Every draw runs one routine over a DRBG forked by the session key,
+//! reached two ways: [`FaultSampler::session_faults`] forks by the
+//! whole key, and a [`FaultKeyPrefix`] (built once per family of keys
+//! that share a fixed start, such as the gateway's
+//! `gw/{device}/{endpoint}/`) forks by the rest of the key only. Both
+//! hash the same bytes, so they draw the same faults for the same key.
 
-use iotls_crypto::drbg::Drbg;
+use iotls_crypto::drbg::{Drbg, ForkPrefix};
 
 /// Why a session failed, when the cause was the *network* rather than
 /// either TLS endpoint. Endpoint-level failures (validation rejection,
@@ -228,44 +235,22 @@ impl FaultPlan {
             fork: (!self.is_none()).then(|| Drbg::from_seed(self.seed).fork("fault-plan")),
         }
     }
-}
 
-/// A [`FaultPlan`] with the DRBG fork all its sessions derive from
-/// computed once, so each draw costs one fork by the session key
-/// instead of three. Draws the identical schedule as
-/// [`FaultPlan::session_faults`], which delegates here.
-pub struct FaultSampler {
-    plan: FaultPlan,
-    /// The plan's fork; `None` when no fault class can fire.
-    fork: Option<Drbg>,
-}
-
-impl FaultSampler {
-    /// True when no fault class can ever fire.
-    pub fn is_none(&self) -> bool {
-        self.fork.is_none()
-    }
-
-    /// The faults the session identified by `key` experiences; see
-    /// [`FaultPlan::session_faults`].
-    pub fn session_faults(&self, key: &str) -> SessionFaults {
-        let Some(fork) = &self.fork else {
-            return SessionFaults::none();
-        };
-        let plan = &self.plan;
-        let mut rng = fork.fork(key);
+    /// The one draw routine behind both entries: every class is drawn
+    /// from `rng`, the session key's fork, in a fixed order.
+    fn draw(&self, mut rng: Drbg) -> SessionFaults {
         let mut ops = Vec::new();
         // Draw every class unconditionally so each decision consumes
         // the same DRBG stream regardless of earlier outcomes.
-        let reset = rng.chance(plan.reset_pm as f64 / 1000.0);
+        let reset = rng.chance(self.reset_pm as f64 / 1000.0);
         let reset_offset = rng.range(16, 2600);
-        let garble = rng.chance(plan.garble_pm as f64 / 1000.0);
+        let garble = rng.chance(self.garble_pm as f64 / 1000.0);
         let garble_offset = rng.range(6, 2200);
-        let stall = rng.chance(plan.stall_pm as f64 / 1000.0);
+        let stall = rng.chance(self.stall_pm as f64 / 1000.0);
         let stall_round = rng.range(1, 3) as usize;
-        let cycle = rng.chance(plan.power_cycle_pm as f64 / 1000.0);
+        let cycle = rng.chance(self.power_cycle_pm as f64 / 1000.0);
         let cycle_round = rng.range(1, 3) as usize;
-        let dns = rng.chance(plan.dns_fail_pm as f64 / 1000.0);
+        let dns = rng.chance(self.dns_fail_pm as f64 / 1000.0);
         let dns_kind = if rng.chance(0.5) {
             DnsFault::NxDomain
         } else {
@@ -294,6 +279,63 @@ impl FaultSampler {
         SessionFaults {
             ops,
             dns: dns.then_some(dns_kind),
+        }
+    }
+}
+
+/// A [`FaultPlan`] with the DRBG fork all its sessions derive from
+/// computed once, so each draw costs one fork by the session key
+/// instead of three. Draws the identical schedule as
+/// [`FaultPlan::session_faults`], which delegates here.
+pub struct FaultSampler {
+    plan: FaultPlan,
+    /// The plan's fork; `None` when no fault class can fire.
+    fork: Option<Drbg>,
+}
+
+impl FaultSampler {
+    /// True when no fault class can ever fire.
+    pub fn is_none(&self) -> bool {
+        self.fork.is_none()
+    }
+
+    /// The faults the session identified by `key` experiences; see
+    /// [`FaultPlan::session_faults`].
+    pub fn session_faults(&self, key: &str) -> SessionFaults {
+        match &self.fork {
+            Some(fork) => self.plan.draw(fork.fork(key)),
+            None => SessionFaults::none(),
+        }
+    }
+
+    /// Absorbs `prefix`, the fixed start of a family of session keys,
+    /// into the plan's fork once; see [`FaultKeyPrefix`].
+    pub fn key_prefix(&self, prefix: &str) -> FaultKeyPrefix {
+        FaultKeyPrefix {
+            plan: self.plan,
+            absorbed: self.fork.as_ref().map(|fork| fork.fork_prefix(prefix)),
+        }
+    }
+}
+
+/// A session-key prefix absorbed into a [`FaultSampler`]'s fork once:
+/// [`FaultKeyPrefix::session_faults`] draws for the key `prefix + rest`
+/// exactly what [`FaultSampler::session_faults`] draws for it, hashing
+/// only `rest`.
+pub struct FaultKeyPrefix {
+    plan: FaultPlan,
+    /// The prefix absorbed into the plan's fork; `None` when no fault
+    /// class can fire.
+    absorbed: Option<ForkPrefix>,
+}
+
+impl FaultKeyPrefix {
+    /// The faults of the session keyed by the prefix followed by
+    /// `rest`.
+    pub fn session_faults(&self, rest: &str) -> SessionFaults {
+        match &self.absorbed {
+            Some(absorbed) => self.plan.draw(absorbed.fork(rest)),
+            None => SessionFaults::none(),
         }
     }
 }
@@ -526,6 +568,48 @@ mod tests {
                     "{pm} pm, {key}"
                 );
             }
+        }
+    }
+
+    /// A prefix absorbed once draws what the joined key draws, over
+    /// gateway-shaped keys split where the gateway splits them (after
+    /// `gw/{device}/{endpoint}/`), at empty prefixes and rests, and at
+    /// every split point of a few keys.
+    #[test]
+    fn prefixed_draws_match_the_joined_key() {
+        let endpoints = [
+            ("Zmodo Doorbell", "api.zmodo.example"),
+            ("Amazon Echo Dot", "device-metrics-us.amazon.example"),
+            ("Yi Camera", "a"),
+        ];
+        for pm in [0, 20, 1000] {
+            let sampler = FaultPlan::uniform(0x5A3D, pm).sampler();
+            let mut drawn = 0;
+            for (device, endpoint) in endpoints {
+                let prefix = format!("gw/{device}/{endpoint}/");
+                let absorbed = sampler.key_prefix(&prefix);
+                for seq in 0..1_000u64 {
+                    let rest = format!("{seq}/try{}", seq % 6);
+                    let want = sampler.session_faults(&format!("{prefix}{rest}"));
+                    assert_eq!(
+                        absorbed.session_faults(&rest),
+                        want,
+                        "{pm} pm, {prefix}{rest}"
+                    );
+                    drawn += !want.is_clean() as u32;
+                }
+                let key = format!("{prefix}17/try3");
+                for split in 0..=key.len() {
+                    let (head, rest) = key.split_at(split);
+                    assert_eq!(
+                        sampler.key_prefix(head).session_faults(rest),
+                        sampler.session_faults(&key),
+                        "{pm} pm, {key:?} split at {split}"
+                    );
+                }
+            }
+            // The keys exercise real draws, not only clean ones.
+            assert_eq!(drawn > 0, pm > 0, "{pm} pm");
         }
     }
 

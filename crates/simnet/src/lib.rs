@@ -41,8 +41,8 @@ pub mod tap;
 pub use driver::{drive_session, sessions_driven, DriveScratch, SessionParams, SessionResult};
 pub use events::{EventQueue, SimClock};
 pub use fault::{
-    DnsFault, FailureCause, FaultOp, FaultPlan, FaultSampler, InjectedFault, LinkConditioner,
-    SessionFaults,
+    DnsFault, FailureCause, FaultKeyPrefix, FaultOp, FaultPlan, FaultSampler, InjectedFault,
+    LinkConditioner, SessionFaults,
 };
 pub use metrics::record_session_metrics;
 pub use mux::{

@@ -9,7 +9,9 @@
 //!
 //! The worker pool the gateway hands its batches to is held to the
 //! same discipline per batch: once warm, a batch of 4,096 items costs
-//! no more allocations than one of 64.
+//! no more allocations than one of 64. A fault draw, through either
+//! entry, allocates only the `ops` list it returns: once when a fault
+//! op was drawn, never for a draw without one.
 //!
 //! It also pins the encode path's byte identity: the sans-IO
 //! [`write_record`] writer must produce exactly the bytes of the
@@ -20,7 +22,7 @@
 use iotls_crypto::drbg::Drbg;
 use iotls_crypto::rsa::RsaPrivateKey;
 use iotls_simnet::mux::{replay_flow_chained, replay_flow_with, ReplayScratch, SessionFlow};
-use iotls_simnet::{with_pool, SessionFaults};
+use iotls_simnet::{with_pool, FaultPlan, SessionFaults};
 use iotls_tls::client::{ClientConfig, ClientConnection};
 use iotls_tls::middleware::{Chain, RecordCounter};
 use iotls_tls::record::MAX_FRAGMENT;
@@ -30,6 +32,7 @@ use iotls_tls::{write_record, ContentType, Record, SessionBuf};
 use iotls_x509::{CertifiedKey, DistinguishedName, IssueParams, RootStore, Timestamp};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};
 
@@ -83,12 +86,27 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// allocations out of a concurrent measurement window).
 static MEASURE: Mutex<()> = Mutex::new(());
 
+/// The measurement lock, held for a test's whole body, while this
+/// thread's allocations count.
+struct Measured {
+    _lock: MutexGuard<'static, ()>,
+}
+
+impl Drop for Measured {
+    /// Stops counting this thread before the lock is released, so what
+    /// the harness allocates on it after the test returns (reporting
+    /// the result) never lands in the next test's window.
+    fn drop(&mut self) {
+        COUNTED.with(|c| c.set(false));
+    }
+}
+
 /// Takes the measurement lock and counts this thread's allocations
-/// from here on.
-fn measured() -> MutexGuard<'static, ()> {
-    let guard = MEASURE.lock().unwrap();
+/// until the returned guard drops.
+fn measured() -> Measured {
+    let lock = MEASURE.lock().unwrap();
     count_this_thread();
-    guard
+    Measured { _lock: lock }
 }
 
 fn allocations() -> u64 {
@@ -232,6 +250,42 @@ fn a_warm_pool_allocates_no_more_for_a_long_batch_than_a_short_one() {
         );
         assert!(short <= 1, "a batch allocates only its output vector, made {short}");
     });
+}
+
+#[test]
+fn a_fault_draw_allocates_only_the_ops_it_returns() {
+    let _guard = measured();
+    let sampler = FaultPlan::uniform(0xA110F, 300).sampler();
+    let prefix = "gw/Zmodo Doorbell/api.zmodo.example/";
+    let absorbed = sampler.key_prefix(prefix);
+    let mut rest = String::with_capacity(64);
+    let mut key = String::with_capacity(128);
+    let mut drawn = [0u32; 2]; // [without ops, with ops]
+    for seq in 0..2_000u64 {
+        rest.clear();
+        write!(rest, "{seq}/try{}", seq % 6).unwrap();
+        key.clear();
+        write!(key, "{prefix}{rest}").unwrap();
+
+        let before = allocations();
+        let prefixed = absorbed.session_faults(&rest);
+        let prefixed_allocs = allocations() - before;
+        let before = allocations();
+        let whole = sampler.session_faults(&key);
+        let whole_allocs = allocations() - before;
+
+        let want = u64::from(!prefixed.ops.is_empty());
+        assert_eq!(
+            prefixed_allocs, want,
+            "prefixed draw of {key}: {prefixed:?}"
+        );
+        assert_eq!(whole_allocs, want, "whole-key draw of {key}: {whole:?}");
+        drawn[want as usize] += 1;
+    }
+    assert!(
+        drawn.iter().all(|&n| n > 100),
+        "both kinds of draw must be common: {drawn:?}"
+    );
 }
 
 #[test]

@@ -164,6 +164,22 @@ cargo test -q --offline --test chaos_experiments chaos_runs_are_deterministic
 cargo test -q --offline -p iotls-capture --lib -- json::tests serialize::tests
 cargo test -q --offline --test dataset_and_reports full_dataset_json_roundtrip
 cargo test -q --offline -p iotls --lib passive::tests::accumulator_matches_legacy_row_scan_exactly
+# Fault draws at half the cost, with the schedule unchanged: the
+# two-block AVX2 ChaCha20 refill against the scalar block (random keys
+# and nonces, counters at the u32 wrap, every chunking from 1 to 130
+# bytes, through the keystream and XOR buffering); a fork prefix
+# absorbed once against the fork of the joined label at every split
+# point; the prefixed fault draw against the whole-key draw over
+# gateway-shaped keys; one allocation per draw that returns fault ops
+# and none otherwise; and the pinned fork stream and per-class draws
+# that hold the schedule itself. Also in the workspace run; repeated by
+# name so a keystream, fork or draw drift is called out explicitly.
+cargo test -q --offline -p iotls-crypto --lib -- chacha20::tests::refill_paths_match_the_scalar_block \
+    drbg::tests::fork_prefix_forks_what_the_joined_label_forks \
+    drbg::tests::fault_plan_fork_stream_is_pinned
+cargo test -q --offline -p iotls-simnet --lib -- fault::tests::prefixed_draws_match_the_joined_key \
+    fault::tests::session_faults_are_pinned
+cargo test -q --offline -p iotls-simnet --test alloc_discipline a_fault_draw_allocates_only_the_ops_it_returns
 # Quickstart under faults: every connection recovers through the lab's
 # reconnect budget and an outcome still tainted after it is printed,
 # not asserted on, so a documented flag value exits 0.
