@@ -996,8 +996,8 @@ impl ColumnarStore {
         let sni = optional_symbols_needed(f.column(&mut chunk.sni, n)?);
         let fingerprint = symbols_needed(f.column(&mut chunk.fingerprint, n)?);
         let leaf_issuer = optional_symbols_needed(f.column(&mut chunk.leaf_issuer, n)?);
-        f.column(&mut chunk.max_adv, n)?;
-        f.column(&mut chunk.neg_version, n)?;
+        let max_adv = version_spread(f.column(&mut chunk.max_adv, n)?, false);
+        let neg_version = version_spread(f.column(&mut chunk.neg_version, n)?, true);
         f.column(&mut chunk.neg_suite, n)?;
         f.column(&mut chunk.flags, n)?;
         f.column(&mut chunk.count, n)?;
@@ -1052,9 +1052,38 @@ impl ColumnarStore {
         if alerts_c2s > u8s || alerts_s2c > u8s {
             return Err(StoreError::Corrupt("u8 span outside pool"));
         }
+        // Versions: known wires only, where `neg_version` may be 0
+        // (none negotiated); the advertised ones sit in the u16 pool.
+        // The writer interns each list once per chunk, so rows often
+        // repeat the span before them: checked once, it is skipped.
+        let pool = &chunk.pool_u16;
+        let mut advertised = 0;
+        let mut last = None;
+        for &span in &chunk.adv_versions {
+            if last == Some(span) {
+                continue;
+            }
+            last = Some(span);
+            let (off, len) = span;
+            for &w in &pool[off as usize..][..len as usize] {
+                advertised = advertised.max(w.wrapping_sub(SSL30));
+            }
+        }
+        if max_adv.max(neg_version).max(advertised) > TLS13 - SSL30 {
+            return Err(StoreError::Corrupt(UNKNOWN_VERSION));
+        }
         Ok(())
     }
 }
+
+/// What the frame reader reports for a version column or advertised
+/// version outside SSL 3.0 to TLS 1.3.
+const UNKNOWN_VERSION: &str = "version wire outside SSL 3.0 to TLS 1.3";
+
+/// The wires of SSL 3.0 and TLS 1.3, the oldest and newest versions a
+/// row can hold.
+const SSL30: u16 = 0x0300;
+const TLS13: u16 = 0x0304;
 
 /// What `open` and the frame reader report for a directory entry too
 /// short for the fixed-width columns its row count implies.
@@ -1201,6 +1230,20 @@ fn optional_symbols_needed(col: &[u32]) -> u64 {
     wide(|| col.iter().fold(0, |m, &s| m.max(s.wrapping_add(1)))) as u64
 }
 
+/// How far a version column's wires reach above SSL 3.0, as wrapping
+/// `u16` differences (0 for an empty column): every wire is a known
+/// version iff it is at most `TLS13 - SSL30`. With `none_ok`, a 0 entry
+/// (no version) counts as SSL 3.0. A branch-free max reduction, so it
+/// vectorizes.
+fn version_spread(col: &[u16], none_ok: bool) -> u16 {
+    let none = if none_ok { SSL30 } else { 0 };
+    wide(|| {
+        col.iter().fold(0, |m, &w| {
+            m.max((w + u16::from(w == 0) * none).wrapping_sub(SSL30))
+        })
+    })
+}
+
 /// The pruning test a chunk's directory entry and a segment's
 /// manifest entry share: `[min_time, max_time]` overlaps `[from, to]`
 /// and, when `device` is given, its bit is set in `device_bits`.
@@ -1237,6 +1280,7 @@ mod tests {
     use crate::columnar::{ChunkWriter, RowView, CHUNK_ROWS};
     use crate::generate::CaptureCtx;
     use iotls_devices::Testbed;
+    use iotls_tls::ProtocolVersion;
     use std::path::PathBuf;
 
     #[test]
@@ -1438,6 +1482,18 @@ mod tests {
         }
         if !span_ok(&alerts_c2s, pool_u8.len()) || !span_ok(&alerts_s2c, pool_u8.len()) {
             return Err(StoreError::Corrupt("u8 span outside pool"));
+        }
+        let known = |w: &u16| ProtocolVersion::from_wire(*w).is_some();
+        let advertised_known = adv_versions.iter().all(|&(off, len)| {
+            pool_u16[off as usize..off as usize + len as usize]
+                .iter()
+                .all(known)
+        });
+        if !max_adv.iter().all(known)
+            || !neg_version.iter().all(|w| *w == 0 || known(w))
+            || !advertised_known
+        {
+            return Err(StoreError::Corrupt(UNKNOWN_VERSION));
         }
 
         Ok(ObsChunk {
@@ -1650,6 +1706,14 @@ mod tests {
             f[at..at + 4].copy_from_slice(&v.to_le_bytes());
             f
         };
+        let set16 = |at: usize, v: u16| {
+            let mut f = frame.clone();
+            f[at..at + 2].copy_from_slice(&v.to_le_bytes());
+            f
+        };
+        // Row 0 advertises [0x0302, 0x0303] from this u16 pool offset.
+        let adv_pool = fixed + 4 + 2 * word(&frame, adv_off) as usize;
+        assert_eq!(frame[adv_pool..adv_pool + 4], [0x02, 0x03, 0x03, 0x03]);
         let mut trailing = frame.clone();
         trailing.extend_from_slice(&[0, 0]);
         let row_symbol = "Corrupt(\"row symbol outside string table\")";
@@ -1658,6 +1722,8 @@ mod tests {
         let u16_span = "Corrupt(\"u16 span outside pool\")";
         let u8_span = "Corrupt(\"u8 span outside pool\")";
         let short = "Corrupt(\"chunk frame shorter than its row count\")";
+        let version = "Corrupt(\"version wire outside SSL 3.0 to TLS 1.3\")";
+        let (max_adv, neg_version) = (28 * n, 30 * n);
         // Offsets count from the start of the segment file: its 20-byte
         // header, the 201 bytes of fixed columns, the pool's length.
         assert_eq!((HEADER_LEN as usize, fixed), (20, 201));
@@ -1673,6 +1739,21 @@ mod tests {
             ("version span past its pool", set(adv_off, pool_u16), u16_span),
             ("suite span offset at u32::MAX", set(suites_off + 8, u32::MAX), u16_span),
             ("alert span past its pool", set(c2s_off + 4, pool_u8), u8_span),
+            (
+                "max advertised version 0x9999",
+                set16(max_adv + 2, 0x9999),
+                version,
+            ),
+            (
+                "negotiated version 0x9999",
+                set16(neg_version, 0x9999),
+                version,
+            ),
+            (
+                "advertised version 0x9999",
+                set16(adv_pool + 2, 0x9999),
+                version,
+            ),
             ("u16 pool length overruns the frame", set(fixed, u32::MAX), pool_overrun),
             ("u8 pool length overruns the frame", set(u8_word, pool_u8 + 1), "Truncated"),
             ("frame cut inside its u8 pool", frame[..frame.len() - 1].to_vec(), "Truncated"),

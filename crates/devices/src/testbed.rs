@@ -36,15 +36,14 @@ impl Testbed {
     /// Builds the testbed over the global PKI.
     pub fn build() -> Testbed {
         let pki = SimPki::global();
-        let mut devices = Vec::new();
-        let mut cloud = CloudRegistry::new();
-        for spec in roster() {
-            let truth = build_root_truth(pki, &spec.name, &spec.root_store);
-            for dest in &spec.destinations {
-                cloud.provision(pki, dest, &truth);
-            }
-            devices.push(DeviceSetup { spec, truth });
-        }
+        let devices: Vec<DeviceSetup> = roster()
+            .into_iter()
+            .map(|spec| {
+                let truth = build_root_truth(pki, &spec.name, &spec.root_store);
+                DeviceSetup { spec, truth }
+            })
+            .collect();
+        let cloud = CloudRegistry::build(pki, &devices);
         Testbed {
             pki,
             devices,
@@ -130,6 +129,47 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn every_cloud_endpoint_is_pinned() {
+        // Each endpoint in hostname order: hostname, public key, a CRT
+        // signature (so the private half is pinned too), leaf
+        // certificate bytes, issuer id and staple.
+        let tb = Testbed::global();
+        let mut hostnames: Vec<&str> = tb
+            .devices
+            .iter()
+            .flat_map(|d| {
+                d.spec
+                    .destinations
+                    .iter()
+                    .map(|dest| dest.hostname.as_str())
+            })
+            .collect();
+        hostnames.sort_unstable();
+        hostnames.dedup();
+        let mut h = iotls_crypto::sha256::Sha256::new();
+        for host in hostnames {
+            let ep = tb.cloud().endpoint(host).unwrap();
+            assert_eq!(ep.hostname, host);
+            h.update(host.as_bytes());
+            h.update(&ep.key.public_key().to_bytes());
+            h.update(&ep.key.sign(b"iotls-endpoint-pin"));
+            for cert in &ep.chain {
+                h.update(&cert.to_bytes());
+            }
+            h.update(&ep.issuer.0.to_be_bytes());
+            match &ep.staple {
+                Some(staple) => {
+                    h.update(&[1]);
+                    h.update(staple);
+                }
+                None => h.update(&[0]),
+            }
+        }
+        let digest = h.finalize();
+        assert_eq!(iotls_crypto::sha256::hex(&digest[..8]), "6b7aefd1c8bb3ede");
     }
 
     #[test]

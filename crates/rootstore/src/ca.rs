@@ -135,40 +135,14 @@ pub struct CaUniverse {
 
 impl CaUniverse {
     /// Builds the universe deterministically from a seed.
+    ///
+    /// The seed's `ca-universe` stream feeds only key generation, one
+    /// key per CA in id order, so all the keys come from one batch
+    /// (see [`RsaPrivateKey::generate_batch`]) before any record is
+    /// built.
     pub fn build(seed: u64) -> CaUniverse {
-        let mut rng = Drbg::from_seed(seed).fork("ca-universe");
-        let mut records = Vec::new();
-        let mut keys = Vec::new();
-        let mut next_id = 0u32;
-
-        let mut push = |name: DistinguishedName,
-                        fate: CaFate,
-                        distrust: Option<Distrust>,
-                        not_after: Timestamp,
-                        records: &mut Vec<CaRecord>,
-                        keys: &mut Vec<RsaPrivateKey>,
-                        rng: &mut Drbg| {
-            let id = CaId(next_id);
-            next_id += 1;
-            let key = RsaPrivateKey::generate(512, rng);
-            let mut params = IssueParams::ca(
-                name.clone(),
-                1_000 + id.0 as u64,
-                Timestamp::from_ymd(2008, 1, 1),
-                0,
-            );
-            params.not_after = not_after;
-            let ck = CertifiedKey::self_signed(params, key);
-            records.push(CaRecord {
-                id,
-                name,
-                cert: ck.cert,
-                fate,
-                distrust,
-            });
-            keys.push(ck.key);
-            id
-        };
+        // (name, fate, distrust, not_after) per CA, in id order.
+        let mut specs = Vec::new();
 
         // 122 common CAs.
         for i in 0..COMMON_COUNT {
@@ -177,15 +151,7 @@ impl CaUniverse {
                 "SimTrust Networks",
                 "US",
             );
-            push(
-                name,
-                CaFate::Common,
-                None,
-                Timestamp::from_ymd(2031, 1, 1),
-                &mut records,
-                &mut keys,
-                &mut rng,
-            );
+            specs.push((name, CaFate::Common, None, Timestamp::from_ymd(2031, 1, 1)));
         }
 
         // 87 deprecated CAs; the four distrusted ones take the first
@@ -219,15 +185,12 @@ impl CaUniverse {
                         )
                     }
                 };
-                push(
+                specs.push((
                     name,
                     CaFate::Deprecated { removal_year: year },
                     distrust,
                     Timestamp::from_ymd(2030, 6, 1),
-                    &mut records,
-                    &mut keys,
-                    &mut rng,
-                );
+                ));
             }
         }
 
@@ -238,17 +201,14 @@ impl CaUniverse {
                 "Legacy PKI Holdings",
                 "US",
             );
-            push(
+            specs.push((
                 name,
                 CaFate::DeprecatedExpired {
                     removal_year: 2014 + (i as i32 % 5),
                 },
                 None,
                 Timestamp::from_ymd(2019, 1, 1), // expired before probe time
-                &mut records,
-                &mut keys,
-                &mut rng,
-            );
+            ));
         }
 
         // Removed-then-re-added CAs (excluded by the re-add rule).
@@ -258,20 +218,44 @@ impl CaUniverse {
                 "SimTrust Networks",
                 "US",
             );
-            push(
+            specs.push((
                 name,
                 CaFate::Readded {
                     removal_year: 2016 + i as i32 % 3,
                 },
                 None,
                 Timestamp::from_ymd(2031, 1, 1),
-                &mut records,
-                &mut keys,
-                &mut rng,
-            );
+            ));
         }
 
-        CaUniverse { records, keys }
+        let mut rng = Drbg::from_seed(seed).fork("ca-universe");
+        let keys = RsaPrivateKey::generate_batch(512, specs.len(), std::slice::from_mut(&mut rng));
+        let mut records = Vec::with_capacity(specs.len());
+        let mut issuing = Vec::with_capacity(specs.len());
+        for (i, ((name, fate, distrust, not_after), key)) in specs.into_iter().zip(keys).enumerate()
+        {
+            let id = CaId(i as u32);
+            let mut params = IssueParams::ca(
+                name.clone(),
+                1_000 + id.0 as u64,
+                Timestamp::from_ymd(2008, 1, 1),
+                0,
+            );
+            params.not_after = not_after;
+            let ck = CertifiedKey::self_signed(params, key);
+            records.push(CaRecord {
+                id,
+                name,
+                cert: ck.cert,
+                fate,
+                distrust,
+            });
+            issuing.push(ck.key);
+        }
+        CaUniverse {
+            records,
+            keys: issuing,
+        }
     }
 
     /// All CA records.
@@ -414,6 +398,19 @@ mod tests {
                 rec.name.common_name
             );
         }
+    }
+
+    #[test]
+    fn every_universe_key_is_pinned() {
+        // Every CA public key in id order, all four fates: the whole
+        // key stream of the universe, pinned through the prime search.
+        let u = universe();
+        let mut keys = Vec::new();
+        for rec in u.records() {
+            keys.extend(rec.cert.tbs.public_key.to_bytes());
+        }
+        let digest = iotls_crypto::sha256::sha256(&keys);
+        assert_eq!(iotls_crypto::sha256::hex(&digest[..8]), "8bbadebbce9d0e62");
     }
 
     #[test]

@@ -180,6 +180,26 @@ cargo test -q --offline -p iotls-crypto --lib -- chacha20::tests::refill_paths_m
 cargo test -q --offline -p iotls-simnet --lib -- fault::tests::prefixed_draws_match_the_joined_key \
     fault::tests::session_faults_are_pinned
 cargo test -q --offline -p iotls-simnet --test alloc_discipline a_fault_draw_allocates_only_the_ops_it_returns
+# Set-up keys on two threads, bit-identical: every CA key of the
+# universe (all four fates) and every cloud endpoint (hostname, key,
+# leaf certificate, issuer and staple), pinned before the prime search
+# moved its later Miller-Rabin rounds onto a helper thread, beside the
+# 209 probe-set keys; the prime batch against the oracle search called
+# in sequence at 18 and 20 bits, where deferred rounds fail and streams
+# rewind, with and without the helper; the RSA batch against sequential
+# key generation; a shared hostname provisioned for its first device;
+# and the one-prime search against the oracle draw for draw. Also in
+# the workspace run; repeated by name so a key, rewind or provisioning
+# drift is called out explicitly.
+cargo test -q --offline -p iotls-crypto --lib -- prime::tests::batches_match_the_oracle_search_draw_for_draw \
+    prime::tests::a_batch_waits_for_its_last_verdict \
+    prime::tests::batch_streams_without_primes_are_left_alone \
+    prime::tests::prime_search_matches_the_oracle_draw_for_draw \
+    rsa::tests::batches_match_sequential_generate
+cargo test -q --offline -p iotls-rootstore --lib -- ca::tests::every_universe_key_is_pinned \
+    tests::probe_set_keys_are_pinned
+cargo test -q --offline -p iotls-devices --lib -- testbed::tests::every_cloud_endpoint_is_pinned \
+    cloud::tests::a_shared_hostname_is_provisioned_for_its_first_device
 # Quickstart under faults: every connection recovers through the lab's
 # reconnect budget and an outcome still tainted after it is printed,
 # not asserted on, so a documented flag value exits 0.
@@ -308,6 +328,14 @@ if grep -rnE 'struct (PassiveDataset|WeightedObservation|ObservationRecord|Revoc
 fi
 if grep -rnE 'pub fn generate\(' crates/capture/src; then
     echo "tier1: FAILED (row-form generate reintroduced in crates/capture/src)" >&2
+    exit 1
+fi
+
+# API-surface gate: the testbed's cloud endpoints are provisioned in
+# one constructor over the devices, whose keys come from one batch.
+# Fail if the per-endpoint provisioning call comes back.
+if grep -rnE 'fn provision\(' crates/devices/src; then
+    echo "tier1: FAILED (per-endpoint provision reintroduced in crates/devices/src)" >&2
     exit 1
 fi
 
