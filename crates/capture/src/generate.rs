@@ -43,6 +43,7 @@ use iotls_tls::middleware::Chain;
 use iotls_tls::server::ServerConnection;
 use iotls_x509::Month;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 
 /// How many times a faulted capture drive is re-driven before the
 /// generator gives up and keeps whatever the tap managed to see.
@@ -301,7 +302,7 @@ fn streamed<A: Send>(
     emit: &mut dyn FnMut(A),
     reg: &mut Registry,
 ) -> ColumnarDataset {
-    let plan = ctx.plan;
+    let sampler = ctx.plan.sampler();
     let root_rng = Drbg::from_seed(ctx.seed);
 
     // Split the timeline's capture rolls into per-device lanes. Every
@@ -331,6 +332,7 @@ fn streamed<A: Send>(
         let mut cache: HashMap<(usize, Month), Option<TlsObservation>> = HashMap::new();
         let mut chain = Chain::new().with(Box::new(GatewayTap::new()));
         let mut scratch = DriveScratch::new();
+        let mut fault_key = String::new();
         let mut obs_reg = Registry::new();
         let mut b = DatasetBuilder::new();
         let mut chunks = Vec::new();
@@ -353,16 +355,20 @@ fn streamed<A: Send>(
                 let observation = cache.entry((dest_idx, phase_start)).or_insert_with(|| {
                     let mut tries = 0;
                     loop {
-                        let fault_key = format!(
-                            "capture/{}/{}/{}/try{}",
-                            device.spec.name,
-                            device.spec.destinations[dest_idx].hostname,
-                            month,
-                            tries
-                        );
-                        let faults = plan.session_faults(&fault_key);
+                        let faults = if sampler.is_none() {
+                            SessionFaults::none()
+                        } else {
+                            fault_key.clear();
+                            write!(
+                                fault_key,
+                                "capture/{}/{}/{}/try{}",
+                                device.spec.name, dest.hostname, month, tries
+                            )
+                            .expect("formatting into a String cannot fail");
+                            sampler.session_faults(&fault_key)
+                        };
                         let result = drive_one(
-                            testbed, device, dest_idx, month, &mut rng, &faults, &mut chain,
+                            testbed, device, dest_idx, month, &mut rng, faults, &mut chain,
                             &mut scratch,
                         );
                         record_session_metrics(&mut obs_reg, &result);
@@ -583,7 +589,7 @@ fn drive_one(
     dest_idx: usize,
     month: Month,
     rng: &mut Drbg,
-    faults: &SessionFaults,
+    faults: SessionFaults,
     chain: &mut Chain,
     scratch: &mut DriveScratch,
 ) -> SessionResult {
@@ -603,9 +609,10 @@ fn drive_one(
         rng.fork(&format!("server/{}/{}", dest.hostname, month)),
         scratch.take_server(),
     );
-    let payload = dest.payload.clone().unwrap_or_else(|| "ping".into());
+    let payload = dest.payload.as_deref().unwrap_or("ping");
+    // A drawn DNS fault is dropped: the capture resolves nothing.
     let mut conditioner = LinkConditioner::new(SessionFaults {
-        ops: faults.ops.clone(),
+        ops: faults.ops,
         dns: None,
     });
     tap(chain).reset();

@@ -342,17 +342,18 @@ impl Uint {
         self.mul(rhs).rem(m)
     }
 
-    /// Modular exponentiation `self^exp mod m`. Odd moduli take the
-    /// Montgomery fixed-window fast path ([`crate::mont::MontCtx`],
-    /// memoized per modulus so the context's R² division is paid once
-    /// per key rather than once per call); even moduli fall back to
-    /// [`Self::modpow_generic`]. Panics if `m` is zero.
+    /// Modular exponentiation `self^exp mod m`, one-shot: an odd
+    /// modulus gets a fresh [`crate::mont::MontCtx`] (one R² division)
+    /// and its windowed ladder, an even one [`Self::modpow_generic`].
+    /// Nothing is cached; an object that exponentiates on one modulus
+    /// again and again holds that modulus's context instead. Panics if
+    /// `m` is zero.
     pub fn modpow(&self, exp: &Uint, m: &Uint) -> Uint {
         assert!(!m.is_zero(), "Uint::modpow zero modulus");
-        if let Some(ctx) = crate::mont::MontCtx::cached(m) {
-            return ctx.modpow(self, exp);
+        match crate::mont::MontCtx::new(m) {
+            Some(ctx) => ctx.modpow(self, exp),
+            None => self.modpow_generic(exp, m),
         }
-        self.modpow_generic(exp, m)
     }
 
     /// Reference modular exponentiation via left-to-right

@@ -12,8 +12,8 @@
 //! clone of the group: `g^x` then costs at most one multiplication per
 //! 4-bit digit of the secret and no squarings. The table is a constant
 //! of the group, the same in every run. Agreement raises the peer's
-//! value, a new base every time, and stays on the variable-base ladder
-//! of `Uint::modpow`.
+//! value, a new base every time, on the variable-base ladder of the
+//! Montgomery context that the table holds for the group's prime.
 
 use crate::bigint::Uint;
 use crate::drbg::Drbg;
@@ -67,14 +67,21 @@ impl DhGroup {
         &self.p
     }
 
+    /// The generator's fixed-base table, built on first use; `None`
+    /// when `p` takes no fixed-width kernel.
+    fn table(&self) -> Option<&FixedBase> {
+        self.table
+            .get_or_init(|| {
+                let longest_secret = secret_bound(&self.p).add(&Uint::one()).bit_len();
+                FixedBase::new(&self.g, &self.p, longest_secret)
+            })
+            .as_ref()
+    }
+
     /// `g^x mod p`: through the fixed-base table, which covers every
     /// secret [`DhKeyPair::generate`] draws, where the group has one.
     fn pow_g(&self, x: &Uint) -> Uint {
-        let table = self.table.get_or_init(|| {
-            let longest_secret = secret_bound(&self.p).add(&Uint::one()).bit_len();
-            FixedBase::new(&self.g, &self.p, longest_secret)
-        });
-        match table {
+        match self.table() {
             Some(table) => table.pow(x),
             None => self.g.modpow(x, &self.p),
         }
@@ -154,7 +161,10 @@ impl DhKeyPair {
         {
             return None;
         }
-        let shared = peer.modpow(&self.secret, &self.group.p);
+        let shared = match self.group.table() {
+            Some(table) => table.ctx().modpow(&peer, &self.secret),
+            None => peer.modpow(&self.secret, &self.group.p),
+        };
         Some(sha256(&shared.to_be_bytes()))
     }
 }

@@ -11,11 +11,13 @@
 //! * [`bigint::Uint`] — arbitrary-precision unsigned arithmetic
 //!   (Knuth Algorithm D division, modular exponentiation/inverse);
 //! * [`mont::MontCtx`] — Montgomery-form multiplication, squaring and
-//!   windowed exponentiation, the hot path behind `Uint::modpow` for
-//!   odd moduli: fixed-width kernels for the 4-, 8- and 12-limb moduli
-//!   the simulator uses, a slice path for every other size, and a
-//!   fixed-base table that DH key generation raises its generator
-//!   with;
+//!   windowed exponentiation for odd moduli: fixed-width kernels for
+//!   the 4-, 8- and 12-limb moduli the simulator uses, a slice path for
+//!   every other size, and a fixed-base table that DH key generation
+//!   raises its generator with. The objects that exponentiate on one
+//!   modulus again and again own its context (an RSA key's CRT halves,
+//!   a DH group's table); `Uint::modpow` builds a one-shot context for
+//!   the rest;
 //! * [`mod@sha256`] — FIPS 180-4 SHA-256;
 //! * [`hmac`] — HMAC-SHA256 (RFC 2104);
 //! * [`rsa`] — RSA keygen / PKCS#1 v1.5-shaped signatures and key

@@ -7,6 +7,13 @@
 //! [`MontCtx::modpow`], which every RSA operation, Miller–Rabin round
 //! and DH agreement in the simulator bottoms out in.
 //!
+//! A context is built once by the object that owns its modulus and
+//! lives as long as that owner: each half of an RSA key's CRT
+//! parameters (shared by the key's clones), a DH group's fixed-base
+//! table, and a prime-search candidate's Miller–Rabin rounds.
+//! Everything else goes through `Uint::modpow`, which builds a
+//! throwaway context per call; no context is cached beyond its owner.
+//!
 //! The limb counts the simulator uses (4 = an RSA-CRT half, 8 = an
 //! RSA-512 modulus, 12 = the 768-bit Oakley prime) run on fixed-width
 //! `[u64; K]` kernels, whose compile-time bounds let the compiler drop
@@ -34,8 +41,6 @@
 
 use crate::bigint::Uint;
 use std::cmp::Ordering;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
 
 /// Widest window of the exponentiation ladder, in bits (a 32-entry
 /// table).
@@ -50,28 +55,10 @@ const DIGIT: usize = 4;
 /// Entries per [`FixedBase`] row: one per nonzero digit.
 const ROW: usize = (1 << DIGIT) - 1;
 
-/// Process-wide context cache keyed by modulus limbs. Building a
-/// context costs a multi-limb division (R² mod m); the simulator
-/// exercises a small, fixed set of moduli (the Oakley prime plus each
-/// endpoint key's `n`/`p`/`q`), so memoizing the contexts removes that
-/// division from every handshake's hot path. Capped so adversarial
-/// test inputs (proptests over random moduli) cannot grow it without
-/// bound.
-const CTX_CACHE_CAP: usize = 256;
-
-type CtxCache = Mutex<HashMap<Vec<u64>, Option<Arc<MontCtx>>>>;
-
-fn ctx_cache() -> &'static CtxCache {
-    static CACHE: OnceLock<CtxCache> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
 /// Precomputed Montgomery context for one odd modulus.
 pub struct MontCtx {
-    /// Modulus limbs, little-endian, length `k`.
-    m: Vec<u64>,
-    /// The modulus as a `Uint` (spares a rebuild per modpow).
-    m_uint: Uint,
+    /// The modulus; the kernels scan its `k` little-endian limbs.
+    m: Uint,
     /// `-m^{-1} mod 2^64`.
     n0: u64,
     /// `R^2 mod m` where `R = 2^(64k)`, as a `k`-limb residue.
@@ -85,13 +72,12 @@ impl MontCtx {
         if m.is_even() || m.is_one() || m.is_zero() {
             return None;
         }
-        let limbs = m.limbs.clone();
-        let k = limbs.len();
+        let k = m.limbs.len();
         // Newton–Hensel inversion of m[0] modulo 2^64: `inv = m0` is
         // already correct mod 2^3 (every odd square is 1 mod 8), and
         // each step doubles the number of correct low bits, so five
         // steps reach 96 bits and six cover all 64 with room to spare.
-        let m0 = limbs[0];
+        let m0 = m.limbs[0];
         let mut inv = m0;
         for _ in 0..6 {
             inv = inv.wrapping_mul(2u64.wrapping_sub(m0.wrapping_mul(inv)));
@@ -100,47 +86,28 @@ impl MontCtx {
         let n0 = inv.wrapping_neg();
         // R^2 mod m via one (context-lifetime) division.
         let r2_uint = Uint::one().shl(128 * k).rem(m);
-        let mut r2 = r2_uint.limbs.clone();
+        let mut r2 = r2_uint.limbs;
         r2.resize(k, 0);
         Some(MontCtx {
-            m: limbs,
-            m_uint: m.clone(),
+            m: m.clone(),
             n0,
             r2,
         })
     }
 
-    /// The context for `m`, memoized process-wide. `None` for moduli
-    /// Montgomery reduction cannot handle (even, zero, one) — the
-    /// negative answer is cached too.
-    pub fn cached(m: &Uint) -> Option<Arc<MontCtx>> {
-        let mut cache = ctx_cache().lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(hit) = cache.get(m.limbs.as_slice()) {
-            return hit.clone();
-        }
-        if cache.len() >= CTX_CACHE_CAP {
-            cache.clear();
-        }
-        let built = MontCtx::new(m).map(Arc::new);
-        cache.insert(m.limbs.clone(), built.clone());
-        built
-    }
-
-    /// Whether the process-wide cache holds a context for `m`.
-    #[cfg(test)]
-    pub(crate) fn is_cached(m: &Uint) -> bool {
-        let cache = ctx_cache().lock().unwrap_or_else(|e| e.into_inner());
-        cache.contains_key(m.limbs.as_slice())
+    /// The modulus.
+    pub(crate) fn modulus(&self) -> &Uint {
+        &self.m
     }
 
     /// Modulus limb count.
     fn k(&self) -> usize {
-        self.m.len()
+        self.m.limbs.len()
     }
 
     /// The modulus as a fixed-width array (`K` must equal `k`).
     fn m_arr<const K: usize>(&self) -> &[u64; K] {
-        self.m.as_slice().try_into().expect("modulus limb count")
+        self.m.limbs[..].try_into().expect("modulus limb count")
     }
 
     /// `R^2 mod m` as a fixed-width array (`K` must equal `k`).
@@ -151,10 +118,10 @@ impl MontCtx {
     /// `x mod m` as `K` limbs; skips the division when `x < m`.
     fn load<const K: usize>(&self, x: &Uint) -> [u64; K] {
         let mut out = [0u64; K];
-        if x.cmp_val(&self.m_uint) == Ordering::Less {
+        if x.cmp_val(&self.m) == Ordering::Less {
             out[..x.limbs.len()].copy_from_slice(&x.limbs);
         } else {
-            let r = x.rem(&self.m_uint);
+            let r = x.rem(&self.m);
             out[..r.limbs.len()].copy_from_slice(&r.limbs);
         }
         out
@@ -284,7 +251,7 @@ impl MontCtx {
         let (acc, t) = rest.split_at_mut(k);
 
         // table[j] = base^j in Montgomery form (table[0] is never read).
-        let mut b = base.rem(&self.m_uint).limbs;
+        let mut b = base.rem(&self.m).limbs;
         b.resize(k, 0);
         self.mul_generic(&b, &self.r2, t);
         table[k..2 * k].copy_from_slice(&t[..k]);
@@ -319,10 +286,11 @@ impl MontCtx {
         let k = self.k();
         debug_assert!(a.len() == k && b.len() == k);
         debug_assert!(t.len() == k + 2);
-        mul_cios_generic(&self.m, self.n0, a, b, t);
+        let m = &self.m.limbs;
+        mul_cios_generic(m, self.n0, a, b, t);
         // One conditional subtraction brings the result below m.
-        if t[k] != 0 || !limbs_lt(&t[..k], &self.m) {
-            sub_in_place(t, &self.m);
+        if t[k] != 0 || !limbs_lt(&t[..k], m) {
+            sub_in_place(t, m);
         }
     }
 }
@@ -382,6 +350,11 @@ impl FixedBase {
             g = mul(&e, &g, m, n0);
         }
         table
+    }
+
+    /// The context of the table's modulus.
+    pub(crate) fn ctx(&self) -> &MontCtx {
+        &self.ctx
     }
 
     /// The longest exponent the table serves, in bits.

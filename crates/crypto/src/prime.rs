@@ -44,8 +44,7 @@ const ROUNDS: u32 = 24;
 ///
 /// Trial division folds each small-prime remainder over the limbs
 /// without allocating, and every round runs on one [`MontCtx`] built
-/// for this candidate: a throwaway candidate never enters the
-/// process-wide context cache that the handshakes' moduli live in.
+/// for this candidate.
 pub fn is_probably_prime(n: &Uint, rounds: u32, rng: &mut Drbg) -> bool {
     if let Some(verdict) = trial_division(n) {
         return verdict;
@@ -427,7 +426,7 @@ impl Batch<'_> {
 }
 
 /// The reference prime search: every small-prime remainder through
-/// `Uint::rem`, every round through the cached `Uint::modpow`, `d` by
+/// `Uint::rem`, every round through the one-shot `Uint::modpow`, `d` by
 /// repeated halving, squarings by `Uint::modmul`. The fast path must
 /// match it draw for draw.
 #[cfg(test)]
@@ -683,13 +682,5 @@ mod tests {
             "fc745aa6823d102361f58775ac35d4da418a6acc7857fffe0d86c2395f1dae65"
         );
         assert_eq!(r.next_u64(), 0xcbfba8cf5c9c9ea8);
-    }
-
-    #[test]
-    fn prime_search_leaves_the_context_cache_alone() {
-        // A seed no other test draws from, so nothing else in this
-        // process can have cached the prime it yields.
-        let p = generate_prime(256, &mut Drbg::from_seed(0x0CAC_4E0F_F5EA_4C40));
-        assert!(!MontCtx::is_cached(&p));
     }
 }

@@ -23,8 +23,10 @@
 
 use crate::bigint::Uint;
 use crate::drbg::Drbg;
+use crate::mont::MontCtx;
 use crate::prime::{generate_prime, generate_primes, Verify};
 use crate::sha256::sha256;
+use std::sync::Arc;
 
 /// ASN.1-style DigestInfo prefix for SHA-256 (RFC 8017 §9.2 note 1).
 const SHA256_PREFIX: [u8; 19] = [
@@ -78,8 +80,10 @@ pub struct RsaPrivateKey {
 /// one full-size exponentiation (~4× at any key size).
 #[derive(Clone)]
 struct CrtParams {
-    p: Uint,
-    q: Uint,
+    /// The Montgomery contexts of `p` and `q`, built once with the key
+    /// and shared by its clones.
+    p: Arc<MontCtx>,
+    q: Arc<MontCtx>,
     /// `d mod (p-1)`.
     dp: Uint,
     /// `d mod (q-1)`.
@@ -238,12 +242,14 @@ impl RsaPrivateKey {
         let n = p.mul(&q);
         let phi = p.sub(&Uint::one()).mul(&q.sub(&Uint::one()));
         let d = e.modinv(&phi)?;
-        let crt = Uint::modinv(&q, &p).map(|qinv| CrtParams {
-            dp: d.rem(&p.sub(&Uint::one())),
-            dq: d.rem(&q.sub(&Uint::one())),
-            p,
-            q,
-            qinv,
+        let crt = Uint::modinv(&q, &p).and_then(|qinv| {
+            Some(CrtParams {
+                dp: d.rem(&p.sub(&Uint::one())),
+                dq: d.rem(&q.sub(&Uint::one())),
+                p: Arc::new(MontCtx::new(&p)?),
+                q: Arc::new(MontCtx::new(&q)?),
+                qinv,
+            })
         });
         Some(RsaPrivateKey {
             public: RsaPublicKey { n, e },
@@ -257,17 +263,18 @@ impl RsaPrivateKey {
     fn private_op(&self, c: &Uint) -> Uint {
         match &self.crt {
             Some(crt) => {
-                let m1 = c.modpow(&crt.dp, &crt.p);
-                let m2 = c.modpow(&crt.dq, &crt.q);
+                let m1 = crt.p.modpow(c, &crt.dp);
+                let m2 = crt.q.modpow(c, &crt.dq);
                 // Garner: h = qinv * (m1 - m2) mod p; m = m2 + q * h.
-                let m2p = m2.rem(&crt.p);
+                let (p, q) = (crt.p.modulus(), crt.q.modulus());
+                let m2p = m2.rem(p);
                 let diff = if m1.cmp_val(&m2p) != std::cmp::Ordering::Less {
                     m1.sub(&m2p)
                 } else {
-                    m1.add(&crt.p).sub(&m2p)
+                    m1.add(p).sub(&m2p)
                 };
-                let h = crt.qinv.modmul(&diff, &crt.p);
-                m2.add(&crt.q.mul(&h))
+                let h = crt.qinv.modmul(&diff, p);
+                m2.add(&q.mul(&h))
             }
             None => c.modpow(&self.d, &self.public.n),
         }
@@ -449,6 +456,46 @@ mod tests {
         let m = Uint::from_be_bytes(&[0x37; 60]);
         let direct = m.modpow(&key.d, &key.public.n);
         assert_eq!(key.private_op(&m), direct);
+    }
+
+    #[test]
+    fn clones_share_both_crt_contexts() {
+        let key = keypair();
+        let clone = key.clone();
+        let (a, b) = (key.crt.as_ref().unwrap(), clone.crt.as_ref().unwrap());
+        assert!(Arc::ptr_eq(&a.p, &b.p));
+        assert!(Arc::ptr_eq(&a.q, &b.q));
+        assert_eq!(clone.sign(b"msg"), key.sign(b"msg"));
+    }
+
+    #[test]
+    fn hostile_public_keys_fail_without_panicking() {
+        // Moduli no key generation makes but a certificate can carry:
+        // an even one (the generic ladder of `Uint::modpow`), one, and
+        // an empty one (zero).
+        let mut even = vec![0xff; 64];
+        even[63] = 0xfe;
+        let mut rng = Drbg::from_seed(0x4057);
+        for n in [even, vec![1], vec![]] {
+            for e in [&[0x01, 0x00, 0x01][..], &[0x03]] {
+                let mut wire = (n.len() as u32).to_be_bytes().to_vec();
+                wire.extend_from_slice(&n);
+                wire.extend_from_slice(&(e.len() as u32).to_be_bytes());
+                wire.extend_from_slice(e);
+                let key = RsaPublicKey::from_bytes(&wire).expect("well-formed key bytes");
+                let k = key.modulus_len();
+                // An all-zero signature is below every nonzero modulus.
+                let mut sig = vec![0u8; k];
+                assert!(key.verify(b"msg", &sig).is_err(), "n {n:02x?}, e {e:02x?}");
+                for _ in 0..64 {
+                    rng.fill_bytes(&mut sig);
+                    assert!(key.verify(b"msg", &sig).is_err(), "n {n:02x?}, e {e:02x?}");
+                }
+                if let Ok(ct) = key.encrypt(b"pm", &mut rng) {
+                    assert_eq!(ct.len(), k, "n {n:02x?}, e {e:02x?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Lockstep session driver.
 //!
-//! Connects a sans-IO TLS client to a sans-IO TLS server over a
-//! `DuplexLink` and pumps bytes until the link is quiescent,
-//! optionally exchanging application payloads. [`drive_session`] is
-//! the single primitive behind every experiment in the reproduction:
-//! passive capture (real server), interception (the MITM's server),
-//! and the root-store probe (spoofed-CA server).
+//! Connects a sans-IO TLS client to a sans-IO TLS server and pumps
+//! bytes between them until neither side moves, optionally exchanging
+//! application payloads. [`drive_session`] is the single primitive
+//! behind every experiment in the reproduction: passive capture (real
+//! server), interception (the MITM's server), and the root-store probe
+//! (spoofed-CA server).
 //!
 //! Every transferred chunk passes through a [`LinkConditioner`], which
 //! in chaos runs may cut, corrupt, or throttle the stream
@@ -17,17 +17,19 @@
 //! with nothing to observe passes an empty chain, which skips
 //! deframing entirely.
 //!
-//! The pump is unbuffered end to end: each direction owns one
+//! The pump keeps no buffer of its own: each direction owns one
 //! [`SessionBuf`] that the endpoints' `process` calls append to and
-//! the conditioner consumes, and both endpoints' per-session scratch
-//! lives in a caller-reusable [`DriveScratch`]. A lane that drives
-//! every session with one warm scratch performs zero heap allocations
-//! per session in the steady state.
+//! the conditioner consumes, the conditioner delivers into one wire
+//! buffer that the chain and the receiving endpoint read in place, and
+//! both endpoints' per-session scratch lives in a caller-reusable
+//! [`DriveScratch`]. With a warm scratch the loop grows none of those
+//! buffers, but the endpoints still allocate their handshake state
+//! (about 270 allocations per session with an empty chain); only the
+//! tape replay of [`crate::mux`] is allocation-free per session.
 //!
 //! [`GatewayTap`]: crate::tap::GatewayTap
 
 use crate::fault::{Direction, FailureCause, InjectedFault, LinkConditioner};
-use crate::pipe::DuplexLink;
 use crate::tap::TlsObservation;
 use iotls_tls::client::{ClientConnection, HandshakeSummary};
 use iotls_tls::middleware::{Chain, Flow};
@@ -52,8 +54,8 @@ pub fn sessions_driven() -> u64 {
 
 /// Caller-owned scratch for the drive loop: both endpoints'
 /// [`SessionScratch`] plus the wire and per-direction buffers. One
-/// warm `DriveScratch` per lane makes the steady-state session loop
-/// allocation-free; take the endpoint scratches out with
+/// warm `DriveScratch` per lane lets every session reuse those
+/// buffers; take the endpoint scratches out with
 /// [`DriveScratch::take_client`] / [`DriveScratch::take_server`] to
 /// construct the next pair of connections.
 #[derive(Debug, Default)]
@@ -157,7 +159,7 @@ pub struct SessionParams<'a> {
 ///
 /// Endpoints built from `scratch`'s `take_client`/`take_server` halves
 /// are handed back into it when the session ends, so a lane looping
-/// over sessions allocates nothing per session once warm.
+/// over sessions reuses their buffers instead of growing new ones.
 ///
 /// [`ChainStats`]: iotls_tls::middleware::ChainStats
 /// [`GatewayTap`]: crate::tap::GatewayTap
@@ -169,7 +171,7 @@ pub fn drive_session(
     chain: &mut Chain,
     scratch: &mut DriveScratch,
 ) -> SessionResult {
-    let mut link = DuplexLink::new();
+    let (mut bytes_c2s, mut bytes_s2c) = (0u64, 0u64);
     let mut server_received = Vec::new();
     let mut client_received = Vec::new();
     let mut client_sent_payload = false;
@@ -197,9 +199,8 @@ pub fn drive_session(
             if chain.feed(Flow::ClientToServer, &scratch.wire).is_some() {
                 break;
             }
-            link.c2s.write(&scratch.wire);
-            server.process(link.c2s.queued(), &mut scratch.s2c);
-            link.c2s.consume();
+            bytes_c2s += scratch.wire.len() as u64;
+            server.process(&scratch.wire, &mut scratch.s2c);
             moved = true;
         }
         server.drain_application_data_into(&mut server_received);
@@ -220,9 +221,8 @@ pub fn drive_session(
             if chain.feed(Flow::ServerToClient, &scratch.wire).is_some() {
                 break;
             }
-            link.s2c.write(&scratch.wire);
-            client.process(link.s2c.queued(), &mut scratch.c2s);
-            link.s2c.consume();
+            bytes_s2c += scratch.wire.len() as u64;
+            client.process(&scratch.wire, &mut scratch.c2s);
             moved = true;
         }
         client.drain_application_data_into(&mut client_received);
@@ -262,8 +262,8 @@ pub fn drive_session(
         server_received,
         client_received,
         observation: None,
-        bytes_c2s: link.c2s.total_bytes(),
-        bytes_s2c: link.s2c.total_bytes(),
+        bytes_c2s,
+        bytes_s2c,
         records_deframed: 0,
     };
     // Hand the endpoints' warm buffers back to the lane's scratch for

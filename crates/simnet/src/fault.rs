@@ -9,8 +9,8 @@
 //! results — every time.
 //!
 //! The injection point is the [`LinkConditioner`], which sits between
-//! the TLS endpoints and the [`crate::pipe::DuplexLink`] inside the
-//! session driver and may cut, corrupt, or throttle the byte stream.
+//! the two TLS endpoints inside the session driver and may cut,
+//! corrupt, or throttle the byte stream.
 //! DNS faults never reach the link: the caller reads
 //! [`SessionFaults::dns`] before it dials, and a drawn DNS fault ends
 //! that try before any byte flows.

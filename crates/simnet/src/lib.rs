@@ -9,7 +9,6 @@
 //!
 //! * [`events`] — virtual clock and deterministic event queue
 //!   (device boots, power cycles, capture rolls);
-//! * [`pipe`] — reliable in-order byte pipes (the transport);
 //! * [`tap`] — the passive gateway: a middleware that reconstructs
 //!   handshake metadata from the bytes on the link, producing
 //!   [`tap::TlsObservation`]s;
@@ -35,7 +34,6 @@ pub mod fault;
 pub mod metrics;
 pub mod mux;
 pub mod par;
-pub mod pipe;
 pub mod tap;
 
 pub use driver::{drive_session, sessions_driven, DriveScratch, SessionParams, SessionResult};
@@ -50,5 +48,4 @@ pub use mux::{
     SessionFlow,
 };
 pub use par::{ordered_map_with, ordered_map_with_state, with_pool, worker_count, Pool};
-pub use pipe::{DuplexLink, Pipe};
 pub use tap::{GatewayTap, TlsObservation};

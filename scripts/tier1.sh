@@ -76,12 +76,18 @@ cargo test -q --offline -p iotls --lib lab::tests::each_engine_derives_one_attac
 # moduli, bases and exponents; the fixed-base DH table against the
 # variable-base ladder at every exponent length; and Oakley key pairs,
 # one RSA key and one RSA-CRT signature pinned to values captured
-# before the kernels changed. Also in the workspace run; repeated by
-# name so a kernel drift is called out in milliseconds, before
-# session_path_pins catches it indirectly through the engine digests.
+# before the kernels changed. Keys own their contexts: a clone of an
+# RSA key shares both CRT contexts, and public keys with an even, a
+# unit or an empty modulus (the generic ladder, with no cache in front
+# of it) fail verification with a typed error and encrypt without a
+# panic. Also in the workspace run; repeated by name so a kernel drift
+# is called out in milliseconds, before session_path_pins catches it
+# indirectly through the engine digests.
 cargo test -q --offline -p iotls-crypto --test proptests montgomery
 cargo test -q --offline -p iotls-crypto --lib -- mont::tests dh::tests \
-    rsa::tests::keygen_is_pinned rsa::tests::crt_signature_is_pinned
+    rsa::tests::keygen_is_pinned rsa::tests::crt_signature_is_pinned \
+    rsa::tests::clones_share_both_crt_contexts \
+    rsa::tests::hostile_public_keys_fail_without_panicking
 # Store codec and passive fold: SHA-256 pins of the segment file three
 # one-segment stores lay down (the bytes the former single-file format
 # wrote, captured before the bulk column encode and the three-chain
@@ -212,10 +218,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace
 # Allocation-discipline gate: the source regions bracketed by
 # "ALLOC-FREE: begin/end" markers (the tls record write path, the
 # middleware hook dispatch, the simnet drive and replay loops, and the
-# detection hooks) are the per-session hot path; the sans-IO rework
-# made them allocation-free and the counting-allocator tests prove it
-# at runtime. Fail fast here if an allocating call is reintroduced
-# textually, so the regression is caught before any bench runs.
+# detection hooks) are the per-session hot path, and none of them
+# allocates a buffer of its own. The counting-allocator test proves
+# only the replay loop allocation-free at runtime; the drive loop's
+# endpoints still allocate their handshake state. Fail fast here if an
+# allocating call is reintroduced textually, so the regression is
+# caught before any bench runs.
 if ! awk '
     /ALLOC-FREE: begin/ { inside = 1; next }
     /ALLOC-FREE: end/   { inside = 0; next }
@@ -328,6 +336,20 @@ if grep -rnE 'struct (PassiveDataset|WeightedObservation|ObservationRecord|Revoc
 fi
 if grep -rnE 'pub fn generate\(' crates/capture/src; then
     echo "tier1: FAILED (row-form generate reintroduced in crates/capture/src)" >&2
+    exit 1
+fi
+
+# API-surface gate: the objects that exponentiate on one modulus own
+# its Montgomery context, and the drive loop hands each conditioned
+# chunk straight to the receiving endpoint. Fail if the process-wide
+# context cache or the byte pipe between conditioner and endpoint
+# comes back.
+if grep -rnE 'ctx_cache|CTX_CACHE_CAP|fn cached\(|fn is_cached\(' crates/crypto/src; then
+    echo "tier1: FAILED (process-wide Montgomery context cache reintroduced in crates/crypto/src)" >&2
+    exit 1
+fi
+if grep -rnE 'struct (Pipe|DuplexLink)|mod pipe' crates/simnet/src; then
+    echo "tier1: FAILED (byte pipe reintroduced in crates/simnet/src)" >&2
     exit 1
 fi
 
