@@ -615,7 +615,7 @@ fn drive_one(
         ops: faults.ops,
         dns: None,
     });
-    tap(chain).reset();
+    GatewayTap::in_chain(chain).reset();
     let mut result = drive_session(
         client,
         server,
@@ -627,17 +627,10 @@ fn drive_one(
         chain,
         scratch,
     );
-    let tap = tap(chain);
+    let tap = GatewayTap::in_chain(chain);
     result.records_deframed = tap.records_deframed();
     result.observation = tap.take_observation(now, &device.spec.name, &dest.hostname);
     result
-}
-
-/// The lane's tap, at slot 0 of its chain.
-fn tap(chain: &mut Chain) -> &mut GatewayTap {
-    chain
-        .middleware_mut::<GatewayTap>(0)
-        .expect("the lane chain holds its tap at slot 0")
 }
 
 #[cfg(test)]

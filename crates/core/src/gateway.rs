@@ -17,10 +17,10 @@
 //! 1. **refill** the per-device-class token buckets and advance the
 //!    per-endpoint circuit breakers;
 //! 2. **admit** the tick's arrivals ([`AcceptLoop`], a pure function
-//!    of the seed): a full ingress queue rejects
-//!    [`Rejected::Overloaded`], an empty class bucket
-//!    [`Rejected::Throttled`], an open breaker
-//!    [`Rejected::CircuitOpen`];
+//!    of the seed): a full ingress queue rejects a session into
+//!    `gateway.rejected.overloaded`, an empty class bucket into
+//!    `gateway.rejected.throttled`, an open breaker into
+//!    `gateway.rejected.circuit_open`;
 //! 3. **dispatch** up to a pool-sized batch from the queue to the
 //!    run's [`ExperimentCtx::threads`] workers — one [`with_pool`]
 //!    spawned per run, whose workers keep their replay scratch and
@@ -74,28 +74,6 @@ use std::fmt::Write as _;
 /// every soak session — over a million of them — in the first bucket,
 /// making the histogram useless for spotting retry regressions.)
 pub const SESSION_ROUNDS_BOUNDS: [u64; 4] = [1, 2, 3, 6];
-
-/// Why the gateway refused a knocking session at admission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Rejected {
-    /// The bounded ingress queue was full (backpressure).
-    Overloaded,
-    /// The session's device-class token bucket was empty.
-    Throttled,
-    /// The destination endpoint's circuit breaker was open.
-    CircuitOpen,
-}
-
-impl Rejected {
-    /// Stable snake_case label used as a metrics-counter suffix.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Rejected::Overloaded => "overloaded",
-            Rejected::Throttled => "throttled",
-            Rejected::CircuitOpen => "circuit_open",
-        }
-    }
-}
 
 /// Terminal outcome of one multiplexed session.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -34,13 +34,12 @@ use std::sync::Arc;
 
 /// How many times one logical attempt transparently re-dials after a
 /// fault that a plain reconnect can heal (reset, garble, stall, DNS).
-/// Public so the gateway's per-session retry loop shares the budget.
-pub const INLINE_RETRY_BUDGET: usize = 6;
+/// The gateway's per-session retry loop shares the budget.
+pub(crate) const INLINE_RETRY_BUDGET: usize = 6;
 
 /// How many times the boot-level recovery reconnects after a fault
 /// that re-dialing alone cannot heal (mid-handshake power loss).
-/// Public so gateway-style callers can mirror the boot-level policy.
-pub const RECONNECT_BUDGET: usize = 4;
+const RECONNECT_BUDGET: usize = 4;
 
 /// Counters for injected faults and the recovery work they caused.
 /// All zeros outside chaos runs.
@@ -271,13 +270,6 @@ impl<'a> ActiveLab<'a> {
         }
     }
 
-    /// The lab's tap, at slot 0 of its chain.
-    fn tap(&mut self) -> &mut GatewayTap {
-        self.chain
-            .middleware_mut::<GatewayTap>(0)
-            .expect("the lab chain holds its tap at slot 0")
-    }
-
     /// The device this lab drives.
     pub fn device(&self) -> &'a DeviceSetup {
         self.device
@@ -492,7 +484,7 @@ impl<'a> ActiveLab<'a> {
                 client_payload: Some(dest.payload.as_deref().unwrap_or("ping").as_bytes()),
                 server_payload: Some(b"ok"),
             };
-            self.tap().reset();
+            GatewayTap::in_chain(&mut self.chain).reset();
             let mut result = drive_session(
                 client,
                 server,
@@ -502,7 +494,7 @@ impl<'a> ActiveLab<'a> {
                 &mut self.drive_scratch,
             );
             let now = self.now;
-            let tap = self.tap();
+            let tap = GatewayTap::in_chain(&mut self.chain);
             result.records_deframed = tap.records_deframed();
             result.observation = tap.take_observation(now, &device.spec.name, &dest.hostname);
             record_session_metrics(&mut self.obs, &result);

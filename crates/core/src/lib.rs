@@ -81,7 +81,7 @@ pub use experiment::{
 pub use fingerprints::{run_fingerprint_survey, FingerprintSurvey};
 pub use gateway::{
     BreakerState, ChainFactory, CircuitBreaker, ClassRow, Gateway, GatewayConfig, GatewayReport,
-    Rejected, SessionVerdict, TokenBucket,
+    SessionVerdict, TokenBucket,
 };
 pub use lab::{ActiveLab, ConnectionOutcome, DeviceState, FaultStats, LabSeed};
 pub use party::{label_party, party_version_bias, PartyBiasRow, THIRD_PARTY_DOMAINS};

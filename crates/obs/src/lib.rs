@@ -20,8 +20,7 @@
 //! [`Registry::counters_json`] serializes only the deterministic
 //! sections (the payload determinism tests pin), while
 //! [`Registry::to_json`] appends the `timings` section for humans and
-//! dashboards. [`Registry::to_prometheus`] renders the same data in
-//! the Prometheus text exposition format.
+//! dashboards.
 //!
 //! The crate is dependency-free by design: tier-1 builds offline, so
 //! the JSON encoder is hand-rolled (sorted keys via `BTreeMap`, full
@@ -325,47 +324,6 @@ impl Registry {
         self.encode_sections(&mut out, true);
         out
     }
-
-    /// Renders the registry in the Prometheus text exposition format.
-    /// Metric names have `.` and `-` mapped to `_`; timings appear as
-    /// `<name>_nanos_total` counters.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        for (name, n) in &self.counters {
-            let id = prom_name(name);
-            let _ = writeln!(out, "# TYPE {id} counter\n{id} {n}");
-        }
-        for (name, v) in &self.gauges {
-            let id = prom_name(name);
-            let _ = writeln!(out, "# TYPE {id} gauge\n{id} {v}");
-        }
-        for (name, h) in &self.histograms {
-            let id = prom_name(name);
-            let _ = writeln!(out, "# TYPE {id} histogram");
-            let mut cumulative = 0;
-            for (b, c) in h.bounds.iter().zip(&h.counts) {
-                cumulative += c;
-                let _ = writeln!(out, "{id}_bucket{{le=\"{b}\"}} {cumulative}");
-            }
-            let _ = writeln!(out, "{id}_bucket{{le=\"+Inf\"}} {}", h.count);
-            let _ = writeln!(out, "{id}_sum {}\n{id}_count {}", h.sum, h.count);
-        }
-        for (name, t) in &self.timings {
-            let id = prom_name(name);
-            let _ = writeln!(
-                out,
-                "# TYPE {id}_nanos_total counter\n{id}_nanos_total {}",
-                t.total_nanos
-            );
-        }
-        out
-    }
-}
-
-fn prom_name(name: &str) -> String {
-    name.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
-        .collect()
 }
 
 /// Appends a JSON string literal (quotes + escapes) to `out`.
@@ -526,24 +484,6 @@ mod tests {
         let t = r.timing("phase").unwrap();
         assert_eq!(t.count, 2);
         assert!(r.counters_json() == Registry::new().counters_json() || r.counter("phase") == 0);
-    }
-
-    #[test]
-    fn prometheus_rendering_shape() {
-        let mut r = Registry::new();
-        r.add("sim.sessions.driven", 7);
-        r.set_gauge("pool.size", 3);
-        r.observe("bytes", &[100, 200], 150);
-        r.observe("bytes", &[100, 200], 50);
-        let text = r.to_prometheus();
-        assert!(text.contains("# TYPE sim_sessions_driven counter"));
-        assert!(text.contains("sim_sessions_driven 7"));
-        assert!(text.contains("pool_size 3"));
-        assert!(text.contains("bytes_bucket{le=\"100\"} 1"));
-        assert!(text.contains("bytes_bucket{le=\"200\"} 2"));
-        assert!(text.contains("bytes_bucket{le=\"+Inf\"} 2"));
-        assert!(text.contains("bytes_sum 200"));
-        assert!(text.contains("bytes_count 2"));
     }
 
     #[test]

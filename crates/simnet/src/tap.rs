@@ -4,25 +4,23 @@
 //! and later extract handshake metadata from pcaps. [`GatewayTap`]
 //! does the equivalent: a [`Middleware`] that rides the session's
 //! [`Chain`] — fed the conditioned bytes of both link directions by
-//! the session driver — and parses ClientHello / ServerHello /
+//! the session driver — and reads ClientHello / ServerHello /
 //! Certificate / Alert records *without participating in the
-//! connection*. The result is a [`TlsObservation`] — the unit every
-//! longitudinal analysis (Figures 1–3, Table 8) consumes.
-//!
-//! [`Chain`]: iotls_tls::middleware::Chain
+//! connection*. Handshake messages go through the endpoints' own
+//! parser, so what the tap records is what an endpoint accepts. The
+//! result is a [`TlsObservation`] — the unit every longitudinal
+//! analysis (Figures 1–3, Table 8) consumes.
 
 use iotls_tls::alert::{Alert, AlertDescription};
 use iotls_tls::fingerprint::{Fingerprint, FingerprintId};
-use iotls_tls::handshake::{
-    first_certificate, msg_type, next_raw_message, server_hello_fields, validate_body, ClientHello,
-};
-use iotls_tls::middleware::{Flow, Middleware, Verdict};
+use iotls_tls::handshake::{ClientHello, HandshakeMessage};
+use iotls_tls::middleware::{Chain, Flow, Middleware, Verdict};
 use iotls_tls::record::ContentType;
 use iotls_tls::version::ProtocolVersion;
 use iotls_x509::Timestamp;
 
 /// Handshake metadata extracted by passively watching one connection.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TlsObservation {
     /// When the connection started.
     pub time: Timestamp,
@@ -90,9 +88,7 @@ impl TlsObservation {
 /// A passive observer of one connection at a time: attach it to a
 /// middleware [`Chain`], drive the session, then
 /// [`GatewayTap::take_observation`]. Its observe-only `on_record`
-/// hook skims every record the chain deframes.
-///
-/// [`Chain`]: iotls_tls::middleware::Chain
+/// hook reads every record the chain deframes.
 #[derive(Default)]
 pub struct GatewayTap {
     client_hello: Option<ClientHello>,
@@ -113,70 +109,52 @@ impl GatewayTap {
         Self::default()
     }
 
-    /// Skims one complete record: handshake bodies are scanned as
-    /// borrowed slices; the only allocation is the ClientHello itself
-    /// (and the leaf issuer name), which the observation keeps.
+    /// The tap of a tapped chain, the one built as
+    /// `Chain::new().with(Box::new(GatewayTap::new()))`: slot 0.
+    ///
+    /// # Panics
+    ///
+    /// If slot 0 holds no `GatewayTap`.
+    pub fn in_chain(chain: &mut Chain) -> &mut GatewayTap {
+        chain
+            .middleware_mut::<GatewayTap>(0)
+            .expect("a tapped chain holds its tap at slot 0")
+    }
+
+    /// Reads one complete record. Handshake records are walked with
+    /// the endpoints' own parser, [`HandshakeMessage::decode`], up to
+    /// the first message it rejects, so the tap records exactly what
+    /// an endpoint would have accepted.
     fn observe_record(&mut self, flow: Flow, content_type: ContentType, payload: &[u8]) {
         self.records_deframed += 1;
         match content_type {
             ContentType::Handshake => {
-                let mut buf = payload;
-                while let Ok((typ, body, used)) = next_raw_message(buf) {
-                    let valid = match (flow, typ) {
-                        (Flow::ClientToServer, msg_type::CLIENT_HELLO) => {
-                            match ClientHello::decode_body(body) {
-                                Ok(ch) => {
-                                    self.client_hello = Some(ch);
-                                    true
-                                }
-                                Err(_) => false,
+                let mut rest = payload;
+                while let Ok((msg, used)) = HandshakeMessage::decode(rest) {
+                    rest = &rest[used..];
+                    match (flow, msg) {
+                        (Flow::ClientToServer, HandshakeMessage::ClientHello(ch)) => {
+                            self.client_hello = Some(ch);
+                        }
+                        (Flow::ServerToClient, HandshakeMessage::ServerHello(sh)) => {
+                            self.negotiated_version = Some(sh.version);
+                            self.negotiated_suite = Some(sh.cipher_suite);
+                        }
+                        (Flow::ServerToClient, HandshakeMessage::Certificate(chain)) => {
+                            if let Some(Ok(cert)) = chain
+                                .first()
+                                .map(|leaf| iotls_x509::Certificate::from_bytes(leaf))
+                            {
+                                self.leaf_issuer = Some(cert.tbs.issuer.common_name);
                             }
                         }
-                        (Flow::ServerToClient, msg_type::SERVER_HELLO) => {
-                            match server_hello_fields(body) {
-                                Ok((version, suite)) => {
-                                    self.negotiated_version = Some(version);
-                                    self.negotiated_suite = Some(suite);
-                                    true
-                                }
-                                Err(_) => false,
-                            }
+                        (Flow::ServerToClient, HandshakeMessage::CertificateStatus(_)) => {
+                            self.ocsp_stapled = true;
                         }
-                        (Flow::ServerToClient, msg_type::CERTIFICATE) => {
-                            match first_certificate(body) {
-                                Ok(leaf) => {
-                                    if let Some(leaf_bytes) = leaf {
-                                        if let Ok(cert) =
-                                            iotls_x509::Certificate::from_bytes(leaf_bytes)
-                                        {
-                                            self.leaf_issuer =
-                                                Some(cert.tbs.issuer.common_name.clone());
-                                        }
-                                    }
-                                    true
-                                }
-                                Err(_) => false,
-                            }
-                        }
-                        (Flow::ServerToClient, msg_type::CERTIFICATE_STATUS) => {
-                            let ok = validate_body(typ, body).is_ok();
-                            if ok {
-                                self.ocsp_stapled = true;
-                            }
-                            ok
-                        }
-                        (Flow::ServerToClient, msg_type::FINISHED) => {
+                        (Flow::ServerToClient, HandshakeMessage::Finished(_)) => {
                             self.server_finished = true;
-                            true
                         }
-                        _ => validate_body(typ, body).is_ok(),
-                    };
-                    if !valid {
-                        break;
-                    }
-                    buf = &buf[used..];
-                    if buf.is_empty() {
-                        break;
+                        _ => {}
                     }
                 }
             }
@@ -260,7 +238,7 @@ impl GatewayTap {
     }
 }
 
-/// The tap's only hook: an observe-only skim of every record.
+/// The tap's only hook: an observe-only read of every record.
 impl Middleware for GatewayTap {
     fn on_record(&mut self, flow: Flow, content_type: ContentType, payload: &mut [u8]) -> Verdict {
         self.observe_record(flow, content_type, payload);
@@ -275,9 +253,23 @@ impl Middleware for GatewayTap {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use iotls_tls::middleware::Chain;
-    use iotls_tls::record::Record;
-    use iotls_tls::HandshakeMessage;
+
+    /// The bytes of `msgs` back to back, written by the endpoints'
+    /// encoder.
+    fn handshake_payload(msgs: &[HandshakeMessage]) -> Vec<u8> {
+        let mut payload = Vec::new();
+        for msg in msgs {
+            msg.encode_into(&mut payload);
+        }
+        payload
+    }
+
+    /// `payload` framed as records by the endpoints' record writer.
+    fn record(content_type: ContentType, payload: &[u8]) -> Vec<u8> {
+        let mut out = iotls_tls::SessionBuf::new();
+        iotls_tls::write_record(content_type, ProtocolVersion::Tls12, payload, &mut out);
+        out.take_vec()
+    }
 
     fn hello_bytes() -> Vec<u8> {
         let ch = ClientHello {
@@ -288,8 +280,10 @@ mod tests {
             compression_methods: vec![0],
             extensions: vec![iotls_tls::Extension::ServerName("dev.example.com".into())],
         };
-        let msg = HandshakeMessage::ClientHello(ch).encode();
-        Record::new(ContentType::Handshake, ProtocolVersion::Tls12, msg).encode()
+        record(
+            ContentType::Handshake,
+            &handshake_payload(&[HandshakeMessage::ClientHello(ch)]),
+        )
     }
 
     /// A session chain with a fresh tap at slot 0.
@@ -299,15 +293,11 @@ mod tests {
         chain
     }
 
-    fn tap(chain: &mut Chain) -> &mut GatewayTap {
-        chain.middleware_mut::<GatewayTap>(0).unwrap()
-    }
-
     #[test]
     fn tap_extracts_client_hello_metadata() {
         let mut chain = tapped();
         chain.feed(Flow::ClientToServer, &hello_bytes());
-        let obs = tap(&mut chain)
+        let obs = GatewayTap::in_chain(&mut chain)
             .take_observation(Timestamp(0), "TestCam", "dev.example.com")
             .unwrap();
         assert_eq!(obs.sni.as_deref(), Some("dev.example.com"));
@@ -330,23 +320,16 @@ mod tests {
             extensions: vec![],
             compression_method: 0,
         };
-        let sh_bytes = Record::new(
+        let sh_bytes = record(
             ContentType::Handshake,
-            ProtocolVersion::Tls12,
-            HandshakeMessage::ServerHello(sh).encode(),
-        )
-        .encode();
+            &handshake_payload(&[HandshakeMessage::ServerHello(sh)]),
+        );
         chain.feed(Flow::ServerToClient, &sh_bytes);
         let alert = Alert::fatal(AlertDescription::UnknownCa);
-        let alert_bytes = Record::new(
-            ContentType::Alert,
-            ProtocolVersion::Tls12,
-            alert.to_bytes().to_vec(),
-        )
-        .encode();
+        let alert_bytes = record(ContentType::Alert, &alert.to_bytes());
         chain.feed(Flow::ClientToServer, &alert_bytes);
-        assert_eq!(tap(&mut chain).records_deframed(), 3);
-        let obs = tap(&mut chain)
+        assert_eq!(GatewayTap::in_chain(&mut chain).records_deframed(), 3);
+        let obs = GatewayTap::in_chain(&mut chain)
             .take_observation(Timestamp(5), "TestCam", "dev.example.com")
             .unwrap();
         assert_eq!(obs.negotiated_version, Some(ProtocolVersion::Tls12));
@@ -370,7 +353,7 @@ mod tests {
         for chunk in bytes.chunks(3) {
             chain.feed(Flow::ClientToServer, chunk);
         }
-        let obs = tap(&mut chain).take_observation(Timestamp(0), "d", "h");
+        let obs = GatewayTap::in_chain(&mut chain).take_observation(Timestamp(0), "d", "h");
         assert_eq!(obs.unwrap().sni.as_deref(), Some("dev.example.com"));
     }
 
@@ -378,26 +361,172 @@ mod tests {
     fn app_data_marks_established() {
         let mut chain = tapped();
         chain.feed(Flow::ClientToServer, &hello_bytes());
-        let app = Record::new(
-            ContentType::ApplicationData,
-            ProtocolVersion::Tls12,
-            vec![0xaa; 16],
-        )
-        .encode();
+        let app = record(ContentType::ApplicationData, &[0xaa; 16]);
         chain.feed(Flow::ServerToClient, &app);
-        let obs = tap(&mut chain)
+        let obs = GatewayTap::in_chain(&mut chain)
             .take_observation(Timestamp(0), "d", "h")
             .unwrap();
         assert!(obs.established);
+    }
+
+    /// The observation the endpoints' parser reads from handshake
+    /// record payloads: each walked with [`HandshakeMessage::decode`]
+    /// up to its first error.
+    fn decoded_observation(payloads: &[(Flow, &[u8])]) -> Option<TlsObservation> {
+        let mut hello = None;
+        let (mut version, mut suite, mut issuer) = (None, None, None);
+        let (mut stapled, mut finished) = (false, false);
+        for &(flow, payload) in payloads {
+            let mut rest = payload;
+            while let Ok((msg, used)) = HandshakeMessage::decode(rest) {
+                match (flow, msg) {
+                    (Flow::ClientToServer, HandshakeMessage::ClientHello(ch)) => hello = Some(ch),
+                    (Flow::ServerToClient, HandshakeMessage::ServerHello(sh)) => {
+                        version = Some(sh.version);
+                        suite = Some(sh.cipher_suite);
+                    }
+                    (Flow::ServerToClient, HandshakeMessage::Certificate(chain)) => {
+                        if let Some(Ok(cert)) = chain
+                            .first()
+                            .map(|leaf| iotls_x509::Certificate::from_bytes(leaf))
+                        {
+                            issuer = Some(cert.tbs.issuer.common_name);
+                        }
+                    }
+                    (Flow::ServerToClient, HandshakeMessage::CertificateStatus(_)) => {
+                        stapled = true;
+                    }
+                    (Flow::ServerToClient, HandshakeMessage::Finished(_)) => finished = true,
+                    _ => {}
+                }
+                rest = &rest[used..];
+            }
+        }
+        let ch = hello?;
+        Some(TlsObservation {
+            time: Timestamp(0),
+            device: "d".into(),
+            destination: "h".into(),
+            sni: ch.server_name().map(str::to_string),
+            advertised_versions: ch.advertised_versions(),
+            max_advertised: ch.max_version(),
+            requested_ocsp: ch.requests_ocsp(),
+            fingerprint: Fingerprint::from_client_hello(&ch).id(),
+            offered_suites: ch.cipher_suites,
+            negotiated_version: version,
+            negotiated_suite: suite,
+            ocsp_stapled: stapled,
+            leaf_issuer: issuer,
+            established: finished,
+            alerts_from_client: vec![],
+            alerts_from_server: vec![],
+        })
+    }
+
+    /// `payload` plus every single-byte corruption of it.
+    fn with_corruptions(payload: &[u8]) -> Vec<Vec<u8>> {
+        let mut cases = vec![payload.to_vec()];
+        for i in 0..payload.len() {
+            for delta in [1u8, 0x80] {
+                let mut c = payload.to_vec();
+                c[i] = c[i].wrapping_add(delta);
+                cases.push(c);
+            }
+        }
+        cases
+    }
+
+    #[test]
+    fn tap_reads_what_the_endpoints_decode_reads() {
+        use iotls_crypto::drbg::Drbg;
+        use iotls_crypto::rsa::RsaPrivateKey;
+        use iotls_x509::{CertifiedKey, DistinguishedName, IssueParams};
+
+        let key = RsaPrivateKey::generate(512, &mut Drbg::from_seed(29));
+        let root = CertifiedKey::self_signed(
+            IssueParams::ca(
+                DistinguishedName::new("Tap Root", "SimCA", "US"),
+                1,
+                Timestamp::from_ymd(2015, 1, 1),
+                7300,
+            ),
+            key.clone(),
+        );
+        let leaf = root.issue(
+            IssueParams::leaf("dev.example.com", 2, Timestamp::from_ymd(2020, 6, 1), 500),
+            &key,
+        );
+        let hello = handshake_payload(&[HandshakeMessage::ClientHello(ClientHello {
+            legacy_version: ProtocolVersion::Tls12,
+            random: [1u8; 32],
+            session_id: vec![7; 4],
+            cipher_suites: vec![0xc02f, 0x0005],
+            compression_methods: vec![0],
+            extensions: vec![
+                iotls_tls::Extension::ServerName("dev.example.com".into()),
+                iotls_tls::Extension::StatusRequest,
+                iotls_tls::Extension::SupportedGroups(vec![29, 23]),
+                iotls_tls::Extension::SupportedVersions(vec![
+                    ProtocolVersion::Tls12,
+                    ProtocolVersion::Tls11,
+                ]),
+            ],
+        })]);
+        let flight = handshake_payload(&[
+            HandshakeMessage::ServerHello(iotls_tls::ServerHello {
+                version: ProtocolVersion::Tls12,
+                random: [2u8; 32],
+                session_id: vec![7; 4],
+                cipher_suite: 0xc02f,
+                compression_method: 0,
+                extensions: vec![
+                    iotls_tls::Extension::RenegotiationInfo,
+                    iotls_tls::Extension::Alpn(vec!["h2".into()]),
+                ],
+            }),
+            HandshakeMessage::Certificate(vec![leaf.to_bytes(), root.cert.to_bytes()]),
+            HandshakeMessage::CertificateStatus(vec![0x5a; 24]),
+            HandshakeMessage::ServerHelloDone,
+        ]);
+        let observe = |payloads: &[(Flow, &[u8])]| {
+            let mut chain = tapped();
+            for &(flow, payload) in payloads {
+                chain.feed(flow, &record(ContentType::Handshake, payload));
+            }
+            GatewayTap::in_chain(&mut chain).take_observation(Timestamp(0), "d", "h")
+        };
+        let mut observed = 0;
+        for case in with_corruptions(&hello) {
+            let payloads = [(Flow::ClientToServer, &case[..])];
+            let obs = observe(&payloads);
+            assert_eq!(obs, decoded_observation(&payloads), "hello {case:02x?}");
+            observed += usize::from(obs.is_some());
+        }
+        assert!(observed > 0);
+        let mut issuers = 0;
+        for case in with_corruptions(&flight) {
+            let payloads = [
+                (Flow::ClientToServer, &hello[..]),
+                (Flow::ServerToClient, &case[..]),
+            ];
+            let obs = observe(&payloads).expect("the hello is intact");
+            assert_eq!(
+                Some(&obs),
+                decoded_observation(&payloads).as_ref(),
+                "flight {case:02x?}"
+            );
+            issuers += usize::from(obs.leaf_issuer.is_some());
+        }
+        assert!(issuers > 0);
     }
 
     #[test]
     fn reset_clears_the_previous_connection() {
         let mut chain = tapped();
         chain.feed(Flow::ClientToServer, &hello_bytes());
-        tap(&mut chain).reset();
-        assert_eq!(tap(&mut chain).records_deframed(), 0);
-        assert!(tap(&mut chain)
+        GatewayTap::in_chain(&mut chain).reset();
+        assert_eq!(GatewayTap::in_chain(&mut chain).records_deframed(), 0);
+        assert!(GatewayTap::in_chain(&mut chain)
             .take_observation(Timestamp(0), "d", "h")
             .is_none());
     }

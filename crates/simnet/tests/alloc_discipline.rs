@@ -14,9 +14,9 @@
 //! op was drawn, never for a draw without one.
 //!
 //! It also pins the encode path's byte identity: the sans-IO
-//! [`write_record`] writer must produce exactly the bytes of the
-//! legacy `Record::fragment` + `Record::encode` oracle under
-//! corruption-sweep-style inputs (truncated, oversized, and
+//! [`write_record`] writer must produce exactly the bytes of
+//! [`legacy_records`], a few-line oracle written independently of it,
+//! under corruption-sweep-style inputs (truncated, oversized, and
 //! boundary-length payloads), so golden wire fixtures cannot shift.
 
 use iotls_crypto::drbg::Drbg;
@@ -28,7 +28,7 @@ use iotls_tls::middleware::{Chain, RecordCounter};
 use iotls_tls::record::MAX_FRAGMENT;
 use iotls_tls::server::{ServerConfig, ServerConnection};
 use iotls_tls::version::ProtocolVersion;
-use iotls_tls::{write_record, ContentType, Record, SessionBuf};
+use iotls_tls::{write_record, ContentType, SessionBuf};
 use iotls_x509::{CertifiedKey, DistinguishedName, IssueParams, RootStore, Timestamp};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -288,6 +288,24 @@ fn a_fault_draw_allocates_only_the_ops_it_returns() {
     );
 }
 
+/// The record writer's oracle: one record per [`MAX_FRAGMENT`] chunk
+/// (one empty record for an empty payload), each header written by
+/// hand.
+fn legacy_records(ct: ContentType, version: ProtocolVersion, payload: &[u8]) -> Vec<u8> {
+    let mut chunks: Vec<&[u8]> = payload.chunks(MAX_FRAGMENT).collect();
+    if chunks.is_empty() {
+        chunks.push(&[]);
+    }
+    let mut out = Vec::new();
+    for chunk in chunks {
+        out.push(ct.wire());
+        out.extend_from_slice(&version.wire().to_be_bytes());
+        out.extend_from_slice(&(chunk.len() as u16).to_be_bytes());
+        out.extend_from_slice(chunk);
+    }
+    out
+}
+
 #[test]
 fn encode_into_matches_legacy_encode_under_sweep_inputs() {
     let _guard = measured();
@@ -320,25 +338,28 @@ fn encode_into_matches_legacy_encode_under_sweep_inputs() {
         ] {
             out.clear();
             write_record(ct, ProtocolVersion::Tls12, &payload, &mut out);
-            let legacy: Vec<u8> = Record::fragment(ct, ProtocolVersion::Tls12, &payload)
-                .iter()
-                .flat_map(|r| r.encode())
-                .collect();
+            let legacy = legacy_records(ct, ProtocolVersion::Tls12, &payload);
             assert_eq!(out.as_slice(), &legacy[..], "case {i}, len {len}, {ct:?}");
         }
     }
 
-    // Single-record encode_into against encode on the same sweep
-    // (per-record identity, not just per-stream).
-    for &len in &boundary_lens {
-        if len > MAX_FRAGMENT {
-            continue; // Record::new asserts the single-fragment bound.
-        }
+    // Single records on the same sweep, at another version: one
+    // record each, the oracle's bytes exactly.
+    for &len in boundary_lens.iter().filter(|&&len| len <= MAX_FRAGMENT) {
         let mut payload = vec![0u8; len];
         rng.fill_bytes(&mut payload);
-        let rec = Record::new(ContentType::Handshake, ProtocolVersion::Tls11, payload);
-        let mut into = Vec::new();
-        rec.encode_into(&mut into);
-        assert_eq!(into, rec.encode(), "len {len}");
+        out.clear();
+        write_record(
+            ContentType::Handshake,
+            ProtocolVersion::Tls11,
+            &payload,
+            &mut out,
+        );
+        assert_eq!(out.len(), 5 + len, "len {len}");
+        assert_eq!(
+            out.as_slice(),
+            &legacy_records(ContentType::Handshake, ProtocolVersion::Tls11, &payload)[..],
+            "len {len}"
+        );
     }
 }

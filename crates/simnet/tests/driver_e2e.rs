@@ -55,7 +55,7 @@ fn drive_tapped(
         &mut chain,
         &mut DriveScratch::new(),
     );
-    let tap = chain.middleware_mut::<GatewayTap>(0).unwrap();
+    let tap = GatewayTap::in_chain(&mut chain);
     (
         result,
         tap.take_observation(now(), device, "cloud.example.com"),

@@ -3,6 +3,10 @@
 //! The extension *set and order* in a ClientHello is a core input to
 //! TLS fingerprinting (§5.3 of the paper), so the codec preserves
 //! both; unknown extensions survive as [`Extension::Raw`].
+//! [`Extension::encode_into`] and [`encode_extensions_into`] write
+//! extensions in place; [`Extension::decode`] and
+//! [`decode_extensions`] read them, inside
+//! [`HandshakeMessage::decode`](crate::handshake::HandshakeMessage::decode).
 
 use crate::codec::{mark_u16, patch_u16, CodecError, Reader, WriteExt};
 use crate::version::ProtocolVersion;
@@ -93,71 +97,10 @@ impl Extension {
         }
     }
 
-    /// Encodes the extension payload (without the type/length header).
-    pub fn payload(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            Extension::ServerName(host) => {
-                // server_name_list: one host_name entry.
-                let mut entry = Vec::new();
-                entry.put_u8(0); // name_type = host_name
-                entry.put_vec16(host.as_bytes());
-                out.put_vec16(&entry);
-            }
-            Extension::StatusRequest => {
-                out.put_u8(1); // status_type = ocsp
-                out.put_u16(0); // responder_id_list
-                out.put_u16(0); // request_extensions
-            }
-            Extension::SupportedGroups(groups) => {
-                let mut list = Vec::new();
-                for g in groups {
-                    list.put_u16(*g);
-                }
-                out.put_vec16(&list);
-            }
-            Extension::EcPointFormats(formats) => {
-                out.put_vec8(formats);
-            }
-            Extension::SignatureAlgorithms(schemes) => {
-                let mut list = Vec::new();
-                for s in schemes {
-                    list.put_u16(*s);
-                }
-                out.put_vec16(&list);
-            }
-            Extension::Alpn(protocols) => {
-                let mut list = Vec::new();
-                for p in protocols {
-                    list.put_vec8(p.as_bytes());
-                }
-                out.put_vec16(&list);
-            }
-            Extension::SessionTicket => {}
-            Extension::SupportedVersions(versions) => {
-                let mut list = Vec::new();
-                for v in versions {
-                    list.put_u16(v.wire());
-                }
-                out.put_vec8(&list);
-            }
-            Extension::KeyShare(data) => out.put_slice(data),
-            Extension::RenegotiationInfo => out.put_u8(0),
-            Extension::Raw { data, .. } => out.put_slice(data),
-        }
-        out
-    }
-
-    /// Encodes with the `type(u16) length(u16) payload` header.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        out.put_u16(self.typ());
-        out.put_vec16(&self.payload());
-    }
-
-    /// [`Extension::encode`] without materializing the payload in a
-    /// temporary vector: length prefixes are reserved and backpatched
-    /// after the content lands in place. Byte-identical to the legacy
-    /// path (the roundtrip tests pin the agreement).
+    /// Appends the extension with its `type(u16) length(u16)` header,
+    /// without materializing the payload in a temporary vector: length
+    /// prefixes are reserved and backpatched after the content lands
+    /// in place.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.put_u16(self.typ());
         let ext_mark = mark_u16(out);
@@ -289,21 +232,10 @@ impl Extension {
     }
 }
 
-/// Encodes an extension block (u16 total length + entries).
-pub fn encode_extensions(exts: &[Extension], out: &mut Vec<u8>) {
-    if exts.is_empty() {
-        return; // extensions block omitted entirely, as old stacks do
-    }
-    let mut block = Vec::new();
-    for e in exts {
-        e.encode(&mut block);
-    }
-    out.put_vec16(&block);
-}
-
-/// [`encode_extensions`] without the temporary block vector: the u16
-/// total length is reserved up front and backpatched once every
-/// extension has been written in place.
+/// Appends an extension block (u16 total length + entries), omitted
+/// entirely when `exts` is empty. The u16 total length is reserved up
+/// front and backpatched once every extension has been written in
+/// place.
 pub fn encode_extensions_into(exts: &[Extension], out: &mut Vec<u8>) {
     if exts.is_empty() {
         return; // extensions block omitted entirely, as old stacks do
@@ -313,72 +245,6 @@ pub fn encode_extensions_into(exts: &[Extension], out: &mut Vec<u8>) {
         e.encode_into(out);
     }
     patch_u16(out, block_mark);
-}
-
-/// Walks an extension block performing exactly the validation of
-/// [`decode_extensions`] — same error cases, same order — without
-/// building any [`Extension`] values. Used by the passive parse path.
-pub fn skim_extensions(r: &mut Reader) -> Result<(), CodecError> {
-    if r.is_empty() {
-        return Ok(());
-    }
-    let mut block = Reader::new(r.vec16()?);
-    while !block.is_empty() {
-        let typ = block.u16()?;
-        let payload = block.vec16()?;
-        skim_extension(typ, payload)?;
-    }
-    Ok(())
-}
-
-/// Validation-only mirror of [`Extension::decode`]. Variants that
-/// decode infallibly (session_ticket, key_share, renegotiation_info,
-/// unknown-as-raw) are accepted without inspection, exactly as the
-/// allocating path does.
-fn skim_extension(typ: u16, payload: &[u8]) -> Result<(), CodecError> {
-    let mut r = Reader::new(payload);
-    match typ {
-        ext_type::SERVER_NAME => {
-            let mut list = Reader::new(r.vec16()?);
-            if list.u8()? != 0 {
-                return Err(CodecError::IllegalValue("sni name_type"));
-            }
-            let host = list.vec16()?;
-            list.finish()?;
-            std::str::from_utf8(host).map_err(|_| CodecError::IllegalValue("sni utf-8"))?;
-        }
-        ext_type::STATUS_REQUEST => {
-            if r.u8()? != 1 {
-                return Err(CodecError::IllegalValue("status_type"));
-            }
-            r.vec16()?;
-            r.vec16()?;
-        }
-        ext_type::SUPPORTED_GROUPS | ext_type::SIGNATURE_ALGORITHMS => {
-            let mut list = Reader::new(r.vec16()?);
-            while !list.is_empty() {
-                list.u16()?;
-            }
-        }
-        ext_type::EC_POINT_FORMATS => {
-            r.vec8()?;
-        }
-        ext_type::ALPN => {
-            let mut list = Reader::new(r.vec16()?);
-            while !list.is_empty() {
-                std::str::from_utf8(list.vec8()?)
-                    .map_err(|_| CodecError::IllegalValue("alpn utf-8"))?;
-            }
-        }
-        ext_type::SUPPORTED_VERSIONS => {
-            let mut list = Reader::new(r.vec8()?);
-            while !list.is_empty() {
-                list.u16()?;
-            }
-        }
-        _ => {}
-    }
-    Ok(())
 }
 
 /// Decodes an extension block; `r` may be empty (no extensions).
@@ -397,12 +263,78 @@ pub fn decode_extensions(r: &mut Reader) -> Result<Vec<Extension>, CodecError> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The extension encoder's byte-identity oracle, written
+    /// independently of it: the payload built in a vector of its own,
+    /// every list in a temporary.
+    fn legacy_extension_body(ext: &Extension) -> Vec<u8> {
+        let mut out = Vec::new();
+        match ext {
+            Extension::ServerName(host) => {
+                // server_name_list: one host_name entry.
+                let mut entry = Vec::new();
+                entry.put_u8(0); // name_type = host_name
+                entry.put_vec16(host.as_bytes());
+                out.put_vec16(&entry);
+            }
+            Extension::StatusRequest => {
+                out.put_u8(1); // status_type = ocsp
+                out.put_u16(0); // responder_id_list
+                out.put_u16(0); // request_extensions
+            }
+            Extension::SupportedGroups(list) | Extension::SignatureAlgorithms(list) => {
+                let mut codes = Vec::new();
+                for c in list {
+                    codes.put_u16(*c);
+                }
+                out.put_vec16(&codes);
+            }
+            Extension::EcPointFormats(formats) => out.put_vec8(formats),
+            Extension::Alpn(protocols) => {
+                let mut list = Vec::new();
+                for p in protocols {
+                    list.put_vec8(p.as_bytes());
+                }
+                out.put_vec16(&list);
+            }
+            Extension::SessionTicket => {}
+            Extension::SupportedVersions(versions) => {
+                let mut list = Vec::new();
+                for v in versions {
+                    list.put_u16(v.wire());
+                }
+                out.put_vec8(&list);
+            }
+            Extension::KeyShare(data) | Extension::Raw { data, .. } => out.put_slice(data),
+            Extension::RenegotiationInfo => out.put_u8(0),
+        }
+        out
+    }
+
+    /// [`legacy_extension_body`] with the `type length` header.
+    fn legacy_extension(ext: &Extension, out: &mut Vec<u8>) {
+        out.put_u16(ext.typ());
+        out.put_vec16(&legacy_extension_body(ext));
+    }
+
+    /// The extension block's oracle: every entry in a temporary block,
+    /// omitted entirely when `exts` is empty.
+    pub(crate) fn legacy_extension_block(exts: &[Extension], out: &mut Vec<u8>) {
+        if exts.is_empty() {
+            return;
+        }
+        let mut block = Vec::new();
+        for e in exts {
+            legacy_extension(e, &mut block);
+        }
+        out.put_vec16(&block);
+    }
 
     fn roundtrip(ext: Extension) {
         let mut buf = Vec::new();
-        ext.encode(&mut buf);
+        ext.encode_into(&mut buf);
         let mut r = Reader::new(&buf);
         let typ = r.u16().unwrap();
         let payload = r.vec16().unwrap();
@@ -470,7 +402,7 @@ mod tests {
             Extension::SupportedVersions(vec![ProtocolVersion::Tls12]),
         ];
         let mut buf = Vec::new();
-        encode_extensions(&exts, &mut buf);
+        encode_extensions_into(&exts, &mut buf);
         let mut r = Reader::new(&buf);
         let decoded = decode_extensions(&mut r).unwrap();
         assert_eq!(decoded, exts);
@@ -479,7 +411,7 @@ mod tests {
     #[test]
     fn empty_extension_block_roundtrip() {
         let mut buf = Vec::new();
-        encode_extensions(&[], &mut buf);
+        encode_extensions_into(&[], &mut buf);
         assert!(buf.is_empty());
         let mut r = Reader::new(&buf);
         assert!(decode_extensions(&mut r).unwrap().is_empty());
@@ -494,46 +426,6 @@ mod tests {
         entry.put_vec16(b"x");
         payload.put_vec16(&entry);
         assert!(Extension::decode(ext_type::SERVER_NAME, &payload).is_err());
-    }
-
-    #[test]
-    fn skim_agrees_with_decode_on_valid_and_corrupted_blocks() {
-        let exts = vec![
-            Extension::ServerName("a.example.com".into()),
-            Extension::StatusRequest,
-            Extension::SupportedGroups(vec![29, 23]),
-            Extension::EcPointFormats(vec![0]),
-            Extension::SignatureAlgorithms(vec![0x0401]),
-            Extension::Alpn(vec!["h2".into()]),
-            Extension::SessionTicket,
-            Extension::SupportedVersions(vec![ProtocolVersion::Tls13]),
-            Extension::KeyShare(vec![1, 2, 3]),
-            Extension::RenegotiationInfo,
-            Extension::Raw {
-                typ: 0x4a4a,
-                data: vec![9],
-            },
-        ];
-        let mut buf = Vec::new();
-        encode_extensions(&exts, &mut buf);
-        // Valid block and every byte-corrupted variant must agree.
-        let mut cases = vec![buf.clone()];
-        for i in 0..buf.len() {
-            for delta in [1u8, 0x80] {
-                let mut c = buf.clone();
-                c[i] = c[i].wrapping_add(delta);
-                cases.push(c);
-            }
-        }
-        for case in cases {
-            let decoded = decode_extensions(&mut Reader::new(&case));
-            let skimmed = skim_extensions(&mut Reader::new(&case));
-            assert_eq!(
-                decoded.as_ref().err(),
-                skimmed.as_ref().err(),
-                "decode/skim diverge on {case:02x?}"
-            );
-        }
     }
 
     #[test]
@@ -559,13 +451,13 @@ mod tests {
         ];
         for e in &exts {
             let mut legacy = Vec::new();
-            e.encode(&mut legacy);
+            legacy_extension(e, &mut legacy);
             let mut inplace = Vec::new();
             e.encode_into(&mut inplace);
             assert_eq!(inplace, legacy, "{e:?}");
         }
         let mut legacy = Vec::new();
-        encode_extensions(&exts, &mut legacy);
+        legacy_extension_block(&exts, &mut legacy);
         let mut inplace = Vec::new();
         encode_extensions_into(&exts, &mut inplace);
         assert_eq!(inplace, legacy);

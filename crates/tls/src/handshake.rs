@@ -1,9 +1,15 @@
 //! Handshake message structures and wire codec (RFC 5246 §7.4 shape).
+//!
+//! The grammar is written once per direction:
+//! [`HandshakeMessage::encode_into`] writes a message and
+//! [`HandshakeMessage::decode`] reads one. The endpoints and the
+//! gateway tap both read through `decode`, so the tap records exactly
+//! the messages an endpoint accepts; the middleware chain's dispatch
+//! uses only its header split to find the bodies its staged hooks
+//! see.
 
 use crate::codec::{mark_u16, mark_u24, patch_u16, patch_u24, CodecError, Reader, WriteExt};
-use crate::extension::{
-    decode_extensions, encode_extensions, encode_extensions_into, skim_extensions, Extension,
-};
+use crate::extension::{decode_extensions, encode_extensions_into, Extension};
 use crate::version::ProtocolVersion;
 
 /// Handshake message type code points.
@@ -45,9 +51,8 @@ pub struct ClientHello {
 
 impl ClientHello {
     /// Decodes a ClientHello *body* (the bytes after the 4-byte
-    /// handshake header), exactly as [`HandshakeMessage::decode`]
-    /// would.
-    pub fn decode_body(body: &[u8]) -> Result<ClientHello, CodecError> {
+    /// handshake header).
+    fn decode_body(body: &[u8]) -> Result<ClientHello, CodecError> {
         let mut b = Reader::new(body);
         let legacy_version = ProtocolVersion::from_wire(b.u16()?)
             .ok_or(CodecError::IllegalValue("client version"))?;
@@ -172,69 +177,12 @@ impl HandshakeMessage {
         }
     }
 
-    fn body(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            HandshakeMessage::ClientHello(ch) => {
-                out.put_u16(ch.legacy_version.wire());
-                out.put_slice(&ch.random);
-                out.put_vec8(&ch.session_id);
-                let mut suites = Vec::new();
-                for s in &ch.cipher_suites {
-                    suites.put_u16(*s);
-                }
-                out.put_vec16(&suites);
-                out.put_vec8(&ch.compression_methods);
-                encode_extensions(&ch.extensions, &mut out);
-            }
-            HandshakeMessage::ServerHello(sh) => {
-                out.put_u16(sh.version.wire());
-                out.put_slice(&sh.random);
-                out.put_vec8(&sh.session_id);
-                out.put_u16(sh.cipher_suite);
-                out.put_u8(sh.compression_method);
-                encode_extensions(&sh.extensions, &mut out);
-            }
-            HandshakeMessage::Certificate(chain) => {
-                let mut list = Vec::new();
-                for cert in chain {
-                    list.put_vec24(cert);
-                }
-                out.put_vec24(&list);
-            }
-            HandshakeMessage::ServerKeyExchange(ske) => {
-                out.put_vec16(&ske.dh_public);
-                out.put_vec16(&ske.signature);
-            }
-            HandshakeMessage::CertificateStatus(staple) => {
-                out.put_u8(1); // status_type = ocsp
-                out.put_vec24(staple);
-            }
-            HandshakeMessage::ServerHelloDone => {}
-            HandshakeMessage::ClientKeyExchange(payload) => {
-                out.put_vec16(payload);
-            }
-            HandshakeMessage::Finished(verify_data) => {
-                out.put_slice(verify_data);
-            }
-        }
-        out
-    }
-
-    /// Encodes with the 4-byte handshake header.
-    pub fn encode(&self) -> Vec<u8> {
-        let body = self.body();
-        let mut out = Vec::with_capacity(body.len() + 4);
-        out.put_u8(self.type_code());
-        out.put_vec24(&body);
-        out
-    }
-
-    /// Appends [`HandshakeMessage::encode`]'s bytes to a caller-owned
-    /// buffer with no intermediate body vector: every length prefix
-    /// (the u24 header and the nested list lengths) is reserved and
-    /// backpatched once its content has been written in place. The
-    /// legacy `encode`/`body` pair is kept as the byte-identity oracle.
+    /// Appends the message, with its 4-byte handshake header, to a
+    /// caller-owned buffer with no intermediate body vector: every
+    /// length prefix (the u24 header and the nested list lengths) is
+    /// reserved and backpatched once its content has been written in
+    /// place. The one handshake encoder; the endpoints write every
+    /// message through it.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.put_u8(self.type_code());
         let body_mark = mark_u24(out);
@@ -286,12 +234,10 @@ impl HandshakeMessage {
     }
 
     /// Decodes one handshake message; returns the message and the
-    /// number of bytes consumed.
+    /// number of bytes consumed. The one handshake parser: the
+    /// endpoints and the gateway tap both read messages through it.
     pub fn decode(data: &[u8]) -> Result<(HandshakeMessage, usize), CodecError> {
-        let mut r = Reader::new(data);
-        let typ = r.u8()?;
-        let body = r.vec24()?;
-        let consumed = data.len() - r.remaining();
+        let (typ, body, consumed) = next_raw_message(data)?;
         let mut b = Reader::new(body);
         let msg = match typ {
             msg_type::CLIENT_HELLO => {
@@ -360,101 +306,80 @@ impl HandshakeMessage {
 }
 
 /// Splits the next handshake message off `data` without copying,
-/// returning `(type code, borrowed body, bytes consumed)`.
-///
-/// Only the 4-byte header is parsed; pair with [`validate_body`] or a
-/// typed extractor to get [`HandshakeMessage::decode`]'s full
-/// validation without its allocations.
-pub fn next_raw_message(data: &[u8]) -> Result<(u8, &[u8], usize), CodecError> {
+/// returning `(type code, borrowed body, bytes consumed)`: the header
+/// parse of [`HandshakeMessage::decode`], which the middleware chain's
+/// dispatch also uses to find the message bodies its staged hooks
+/// see.
+pub(crate) fn next_raw_message(data: &[u8]) -> Result<(u8, &[u8], usize), CodecError> {
     let mut r = Reader::new(data);
     let typ = r.u8()?;
     let body = r.vec24()?;
     Ok((typ, body, data.len() - r.remaining()))
 }
 
-/// Validates a handshake message body exactly as
-/// [`HandshakeMessage::decode`] would — same error cases in the same
-/// order — without building the owned message.
-pub fn validate_body(typ: u8, body: &[u8]) -> Result<(), CodecError> {
-    let mut b = Reader::new(body);
-    match typ {
-        msg_type::CLIENT_HELLO => {
-            ProtocolVersion::from_wire(b.u16()?).ok_or(CodecError::IllegalValue("client version"))?;
-            b.take(32)?;
-            b.vec8()?;
-            let mut suites = Reader::new(b.vec16()?);
-            while !suites.is_empty() {
-                suites.u16()?;
-            }
-            b.vec8()?;
-            skim_extensions(&mut b)?;
-            b.finish()
-        }
-        msg_type::SERVER_HELLO => {
-            server_hello_fields(body)?;
-            Ok(())
-        }
-        msg_type::CERTIFICATE => {
-            first_certificate(body)?;
-            Ok(())
-        }
-        msg_type::SERVER_KEY_EXCHANGE => {
-            b.vec16()?;
-            b.vec16()?;
-            b.finish()
-        }
-        msg_type::CERTIFICATE_STATUS => {
-            if b.u8()? != 1 {
-                return Err(CodecError::IllegalValue("status_type"));
-            }
-            b.vec24()?;
-            b.finish()
-        }
-        msg_type::SERVER_HELLO_DONE => b.finish(),
-        msg_type::CLIENT_KEY_EXCHANGE => {
-            b.vec16()?;
-            b.finish()
-        }
-        msg_type::FINISHED => Ok(()),
-        _ => Err(CodecError::IllegalValue("handshake type")),
-    }
-}
-
-/// Validates a ServerHello body and returns `(version, cipher_suite)`
-/// without allocating.
-pub fn server_hello_fields(body: &[u8]) -> Result<(ProtocolVersion, u16), CodecError> {
-    let mut b = Reader::new(body);
-    let version =
-        ProtocolVersion::from_wire(b.u16()?).ok_or(CodecError::IllegalValue("server version"))?;
-    b.take(32)?;
-    b.vec8()?;
-    let cipher_suite = b.u16()?;
-    b.u8()?;
-    skim_extensions(&mut b)?;
-    b.finish()?;
-    Ok((version, cipher_suite))
-}
-
-/// Validates a Certificate body and returns the first (leaf) entry as
-/// a borrowed slice, or `None` for an empty chain.
-pub fn first_certificate(body: &[u8]) -> Result<Option<&[u8]>, CodecError> {
-    let mut b = Reader::new(body);
-    let mut list = Reader::new(b.vec24()?);
-    let mut leaf = None;
-    while !list.is_empty() {
-        let cert = list.vec24()?;
-        if leaf.is_none() {
-            leaf = Some(cert);
-        }
-    }
-    b.finish()?;
-    Ok(leaf)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::extension::sig_scheme;
+    use crate::extension::tests::legacy_extension_block;
+
+    /// `msg` written by the production encoder.
+    fn encoded(msg: &HandshakeMessage) -> Vec<u8> {
+        let mut out = Vec::new();
+        msg.encode_into(&mut out);
+        out
+    }
+
+    /// The encoder's byte-identity oracle, written independently of
+    /// it: the body built in a vector of its own, every list in a
+    /// temporary, then framed with the 4-byte header.
+    fn legacy_encode(msg: &HandshakeMessage) -> Vec<u8> {
+        let mut body = Vec::new();
+        match msg {
+            HandshakeMessage::ClientHello(ch) => {
+                body.put_u16(ch.legacy_version.wire());
+                body.put_slice(&ch.random);
+                body.put_vec8(&ch.session_id);
+                let mut suites = Vec::new();
+                for s in &ch.cipher_suites {
+                    suites.put_u16(*s);
+                }
+                body.put_vec16(&suites);
+                body.put_vec8(&ch.compression_methods);
+                legacy_extension_block(&ch.extensions, &mut body);
+            }
+            HandshakeMessage::ServerHello(sh) => {
+                body.put_u16(sh.version.wire());
+                body.put_slice(&sh.random);
+                body.put_vec8(&sh.session_id);
+                body.put_u16(sh.cipher_suite);
+                body.put_u8(sh.compression_method);
+                legacy_extension_block(&sh.extensions, &mut body);
+            }
+            HandshakeMessage::Certificate(chain) => {
+                let mut list = Vec::new();
+                for cert in chain {
+                    list.put_vec24(cert);
+                }
+                body.put_vec24(&list);
+            }
+            HandshakeMessage::ServerKeyExchange(ske) => {
+                body.put_vec16(&ske.dh_public);
+                body.put_vec16(&ske.signature);
+            }
+            HandshakeMessage::CertificateStatus(staple) => {
+                body.put_u8(1); // status_type = ocsp
+                body.put_vec24(staple);
+            }
+            HandshakeMessage::ServerHelloDone => {}
+            HandshakeMessage::ClientKeyExchange(kx) => body.put_vec16(kx),
+            HandshakeMessage::Finished(verify_data) => body.put_slice(verify_data),
+        }
+        let mut out = Vec::with_capacity(body.len() + 4);
+        out.put_u8(msg.type_code());
+        out.put_vec24(&body);
+        out
+    }
 
     fn sample_client_hello() -> ClientHello {
         ClientHello {
@@ -472,7 +397,7 @@ mod tests {
     }
 
     fn roundtrip(msg: HandshakeMessage) -> HandshakeMessage {
-        let encoded = msg.encode();
+        let encoded = encoded(&msg);
         let (decoded, consumed) = HandshakeMessage::decode(&encoded).unwrap();
         assert_eq!(consumed, encoded.len());
         assert_eq!(decoded, msg);
@@ -519,9 +444,8 @@ mod tests {
 
     #[test]
     fn decode_reports_consumed_for_concatenated_messages() {
-        let mut buf = HandshakeMessage::ServerHelloDone.encode();
-        let second = HandshakeMessage::Finished(vec![1, 2, 3]).encode();
-        buf.extend_from_slice(&second);
+        let mut buf = encoded(&HandshakeMessage::ServerHelloDone);
+        HandshakeMessage::Finished(vec![1, 2, 3]).encode_into(&mut buf);
         let (msg1, used1) = HandshakeMessage::decode(&buf).unwrap();
         assert_eq!(msg1, HandshakeMessage::ServerHelloDone);
         let (msg2, used2) = HandshakeMessage::decode(&buf[used1..]).unwrap();
@@ -531,7 +455,7 @@ mod tests {
 
     #[test]
     fn truncated_messages_rejected() {
-        let encoded = HandshakeMessage::ClientHello(sample_client_hello()).encode();
+        let encoded = encoded(&HandshakeMessage::ClientHello(sample_client_hello()));
         for cut in 1..encoded.len().min(40) {
             assert!(HandshakeMessage::decode(&encoded[..cut]).is_err());
         }
@@ -572,7 +496,7 @@ mod tests {
         for msg in sample_messages() {
             let mut inplace = Vec::new();
             msg.encode_into(&mut inplace);
-            assert_eq!(inplace, msg.encode(), "{msg:?}");
+            assert_eq!(inplace, legacy_encode(&msg), "{msg:?}");
         }
         // Degenerate shapes the samples miss: empty chain, empty
         // session id with no extensions.
@@ -589,15 +513,19 @@ mod tests {
         ] {
             let mut inplace = Vec::new();
             msg.encode_into(&mut inplace);
-            assert_eq!(inplace, msg.encode(), "{msg:?}");
+            assert_eq!(inplace, legacy_encode(&msg), "{msg:?}");
         }
     }
 
     #[test]
     fn raw_skim_agrees_with_decode() {
+        // The chain's dispatch splits messages with next_raw_message
+        // and the endpoints read them with decode: on the valid
+        // encoding and every single-byte corruption, a split decode
+        // accepts consumes what the split consumed, and a header the
+        // split rejects, decode rejects with the same error.
         for msg in sample_messages() {
-            let encoded = msg.encode();
-            // Valid encoding plus every single-byte corruption.
+            let encoded = encoded(&msg);
             let mut cases = vec![encoded.clone()];
             for i in 0..encoded.len() {
                 for delta in [1u8, 0x80] {
@@ -607,45 +535,22 @@ mod tests {
                 }
             }
             for case in cases {
+                let split = next_raw_message(&case);
                 let decoded = HandshakeMessage::decode(&case);
-                let skimmed = next_raw_message(&case)
-                    .and_then(|(typ, body, used)| validate_body(typ, body).map(|()| used));
-                match (&decoded, &skimmed) {
-                    (Ok((_, used_d)), Ok(used_s)) => assert_eq!(used_d, used_s),
-                    (Err(de), Err(se)) => assert_eq!(de, se, "error mismatch on {case:02x?}"),
-                    _ => panic!("decode/skim diverge on {case:02x?}: {decoded:?} vs {skimmed:?}"),
+                match (&split, &decoded) {
+                    (Ok((_, body, used_s)), Ok((_, used_d))) => {
+                        assert_eq!(used_s, used_d);
+                        assert_eq!(*used_s, 4 + body.len());
+                    }
+                    (Err(se), Err(de)) => assert_eq!(se, de, "error mismatch on {case:02x?}"),
+                    // The header splits; decode rejects the body.
+                    (Ok(_), Err(_)) => {}
+                    (Err(_), Ok(_)) => {
+                        panic!("decode/split diverge on {case:02x?}: {decoded:?} vs {split:?}")
+                    }
                 }
             }
         }
-    }
-
-    #[test]
-    fn typed_extractors_match_decoded_fields() {
-        for msg in sample_messages() {
-            let encoded = msg.encode();
-            let (typ, body, _) = next_raw_message(&encoded).unwrap();
-            match msg {
-                HandshakeMessage::ClientHello(ch) => {
-                    assert_eq!(ClientHello::decode_body(body).unwrap(), ch);
-                }
-                HandshakeMessage::ServerHello(sh) => {
-                    assert_eq!(
-                        server_hello_fields(body).unwrap(),
-                        (sh.version, sh.cipher_suite)
-                    );
-                }
-                HandshakeMessage::Certificate(chain) => {
-                    assert_eq!(
-                        first_certificate(body).unwrap(),
-                        chain.first().map(Vec::as_slice)
-                    );
-                }
-                _ => assert!(validate_body(typ, body).is_ok()),
-            }
-        }
-        let empty_chain = HandshakeMessage::Certificate(vec![]).encode();
-        let (_, body, _) = next_raw_message(&empty_chain).unwrap();
-        assert_eq!(first_certificate(body).unwrap(), None);
     }
 
     #[test]

@@ -10,7 +10,12 @@
 //!   paper classifies them (insecure / null-anon / forward-secret);
 //! * [`record`], [`handshake`], [`extension`], [`alert`] — the wire
 //!   format: record framing, handshake messages, hello extensions,
-//!   and alert messages (the root-store side channel's carrier);
+//!   and alert messages (the root-store side channel's carrier). The
+//!   codec is written once per direction: [`write_record`],
+//!   [`HandshakeMessage::encode_into`] and
+//!   [`extension::encode_extensions_into`] write, and the zero-copy
+//!   [`Deframer`] and [`HandshakeMessage::decode`] read, for the
+//!   endpoints and the gateway tap alike;
 //! * [`client`] / [`server`] — event-driven state machines in the
 //!   smoltcp style: bytes in, bytes out, no sockets, no clock of
 //!   their own;
@@ -43,13 +48,10 @@ pub use ciphersuite::{by_id, by_name, BulkCipher, CipherSuite, KeyExchange, MacA
 pub use client::{CachedSession, ClientConfig, ClientConnection, HandshakeFailure, HandshakeSummary};
 pub use extension::Extension;
 pub use fingerprint::{Fingerprint, FingerprintId};
-pub use handshake::{
-    first_certificate, next_raw_message, server_hello_fields, validate_body, ClientHello,
-    HandshakeMessage, ServerHello,
-};
+pub use handshake::{ClientHello, HandshakeMessage, ServerHello};
 pub use middleware::{Chain, ChainStats, Flow, Middleware, RecordCounter, Signal, Stage, Verdict};
 pub use profile::LibraryProfile;
-pub use record::{write_record, ContentType, Deframer, Record, RecordRef, SessionBuf};
+pub use record::{write_record, ContentType, Deframer, RecordRef, SessionBuf};
 pub use server::{ServerConfig, ServerConnection, ServerFailure, SessionCache};
 pub use session::{SessionScratch, Status};
 pub use version::ProtocolVersion;

@@ -394,8 +394,9 @@ impl Chain {
         if content_type != ContentType::Handshake {
             return None;
         }
-        // Walk the handshake messages inside the record, mirroring the
-        // tap's skim: stop quietly at the first unparsable header
+        // Split the handshake messages inside the record at their
+        // headers, as `HandshakeMessage::decode` does, without decoding
+        // the bodies: stop quietly at the first unparsable header
         // (encrypted FINISHED payloads land here).
         let mut off = 0;
         while off < payload.len() {
@@ -478,14 +479,21 @@ impl Middleware for RecordCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::{Record, MAX_FRAGMENT};
+    use crate::record::{write_record, SessionBuf, MAX_FRAGMENT};
     use crate::version::ProtocolVersion;
+
+    /// `payload` framed as one record by the endpoints' writer.
+    fn record(content_type: ContentType, payload: &[u8]) -> Vec<u8> {
+        let mut out = SessionBuf::new();
+        write_record(content_type, ProtocolVersion::Tls12, payload, &mut out);
+        out.take_vec()
+    }
 
     fn handshake_record(msg_type: u8, body: &[u8]) -> Vec<u8> {
         let mut payload = vec![msg_type];
         payload.extend_from_slice(&(body.len() as u32).to_be_bytes()[1..]);
         payload.extend_from_slice(body);
-        Record::new(ContentType::Handshake, ProtocolVersion::Tls12, payload).encode()
+        record(ContentType::Handshake, &payload)
     }
 
     /// Scripted middleware: returns a fixed verdict at one stage.
@@ -635,12 +643,7 @@ mod tests {
             .with(Box::new(Zeroer))
             .with(Box::new(AllZero::default()));
         chain.begin_session();
-        let rec = Record::new(
-            ContentType::ApplicationData,
-            ProtocolVersion::Tls12,
-            vec![0xaa; 16],
-        )
-        .encode();
+        let rec = record(ContentType::ApplicationData, &[0xaa; 16]);
         assert_eq!(chain.feed(Flow::ClientToServer, &rec), None);
         assert_eq!(chain.middleware_mut::<AllZero>(1).unwrap().0, Some(true));
         assert_eq!(chain.take_stats().rewrites, 1);
@@ -667,7 +670,7 @@ mod tests {
         let mut payload = vec![msg_type::FINISHED];
         payload.extend_from_slice(&[0xff, 0xff, 0xff]); // absurd u24 length
         payload.extend_from_slice(&[0xcc; 12]);
-        let rec = Record::new(ContentType::Handshake, ProtocolVersion::Tls12, payload).encode();
+        let rec = record(ContentType::Handshake, &payload);
         assert_eq!(chain.feed(Flow::ClientToServer, &rec), None);
         let stats = chain.take_stats();
         assert_eq!(stats.invocations[Stage::Record.index()], 1);
@@ -703,12 +706,7 @@ mod tests {
     fn max_fragment_records_dispatch() {
         let mut chain = Chain::new().with(Box::new(RecordCounter::default()));
         chain.begin_session();
-        let rec = Record::new(
-            ContentType::ApplicationData,
-            ProtocolVersion::Tls12,
-            vec![0x55; MAX_FRAGMENT],
-        )
-        .encode();
+        let rec = record(ContentType::ApplicationData, &[0x55; MAX_FRAGMENT]);
         chain.feed(Flow::ServerToClient, &rec);
         let counter = chain.middleware_mut::<RecordCounter>(0).unwrap();
         assert_eq!(counter.payload_bytes, MAX_FRAGMENT as u64);

@@ -1,4 +1,10 @@
 //! TLS record layer: framing and incremental deframing.
+//!
+//! One writer, [`write_record`], frames every record the endpoints
+//! send into a caller-owned [`SessionBuf`]; one reader, the
+//! [`Deframer`], hands records back out as [`RecordRef`]s that borrow
+//! its buffer, so the endpoints and the middleware chain read records
+//! in place.
 
 use crate::codec::{CodecError, WriteExt};
 use crate::version::ProtocolVersion;
@@ -41,65 +47,6 @@ impl ContentType {
 
 /// Maximum plaintext fragment length (RFC 5246 §6.2.1).
 pub const MAX_FRAGMENT: usize = 16_384;
-
-/// One TLS record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Record {
-    /// Content type.
-    pub content_type: ContentType,
-    /// Record-layer version field.
-    pub version: ProtocolVersion,
-    /// Fragment payload (possibly encrypted).
-    pub payload: Vec<u8>,
-}
-
-impl Record {
-    /// Builds a record; panics if the payload exceeds [`MAX_FRAGMENT`].
-    pub fn new(content_type: ContentType, version: ProtocolVersion, payload: Vec<u8>) -> Record {
-        assert!(payload.len() <= MAX_FRAGMENT, "fragment too large");
-        Record {
-            content_type,
-            version,
-            payload,
-        }
-    }
-
-    /// Encodes to the 5-byte header plus payload.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(5 + self.payload.len());
-        out.put_u8(self.content_type.wire());
-        out.put_u16(self.version.wire());
-        out.put_vec16(&self.payload);
-        out
-    }
-
-    /// Appends the encoding of [`Record::encode`] to a caller-owned
-    /// buffer — byte-identical output, no intermediate vector. The
-    /// legacy `encode` is kept (independently implemented) as the
-    /// byte-identity oracle for this path.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.reserve(5 + self.payload.len());
-        out.put_u8(self.content_type.wire());
-        out.put_u16(self.version.wire());
-        out.put_vec16(&self.payload);
-    }
-
-    /// Splits an arbitrarily long payload into records of at most
-    /// [`MAX_FRAGMENT`] bytes.
-    pub fn fragment(
-        content_type: ContentType,
-        version: ProtocolVersion,
-        payload: &[u8],
-    ) -> Vec<Record> {
-        if payload.is_empty() {
-            return vec![Record::new(content_type, version, Vec::new())];
-        }
-        payload
-            .chunks(MAX_FRAGMENT)
-            .map(|c| Record::new(content_type, version, c.to_vec()))
-            .collect()
-    }
-}
 
 /// A caller-owned outgoing byte buffer: the write-side counterpart of
 /// [`Deframer`]. The sans-IO state machines append encoded records
@@ -151,12 +98,12 @@ impl SessionBuf {
 
 /// Encodes `payload` as one or more records of at most
 /// [`MAX_FRAGMENT`] bytes directly into `out` — the write-path mirror
-/// of [`Deframer::pop_ref`]: no intermediate [`Record`], no payload
+/// of [`Deframer::pop_ref`] and the one record writer: no payload
 /// copy beyond the single append into the caller's buffer. An empty
-/// payload still produces one empty record, exactly like
-/// [`Record::fragment`]. Record protection happens *before* framing:
-/// callers encrypt `payload` in their scratch buffer first (fragment
-/// boundaries do not disturb the stream ciphers' keystream order).
+/// payload still produces one empty record. Record protection happens
+/// *before* framing: callers encrypt `payload` in their scratch
+/// buffer first (fragment boundaries do not disturb the stream
+/// ciphers' keystream order).
 pub fn write_record(
     content_type: ContentType,
     version: ProtocolVersion,
@@ -179,9 +126,9 @@ pub fn write_record(
 
 // ALLOC-FREE: end (record write path)
 
-/// A record whose payload borrows the deframer's buffer — the
-/// zero-copy counterpart of [`Record`], used on the passive parse
-/// path where payloads are scanned once and never stored.
+/// One record, its payload borrowed from the deframer's buffer: a
+/// record is read in place, and whoever keeps part of it (an endpoint,
+/// the gateway tap) copies only what it decodes.
 #[derive(Debug, PartialEq, Eq)]
 pub struct RecordRef<'a> {
     /// Content type.
@@ -293,29 +240,63 @@ impl Deframer {
 mod tests {
     use super::*;
 
-    /// Pops the next record as an owned [`Record`].
-    fn pop_owned(d: &mut Deframer) -> Result<Option<Record>, CodecError> {
+    /// A record as owned parts: content type, version, payload.
+    type Owned = (ContentType, ProtocolVersion, Vec<u8>);
+
+    /// Pops the next record as owned parts.
+    fn pop_owned(d: &mut Deframer) -> Result<Option<Owned>, CodecError> {
         Ok(d.pop_ref()?
-            .map(|r| Record::new(r.content_type, r.version, r.payload.to_vec())))
+            .map(|r| (r.content_type, r.version, r.payload.to_vec())))
+    }
+
+    /// `payload` framed by [`write_record`].
+    fn written(content_type: ContentType, version: ProtocolVersion, payload: &[u8]) -> Vec<u8> {
+        let mut buf = SessionBuf::new();
+        write_record(content_type, version, payload, &mut buf);
+        buf.take_vec()
+    }
+
+    /// The record writer's byte-identity oracle, written independently
+    /// of it: one record per [`MAX_FRAGMENT`] chunk, each framed in a
+    /// vector of its own, and one empty record for an empty payload.
+    fn legacy_records(
+        content_type: ContentType,
+        version: ProtocolVersion,
+        payload: &[u8],
+    ) -> Vec<Vec<u8>> {
+        let mut chunks: Vec<&[u8]> = payload.chunks(MAX_FRAGMENT).collect();
+        if chunks.is_empty() {
+            chunks.push(&[]);
+        }
+        chunks
+            .into_iter()
+            .map(|chunk| {
+                let mut rec = vec![content_type.wire()];
+                rec.extend_from_slice(&version.wire().to_be_bytes());
+                rec.extend_from_slice(&(chunk.len() as u16).to_be_bytes());
+                rec.extend_from_slice(chunk);
+                rec
+            })
+            .collect()
     }
 
     #[test]
     fn record_roundtrip() {
-        let rec = Record::new(
+        let rec = (
             ContentType::Handshake,
             ProtocolVersion::Tls12,
             vec![1, 2, 3],
         );
         let mut d = Deframer::new();
-        d.push(&rec.encode());
+        d.push(&written(rec.0, rec.1, &rec.2));
         assert_eq!(pop_owned(&mut d).unwrap().unwrap(), rec);
         assert_eq!(pop_owned(&mut d).unwrap(), None);
     }
 
     #[test]
     fn deframer_handles_partial_delivery() {
-        let rec = Record::new(ContentType::Alert, ProtocolVersion::Tls10, vec![2, 48]);
-        let bytes = rec.encode();
+        let rec = (ContentType::Alert, ProtocolVersion::Tls10, vec![2, 48]);
+        let bytes = written(rec.0, rec.1, &rec.2);
         let mut d = Deframer::new();
         for b in &bytes[..bytes.len() - 1] {
             d.push(std::slice::from_ref(b));
@@ -327,10 +308,14 @@ mod tests {
 
     #[test]
     fn deframer_handles_coalesced_records() {
-        let a = Record::new(ContentType::Handshake, ProtocolVersion::Tls12, vec![1]);
-        let b = Record::new(ContentType::ApplicationData, ProtocolVersion::Tls12, vec![2]);
-        let mut bytes = a.encode();
-        bytes.extend_from_slice(&b.encode());
+        let a = (ContentType::Handshake, ProtocolVersion::Tls12, vec![1]);
+        let b = (
+            ContentType::ApplicationData,
+            ProtocolVersion::Tls12,
+            vec![2],
+        );
+        let mut bytes = written(a.0, a.1, &a.2);
+        bytes.extend_from_slice(&written(b.0, b.1, &b.2));
         let mut d = Deframer::new();
         d.push(&bytes);
         let mut records = Vec::new();
@@ -358,27 +343,29 @@ mod tests {
     #[test]
     fn fragmentation_respects_limit() {
         let big = vec![0xaa; MAX_FRAGMENT * 2 + 100];
-        let frags = Record::fragment(ContentType::ApplicationData, ProtocolVersion::Tls12, &big);
+        let wire = written(ContentType::ApplicationData, ProtocolVersion::Tls12, &big);
+        assert_eq!(
+            wire,
+            legacy_records(ContentType::ApplicationData, ProtocolVersion::Tls12, &big).concat()
+        );
+        let mut d = Deframer::new();
+        d.push(&wire);
+        let mut frags = Vec::new();
+        while let Some((_, _, payload)) = pop_owned(&mut d).unwrap() {
+            frags.push(payload);
+        }
         assert_eq!(frags.len(), 3);
-        assert!(frags.iter().all(|f| f.payload.len() <= MAX_FRAGMENT));
-        let total: usize = frags.iter().map(|f| f.payload.len()).sum();
-        assert_eq!(total, big.len());
+        assert!(frags.iter().all(|f| f.len() <= MAX_FRAGMENT));
+        assert_eq!(frags.concat(), big);
     }
 
     #[test]
     fn empty_payload_fragment() {
-        let frags = Record::fragment(ContentType::Handshake, ProtocolVersion::Tls12, &[]);
-        assert_eq!(frags.len(), 1);
-        assert!(frags[0].payload.is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "fragment too large")]
-    fn oversized_record_panics() {
-        Record::new(
-            ContentType::ApplicationData,
-            ProtocolVersion::Tls12,
-            vec![0; MAX_FRAGMENT + 1],
+        let wire = written(ContentType::Handshake, ProtocolVersion::Tls12, &[]);
+        assert_eq!(wire, [22, 3, 3, 0, 0]);
+        assert_eq!(
+            vec![wire],
+            legacy_records(ContentType::Handshake, ProtocolVersion::Tls12, &[])
         );
     }
 
@@ -389,17 +376,31 @@ mod tests {
             (ContentType::Alert, ProtocolVersion::Tls10, 2),
             (ContentType::ApplicationData, ProtocolVersion::Tls13, 1337),
             (ContentType::ChangeCipherSpec, ProtocolVersion::Ssl30, 1),
+            (
+                ContentType::ApplicationData,
+                ProtocolVersion::Tls12,
+                MAX_FRAGMENT,
+            ),
         ] {
-            let rec = Record::new(ct, ver, (0..len).map(|i| i as u8).collect());
-            let mut out = Vec::new();
-            rec.encode_into(&mut out);
-            assert_eq!(out, rec.encode());
+            let payload: Vec<u8> = (0..len).map(|i| i as u8).collect();
+            assert_eq!(
+                vec![written(ct, ver, &payload)],
+                legacy_records(ct, ver, &payload),
+                "{ct:?} {ver:?} len {len}"
+            );
         }
     }
 
     #[test]
     fn write_record_matches_fragment_plus_encode() {
-        for len in [0usize, 1, 100, MAX_FRAGMENT, MAX_FRAGMENT + 1, MAX_FRAGMENT * 2 + 7] {
+        for len in [
+            0usize,
+            1,
+            100,
+            MAX_FRAGMENT,
+            MAX_FRAGMENT + 1,
+            MAX_FRAGMENT * 2 + 7,
+        ] {
             let payload: Vec<u8> = (0..len).map(|i| (i * 31) as u8).collect();
             let mut buf = SessionBuf::new();
             write_record(
@@ -408,11 +409,12 @@ mod tests {
                 &payload,
                 &mut buf,
             );
-            let oracle: Vec<u8> =
-                Record::fragment(ContentType::ApplicationData, ProtocolVersion::Tls12, &payload)
-                    .iter()
-                    .flat_map(Record::encode)
-                    .collect();
+            let oracle = legacy_records(
+                ContentType::ApplicationData,
+                ProtocolVersion::Tls12,
+                &payload,
+            )
+            .concat();
             assert_eq!(buf.as_slice(), &oracle[..], "len {len}");
         }
     }

@@ -1,4 +1,7 @@
 //! Property-style tests for the TLS wire codecs and fingerprinting.
+//! Every case writes through the encoders the endpoints use
+//! (`HandshakeMessage::encode_into`, `encode_extensions_into`,
+//! `write_record`) and reads back through the one parser.
 //!
 //! Inputs come from the workspace's deterministic DRBG instead of an
 //! external property-testing framework, so the suite builds with no
@@ -6,10 +9,10 @@
 
 use iotls_crypto::drbg::Drbg;
 use iotls_tls::alert::{Alert, AlertDescription, AlertLevel};
-use iotls_tls::extension::{decode_extensions, encode_extensions, Extension};
+use iotls_tls::extension::{decode_extensions, encode_extensions_into, Extension};
 use iotls_tls::fingerprint::Fingerprint;
 use iotls_tls::handshake::{ClientHello, HandshakeMessage, ServerHello, ServerKeyExchange};
-use iotls_tls::record::{ContentType, Deframer, Record};
+use iotls_tls::record::{write_record, ContentType, Deframer, SessionBuf, MAX_FRAGMENT};
 use iotls_tls::version::ProtocolVersion;
 
 fn cases(n: u64, label: &str, mut body: impl FnMut(&mut Drbg)) {
@@ -18,6 +21,22 @@ fn cases(n: u64, label: &str, mut body: impl FnMut(&mut Drbg)) {
         let mut rng = root.fork(&format!("case-{i}"));
         body(&mut rng);
     }
+}
+
+/// `msg` written by the encoder the endpoints use.
+fn encoded(msg: &HandshakeMessage) -> Vec<u8> {
+    let mut out = Vec::new();
+    msg.encode_into(&mut out);
+    out
+}
+
+/// Pops every complete record out of `d` as owned parts.
+fn pop_all(d: &mut Deframer) -> Vec<(ContentType, ProtocolVersion, Vec<u8>)> {
+    let mut out = Vec::new();
+    while let Some(r) = d.pop_ref().unwrap() {
+        out.push((r.content_type, r.version, r.payload.to_vec()));
+    }
+    out
 }
 
 fn random_bytes(rng: &mut Drbg, max_len: u64) -> Vec<u8> {
@@ -115,7 +134,7 @@ fn random_client_hello(rng: &mut Drbg) -> ClientHello {
 fn client_hello_roundtrips() {
     cases(192, "client-hello", |rng| {
         let msg = HandshakeMessage::ClientHello(random_client_hello(rng));
-        let bytes = msg.encode();
+        let bytes = encoded(&msg);
         let (decoded, used) = HandshakeMessage::decode(&bytes).unwrap();
         assert_eq!(used, bytes.len());
         assert_eq!(decoded, msg);
@@ -135,7 +154,7 @@ fn server_hello_roundtrips() {
             compression_method: 0,
             extensions: vec![],
         });
-        let bytes = msg.encode();
+        let bytes = encoded(&msg);
         let (decoded, _) = HandshakeMessage::decode(&bytes).unwrap();
         assert_eq!(decoded, msg);
     });
@@ -157,7 +176,7 @@ fn certificate_and_kx_roundtrip() {
             HandshakeMessage::ClientKeyExchange(dh.clone()),
             HandshakeMessage::Finished(sig.clone()),
         ] {
-            let bytes = msg.encode();
+            let bytes = encoded(&msg);
             let (decoded, used) = HandshakeMessage::decode(&bytes).unwrap();
             assert_eq!(used, bytes.len());
             assert_eq!(decoded, msg);
@@ -174,7 +193,7 @@ fn extension_blocks_roundtrip() {
             .filter(is_roundtrippable)
             .collect();
         let mut buf = Vec::new();
-        encode_extensions(&exts, &mut buf);
+        encode_extensions_into(&exts, &mut buf);
         let mut r = iotls_tls::codec::Reader::new(&buf);
         let decoded = decode_extensions(&mut r).unwrap();
         assert_eq!(decoded, exts);
@@ -184,7 +203,7 @@ fn extension_blocks_roundtrip() {
 #[test]
 fn truncated_hello_never_panics() {
     cases(192, "truncated", |rng| {
-        let bytes = HandshakeMessage::ClientHello(random_client_hello(rng)).encode();
+        let bytes = encoded(&HandshakeMessage::ClientHello(random_client_hello(rng)));
         let cut = (rng.below(100) as usize).min(bytes.len());
         // Must error or succeed, never panic.
         let _ = HandshakeMessage::decode(&bytes[..cut]);
@@ -206,9 +225,9 @@ fn garbage_bytes_never_panic_decoder() {
 fn records_roundtrip_under_any_chunking() {
     cases(96, "chunking", |rng| {
         let n = rng.range(1, 5);
-        let records: Vec<Record> = (0..n)
+        let records: Vec<_> = (0..n)
             .map(|_| {
-                Record::new(
+                (
                     ContentType::ApplicationData,
                     ProtocolVersion::Tls12,
                     random_bytes(rng, 299),
@@ -216,17 +235,15 @@ fn records_roundtrip_under_any_chunking() {
             })
             .collect();
         let chunk = rng.range(1, 64) as usize;
-        let mut wire = Vec::new();
-        for r in &records {
-            wire.extend_from_slice(&r.encode());
+        let mut wire = SessionBuf::new();
+        for (ct, version, payload) in &records {
+            write_record(*ct, *version, payload, &mut wire);
         }
         let mut d = Deframer::new();
         let mut out = Vec::new();
-        for c in wire.chunks(chunk) {
+        for c in wire.as_slice().chunks(chunk) {
             d.push(c);
-            while let Some(r) = d.pop_ref().unwrap() {
-                out.push(Record::new(r.content_type, r.version, r.payload.to_vec()));
-            }
+            out.extend(pop_all(&mut d));
         }
         assert_eq!(out, records);
     });
@@ -260,9 +277,18 @@ fn fingerprint_is_pure_function_of_features() {
 fn fragmentation_reassembles() {
     cases(32, "fragmentation", |rng| {
         let payload = random_bytes(rng, 40_000);
-        let frags =
-            Record::fragment(ContentType::ApplicationData, ProtocolVersion::Tls12, &payload);
-        let total: Vec<u8> = frags.iter().flat_map(|f| f.payload.clone()).collect();
+        let mut wire = SessionBuf::new();
+        write_record(
+            ContentType::ApplicationData,
+            ProtocolVersion::Tls12,
+            &payload,
+            &mut wire,
+        );
+        let mut d = Deframer::new();
+        d.push(wire.as_slice());
+        let frags = pop_all(&mut d);
+        assert!(frags.iter().all(|(_, _, f)| f.len() <= MAX_FRAGMENT));
+        let total: Vec<u8> = frags.into_iter().flat_map(|(_, _, f)| f).collect();
         assert_eq!(total, payload);
     });
 }

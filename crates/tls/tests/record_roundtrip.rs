@@ -3,7 +3,7 @@
 //! round-trip through [`Deframer::pop_ref`] for arbitrary content
 //! types, versions, payload sizes (including multi-fragment), and
 //! arbitrary transport re-chunking — and must stay byte-identical to
-//! the legacy `Record::fragment` + `Record::encode` oracle.
+//! [`legacy_records`], a few-line oracle written independently of it.
 //!
 //! Hand-rolled with the repo's deterministic [`Drbg`] (no external
 //! property-testing crate): every case is a pure function of the
@@ -12,7 +12,7 @@
 use iotls_crypto::drbg::Drbg;
 use iotls_tls::record::MAX_FRAGMENT;
 use iotls_tls::version::ProtocolVersion;
-use iotls_tls::{write_record, ContentType, Deframer, Record, SessionBuf};
+use iotls_tls::{write_record, ContentType, Deframer, SessionBuf};
 
 const CONTENT_TYPES: [ContentType; 4] = [
     ContentType::ChangeCipherSpec,
@@ -28,6 +28,24 @@ const VERSIONS: [ProtocolVersion; 5] = [
     ProtocolVersion::Tls12,
     ProtocolVersion::Tls13,
 ];
+
+/// The record writer's oracle: one record per [`MAX_FRAGMENT`] chunk
+/// (one empty record for an empty payload), each header written by
+/// hand.
+fn legacy_records(ct: ContentType, version: ProtocolVersion, payload: &[u8]) -> Vec<u8> {
+    let mut chunks: Vec<&[u8]> = payload.chunks(MAX_FRAGMENT).collect();
+    if chunks.is_empty() {
+        chunks.push(&[]);
+    }
+    let mut out = Vec::new();
+    for chunk in chunks {
+        out.push(ct.wire());
+        out.extend_from_slice(&version.wire().to_be_bytes());
+        out.extend_from_slice(&(chunk.len() as u16).to_be_bytes());
+        out.extend_from_slice(chunk);
+    }
+    out
+}
 
 /// Draws one arbitrary (content type, version, payload) triple.
 /// Payload lengths are biased toward the interesting boundaries:
@@ -101,10 +119,9 @@ fn write_record_roundtrips_arbitrary_cases_through_pop_ref() {
 
 #[test]
 fn write_record_matches_fragment_encode_oracle() {
-    // The legacy Record::fragment + Record::encode pair is kept as an
-    // independently implemented oracle; the sans-IO writer must stay
-    // byte-identical to it for every case, or golden wire fixtures
-    // would shift.
+    // The sans-IO writer must stay byte-identical to the independently
+    // written oracle for every case, or golden wire fixtures would
+    // shift.
     let mut rng = Drbg::from_seed(0x0_4AC1E).fork("record-oracle");
     let mut out = SessionBuf::new();
     for iteration in 0..200 {
@@ -112,10 +129,7 @@ fn write_record_matches_fragment_encode_oracle() {
         out.clear();
         write_record(ct, version, &payload, &mut out);
 
-        let legacy: Vec<u8> = Record::fragment(ct, version, &payload)
-            .iter()
-            .flat_map(|r| r.encode())
-            .collect();
+        let legacy = legacy_records(ct, version, &payload);
         assert_eq!(out.as_slice(), &legacy[..], "iteration {iteration}");
     }
 }

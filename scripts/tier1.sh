@@ -206,6 +206,26 @@ cargo test -q --offline -p iotls-rootstore --lib -- ca::tests::every_universe_ke
     tests::probe_set_keys_are_pinned
 cargo test -q --offline -p iotls-devices --lib -- testbed::tests::every_cloud_endpoint_is_pinned \
     cloud::tests::a_shared_hostname_is_provisioned_for_its_first_device
+# One TLS codec: the endpoints write through write_record,
+# HandshakeMessage::encode_into and encode_extensions_into, and the
+# endpoints and the gateway tap read handshakes through
+# HandshakeMessage::decode. The encoders against their independently
+# written oracles (test-local, under other names), next_raw_message's
+# split against decode's consumed length and error on every
+# single-byte corruption, the roundtrip properties through the
+# production encoders, and the tap's observation of a ClientHello and
+# of a ServerHello..ServerHelloDone flight, each under every
+# single-byte corruption, against the observation decode walks out of
+# the same payloads. Also in the workspace run; repeated by name so a
+# codec or tap drift is called out explicitly.
+cargo test -q --offline -p iotls-tls --lib -- handshake::tests::raw_skim_agrees_with_decode \
+    handshake::tests::encode_into_matches_legacy_encode extension::tests::encode_into_matches_legacy_encode \
+    record::tests::fragmentation_respects_limit record::tests::empty_payload_fragment \
+    record::tests::encode_into_matches_encode_oracle record::tests::write_record_matches_fragment_plus_encode
+cargo test -q --offline -p iotls-tls --test proptests
+cargo test -q --offline -p iotls-tls --test record_roundtrip write_record_matches_fragment_encode_oracle
+cargo test -q --offline -p iotls-simnet --lib -- tap::tests::tap_reads_what_the_endpoints_decode_reads
+cargo test -q --offline -p iotls-simnet --test alloc_discipline encode_into_matches_legacy_encode_under_sweep_inputs
 # Quickstart under faults: every connection recovers through the lab's
 # reconnect budget and an outcome still tainted after it is printed,
 # not asserted on, so a documented flag value exits 0.
@@ -358,6 +378,24 @@ fi
 # Fail if the per-endpoint provisioning call comes back.
 if grep -rnE 'fn provision\(' crates/devices/src; then
     echo "tier1: FAILED (per-endpoint provision reintroduced in crates/devices/src)" >&2
+    exit 1
+fi
+
+# API-surface gate: the TLS codec is written once per direction, and
+# the tap reads handshakes with the endpoints' parser. Fail if the
+# owned record type, the tap's validate-only skim, or a legacy encoder
+# comes back under crates/tls/src (the independent encoders live on
+# only as test oracles under other names). Scoped to crates/tls/src,
+# because devices::spec has a `fn payload(` of its own. Also fail if
+# the Prometheus renderer or the never-built admission rejection enum
+# comes back under crates/*/src.
+if grep -rnE 'pub struct Record\b|fn (validate_body|server_hello_fields|first_certificate|skim_extensions|skim_extension|encode_extensions|fragment|payload)\(' \
+    crates/tls/src; then
+    echo "tier1: FAILED (second TLS codec path reintroduced in crates/tls/src)" >&2
+    exit 1
+fi
+if grep -rnE 'fn to_prometheus\(|enum Rejected\b' crates/*/src; then
+    echo "tier1: FAILED (removed Prometheus renderer or Rejected enum reintroduced in crates/*/src)" >&2
     exit 1
 fi
 
